@@ -7,6 +7,7 @@
 // CHEETAH_BENCH_SCALE (default 1.0) to grow or shrink every run
 // proportionally. Payload bytes are not stored (metadata-only volumes), so
 // runs stay memory-bounded while all latency/bandwidth accounting is intact.
+// CHEETAH_BENCH_SMOKE=1 shrinks the self-asserting benches to CI size.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
@@ -37,6 +38,8 @@ inline double Scale() {
   }
   return 1.0;
 }
+
+inline bool Smoke() { return std::getenv("CHEETAH_BENCH_SMOKE") != nullptr; }
 
 inline uint64_t ScaledOps(uint64_t base) {
   const double s = Scale();

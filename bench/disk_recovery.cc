@@ -22,7 +22,7 @@ int main() {
       uint64_t total = 0;
       for (int i = 0; i < bench.bed->num_data(); ++i) {
         if (bench.bed->data_machine(i).alive()) {
-          total += bench.bed->data(i).stats().recovery_bytes;
+          total += bench.bed->data(i).stats().recovery_bytes.value();
         }
       }
       return total;
@@ -57,7 +57,7 @@ int main() {
     auto bytes_recovered = [&bench] {
       uint64_t total = 0;
       for (int i = 1; i < bench.cluster->num_osds(); ++i) {
-        total += bench.cluster->osd(i).stats().backfill_bytes;
+        total += bench.cluster->osd(i).stats().backfill_bytes.value();
       }
       return total;
     };

@@ -16,7 +16,7 @@
 // Asserts the frontier the tiering subsystem promises: every object demotes,
 // EC storage overhead stays <= 1.6x (vs ~3.0x for replication), the inline
 // put path is strictly faster than the replica put path, and no operation
-// errors anywhere. Exits non-zero otherwise; CHEETAH_EC_SMOKE=1 shrinks every
+// errors anywhere. Exits non-zero otherwise; CHEETAH_BENCH_SMOKE=1 shrinks every
 // dimension so scripts/check.sh can run it as the `ec` tier's bench smoke.
 #include <cstdio>
 #include <cstdlib>
@@ -32,8 +32,6 @@ namespace {
 
 using core::MetaServer;
 using core::Testbed;
-
-bool Smoke() { return std::getenv("CHEETAH_EC_SMOKE") != nullptr; }
 
 struct EcScale {
   uint64_t small_objects;  // 2KiB puts per small-object cluster
@@ -93,7 +91,7 @@ void TierAllNow(Testbed& bed) {
 uint64_t TotalDemotions(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).tier_engine().stats().demotions;
+    total += bed.meta(i).tier_engine().stats().demotions.value();
   }
   return total;
 }
@@ -101,7 +99,7 @@ uint64_t TotalDemotions(Testbed& bed) {
 uint64_t TotalInlinePuts(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_proxies(); ++i) {
-    total += bed.proxy(i).stats().inline_puts;
+    total += bed.proxy(i).stats().inline_puts.value();
   }
   return total;
 }

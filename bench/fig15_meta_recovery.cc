@@ -44,7 +44,7 @@ int main() {
   int stable = 0;
   for (int tick = 0; tick < 600; ++tick) {
     const double t = static_cast<double>(bench.loop().Now() - t0) / 1e9;
-    const uint64_t recovered = bench.bed->meta(new_idx).stats().recovered_kvs;
+    const uint64_t recovered = bench.bed->meta(new_idx).stats().recovered_kvs.value();
     std::printf("%-18.1f%-18llu\n", t, static_cast<unsigned long long>(recovered));
     if (recovered == last && recovered > 0 && ++stable > 80) {
       break;  // plateaued for ~0.8s: recovery complete

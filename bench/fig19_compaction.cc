@@ -44,8 +44,8 @@ int main() {
     haystack_compact = during.throughput.OpsPerSec();
     uint64_t compactions = 0, rewritten = 0;
     for (int s = 0; s < bench.cluster->num_stores(); ++s) {
-      compactions += bench.cluster->store(s).stats().compactions;
-      rewritten += bench.cluster->store(s).stats().compacted_bytes;
+      compactions += bench.cluster->store(s).stats().compactions.value();
+      rewritten += bench.cluster->store(s).stats().compacted_bytes.value();
     }
     std::fprintf(stderr, "  compactions=%llu rewritten=%llu bytes\n",
                  static_cast<unsigned long long>(compactions),

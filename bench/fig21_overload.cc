@@ -11,7 +11,7 @@
 //
 // The binary asserts the PR's acceptance criteria and exits non-zero when
 // they do not hold, so it doubles as the `qos` check tier's smoke test
-// (CHEETAH_FIG21_SMOKE=1 shrinks every dimension).
+// (CHEETAH_BENCH_SMOKE=1 shrinks every dimension).
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -24,8 +24,6 @@
 
 namespace cheetah::bench {
 namespace {
-
-bool Smoke() { return std::getenv("CHEETAH_FIG21_SMOKE") != nullptr; }
 
 struct Fig21Scale {
   uint64_t preload;         // objects available to GET

@@ -9,7 +9,7 @@
 //   3. the drain completes (node retired, no migration state left behind),
 //   4. a full post-resize audit reads back every object ever acked.
 //
-// CHEETAH_RESIZE_SMOKE=1 shrinks the run for CI (scripts/check.sh).
+// CHEETAH_BENCH_SMOKE=1 shrinks the run for CI (scripts/check.sh).
 #include <cstdlib>
 
 #include "bench/bench_util.h"
@@ -75,7 +75,7 @@ int main() {
   using namespace cheetah;
   using namespace cheetah::bench;
 
-  const bool smoke = std::getenv("CHEETAH_RESIZE_SMOKE") != nullptr;
+  const bool smoke = Smoke();
   const uint64_t preload_count = smoke ? 200 : ScaledOps(1500);
   const double offered = smoke ? 250.0 : 500.0;
   const Nanos steady_span = smoke ? Seconds(2) : Seconds(4);
@@ -139,7 +139,7 @@ int main() {
   }
   uint64_t fast_redirects = 0;
   for (int i = 0; i < bed.num_proxies(); ++i) {
-    fast_redirects += bed.proxy(i).stats().fast_redirects;
+    fast_redirects += bed.proxy(i).stats().fast_redirects.value();
   }
 
   // Full audit: every preloaded object plus every acked put, read back once.

@@ -11,7 +11,7 @@
 // The scrub-on side then takes a bit-rot hit after the measured window and
 // must repair every damaged extent before a final audit pass, so the binary
 // also smoke-tests the detect -> repair pipeline end to end. It asserts both
-// criteria and exits non-zero when they do not hold; CHEETAH_SCRUB_SMOKE=1
+// criteria and exits non-zero when they do not hold; CHEETAH_BENCH_SMOKE=1
 // shrinks every dimension so scripts/check.sh can run it as the `integrity`
 // tier's bench smoke.
 #include <cstdio>
@@ -28,8 +28,6 @@ namespace {
 
 using core::MetaServer;
 using core::Testbed;
-
-bool Smoke() { return std::getenv("CHEETAH_SCRUB_SMOKE") != nullptr; }
 
 struct ScrubScale {
   uint64_t preload;      // objects available to GET
@@ -68,7 +66,7 @@ void ScrubAllOnce(Testbed& bed) {
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   return total;
 }
@@ -112,9 +110,9 @@ SideResult RunSide(bool scrub_on, const ScrubScale& scale) {
   }
 
   for (int i = 0; i < bench.bed->num_meta(); ++i) {
-    const core::Scrubber::Stats s = bench.bed->meta(i).scrubber().stats();
-    side.scrubbed_objects += s.objects;
-    side.scrub_repairs += s.repairs;
+    const core::Scrubber::Counters& s = bench.bed->meta(i).scrubber().stats();
+    side.scrubbed_objects += s.objects.value();
+    side.scrub_repairs += s.repairs.value();
   }
   return side;
 }

@@ -14,7 +14,7 @@
 // produce bit-identical firing-order fingerprints — the wheel is only allowed
 // to be faster, never different. The binary asserts the fingerprints and a
 // conservative speedup floor, so it doubles as a regression test; the `perf`
-// tier of scripts/check.sh runs it with CHEETAH_SIM_ENGINE_SMOKE=1 for a
+// tier of scripts/check.sh runs it with CHEETAH_BENCH_SMOKE=1 for a
 // reduced event count.
 //
 // Emits BENCH_sim_engine.json with the measured rates.
@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
@@ -162,7 +163,7 @@ RunResult Drive(Loop& loop, const Params& p) {
 
 int main() {
   Params p;
-  const bool smoke = std::getenv("CHEETAH_SIM_ENGINE_SMOKE") != nullptr;
+  const bool smoke = cheetah::bench::Smoke();
   if (smoke) {
     p.total_events = 400'000;
   }

@@ -15,7 +15,7 @@ namespace {
 uint64_t TotalDataWrites(core::Testbed& bed) {
   uint64_t writes = 0;
   for (int i = 0; i < bed.num_data(); ++i) {
-    writes += bed.data(i).stats().writes;
+    writes += bed.data(i).stats().writes.value();
   }
   return writes;
 }
@@ -74,10 +74,10 @@ int main() {
   bed.RunFor(Seconds(2));
   std::printf("  view=%llu; MetaX KVs pulled by the new server: %llu\n",
               static_cast<unsigned long long>(bed.proxy(0).view()),
-              static_cast<unsigned long long>(bed.meta(*m).stats().recovered_kvs));
+              static_cast<unsigned long long>(bed.meta(*m).stats().recovered_kvs.value()));
   uint64_t migrated = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    migrated += bed.meta(i).stats().migrated_objects;
+    migrated += bed.meta(i).stats().migrated_objects.value();
   }
   std::printf("  object data migrated: %llu (VGs pin data to volumes)\n",
               static_cast<unsigned long long>(migrated));

@@ -59,7 +59,7 @@ int main() {
               names.size());
   uint64_t recovered = 0;
   for (int i = 1; i < bed.num_meta(); ++i) {
-    recovered += bed.meta(i).stats().recovered_kvs;
+    recovered += bed.meta(i).stats().recovered_kvs.value();
   }
   std::printf("  MetaX KVs pulled by surviving servers: %llu\n",
               static_cast<unsigned long long>(recovered));
@@ -71,8 +71,8 @@ int main() {
   bed.RunFor(Seconds(4));
   uint64_t volumes = 0, bytes = 0;
   for (int i = 1; i < bed.num_data(); ++i) {
-    volumes += bed.data(i).stats().volumes_recovered;
-    bytes += bed.data(i).stats().recovery_bytes;
+    volumes += bed.data(i).stats().volumes_recovered.value();
+    bytes += bed.data(i).stats().recovery_bytes.value();
   }
   std::printf("  volumes re-replicated: %llu (%llu bytes); readable: %d/%zu\n",
               static_cast<unsigned long long>(volumes),

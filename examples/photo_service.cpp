@@ -65,7 +65,7 @@ int main() {
   std::printf("  throughput: %.0f req/sec\n", results.throughput.OpsPerSec());
   uint64_t cache_hits = 0;
   for (int i = 0; i < bed.num_proxies(); ++i) {
-    cache_hits += bed.proxy(i).stats().cache_hits;
+    cache_hits += bed.proxy(i).stats().cache_hits.value();
   }
   std::printf("  proxy metadata-cache hits: %llu (the §7 read optimization)\n",
               static_cast<unsigned long long>(cache_hits));

@@ -60,9 +60,9 @@ int main() {
 
   const auto& stats = bed.proxy(0).stats();
   std::printf("\nproxy stats: %llu puts, %llu gets, %llu deletes, %llu retries\n",
-              static_cast<unsigned long long>(stats.puts),
-              static_cast<unsigned long long>(stats.gets),
-              static_cast<unsigned long long>(stats.deletes),
-              static_cast<unsigned long long>(stats.retries));
+              static_cast<unsigned long long>(stats.puts.value()),
+              static_cast<unsigned long long>(stats.gets.value()),
+              static_cast<unsigned long long>(stats.deletes.value()),
+              static_cast<unsigned long long>(stats.retries.value()));
   return 0;
 }

@@ -28,7 +28,7 @@ CHEETAH_CHAOS_SEEDS=1,2,3 ctest --preset "$preset" -L chaos -j "$(nproc)"
 ctest --preset "$preset" -L qos -j "$(nproc)"
 builddir=build
 [[ "$preset" == "sanitize" ]] && builddir=build-sanitize
-CHEETAH_FIG21_SMOKE=1 "$builddir/bench/fig21_overload"
+CHEETAH_BENCH_SMOKE=1 "$builddir/bench/fig21_overload"
 
 # Integrity tier: the bit-rot/LSE/gray-corruption sweep (ctest label
 # `integrity`, pinned seeds) proving zero corrupt bytes reach clients and all
@@ -36,7 +36,7 @@ CHEETAH_FIG21_SMOKE=1 "$builddir/bench/fig21_overload"
 # it asserts foreground GET p99 with scrubbing stays within 2x of scrub-off
 # and that an injected bit-rot burst is fully repaired before its audit pass.
 CHEETAH_INTEGRITY_SEEDS=1,2 ctest --preset "$preset" -L integrity -j "$(nproc)"
-CHEETAH_SCRUB_SMOKE=1 "$builddir/bench/scrub_overhead"
+CHEETAH_BENCH_SMOKE=1 "$builddir/bench/scrub_overhead"
 
 # EC/tiering tier: storage-class placement, demotion, degraded-read, and
 # demotion-race tests plus the EC chunk-loss chaos sweep (ctest label `ec`,
@@ -44,7 +44,7 @@ CHEETAH_SCRUB_SMOKE=1 "$builddir/bench/scrub_overhead"
 # asserts every cold object demotes, EC storage overhead stays <= 1.6x, and
 # the inline put path beats the replica put path on latency.
 CHEETAH_EC_SEEDS=1,2 ctest --preset "$preset" -L ec -j "$(nproc)"
-CHEETAH_EC_SMOKE=1 "$builddir/bench/ec_tradeoffs"
+CHEETAH_BENCH_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 
 # Membership/migration tier: failure-detector units, live drain/migration
 # tests, and the migration chaos sweep (ctest label `migrate`, pinned seeds —
@@ -53,7 +53,7 @@ CHEETAH_EC_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 # doubles and a node drains, foreground p99 within 2x of steady state, a
 # completed drain, and a clean full audit afterwards.
 CHEETAH_MIGRATE_SEEDS=1,2 ctest --preset "$preset" -L migrate -j "$(nproc)"
-CHEETAH_RESIZE_SMOKE=1 "$builddir/bench/resize_under_fire"
+CHEETAH_BENCH_SMOKE=1 "$builddir/bench/resize_under_fire"
 
 # Perf tier: simulator engine internals (timer wheel vs reference heap,
 # InlineFn, Arena, AnyMsg, callback lifecycle; ctest label `perf`), then the
@@ -61,4 +61,4 @@ CHEETAH_RESIZE_SMOKE=1 "$builddir/bench/resize_under_fire"
 # fingerprints are bit-identical and that the wheel clears a conservative
 # throughput floor over the legacy priority_queue loop.
 ctest --preset "$preset" -L perf -j "$(nproc)"
-CHEETAH_SIM_ENGINE_SMOKE=1 "$builddir/bench/sim_engine_speed"
+CHEETAH_BENCH_SMOKE=1 "$builddir/bench/sim_engine_speed"

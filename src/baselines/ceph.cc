@@ -24,10 +24,7 @@ std::string EncodeObjInfo(uint64_t offset, uint64_t size, uint32_t crc) {
 CephOsd::CephOsd(rpc::Node& rpc, const CephConfig& config)
     : rpc_(rpc),
       config_(config),
-      scope_("ceph@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("writes"), scope_.counter("reads"),
-                scope_.counter("journal_bytes"), scope_.counter("backfilled_objects"),
-                scope_.counter("backfill_bytes")} {}
+      counters_{obs::Scope("ceph@" + std::to_string(rpc.id()))} {}
 
 sim::Task<Status> CephOsd::Start() {
   kv::Options opts;
@@ -116,13 +113,13 @@ sim::Task<Status> CephOsd::LocalWrite(const std::string& name, std::string data,
   CO_RETURN_IF_ERROR(co_await disk.Append("journal", std::string(1, 'j'), /*sync=*/false));
   co_await disk.ChargeWrite(journal_bytes);
   co_await disk.ChargeFsync();
-  counters_.journal_bytes->Add(journal_bytes);
+  counters_.journal_bytes.Add(journal_bytes);
   const uint64_t offset = tail_;
   CO_RETURN_IF_ERROR(co_await disk.WriteBlocks(kDevice, offset, std::move(data), checksum));
   CO_RETURN_IF_ERROR(co_await db_->Put("O_" + name, EncodeObjInfo(offset, size, checksum)));
   objects_[name] = ObjInfo{offset, size, checksum};
   tail_ += size;
-  counters_.writes->Add();
+  counters_.writes.Add();
   co_return Status::Ok();
 }
 
@@ -211,7 +208,7 @@ sim::Task<Result<CReadReply>> CephOsd::HandleRead(sim::NodeId, CReadRequest req)
   if (!data.ok()) {
     co_return data.status();
   }
-  counters_.reads->Add();
+  counters_.reads.Add();
   CReadReply reply;
   reply.data = std::move(*data);
   reply.checksum = it->second.checksum;
@@ -296,9 +293,9 @@ sim::Task<> CephOsd::BackfillPg(uint32_t pg, sim::NodeId source) {
       continue;
     }
     (void)co_await LocalWrite(obj.name, std::move(obj.data), obj.checksum);
-    counters_.backfilled_objects->Add();
+    counters_.backfilled_objects.Add();
   }
-  counters_.backfill_bytes->Add(pulled->total_bytes);
+  counters_.backfill_bytes.Add(pulled->total_bytes);
 }
 
 // ---- client ----

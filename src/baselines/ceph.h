@@ -136,19 +136,16 @@ class CephOsd {
   void InstallMap(crush::Map map, uint64_t epoch,
                   const std::map<uint32_t, sim::NodeId>& previous_primaries);
 
-  // Value snapshot of the registry-backed counters ("ceph@<node>#<i>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t journal_bytes = 0;
-    uint64_t backfilled_objects = 0;
-    uint64_t backfill_bytes = 0;
+  // Live registry counters ("ceph@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& writes = *scope.counter("writes");
+    obs::Counter& reads = *scope.counter("reads");
+    obs::Counter& journal_bytes = *scope.counter("journal_bytes");
+    obs::Counter& backfilled_objects = *scope.counter("backfilled_objects");
+    obs::Counter& backfill_bytes = *scope.counter("backfill_bytes");
   };
-  Stats stats() const {
-    return Stats{counters_.writes->value(), counters_.reads->value(),
-                 counters_.journal_bytes->value(), counters_.backfilled_objects->value(),
-                 counters_.backfill_bytes->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
  private:
   struct ObjInfo {
@@ -182,14 +179,7 @@ class CephOsd {
   std::unordered_map<std::string, ObjInfo> objects_;
   std::map<uint32_t, PgLock> pg_locks_;
   uint64_t tail_ = 0;
-  obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* reads;
-    obs::Counter* journal_bytes;
-    obs::Counter* backfilled_objects;
-    obs::Counter* backfill_bytes;
-  } counters_;
+  Counters counters_;
 };
 
 // ---- client ----

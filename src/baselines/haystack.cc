@@ -195,10 +195,7 @@ sim::Task<Result<HsDirReplicateReply>> HaystackDirectory::HandleReplicate(
 HaystackStore::HaystackStore(rpc::Node& rpc, const HaystackConfig& config)
     : rpc_(rpc),
       config_(config),
-      scope_("haystack@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("writes"),      scope_.counter("reads"),
-                scope_.counter("flags"),       scope_.counter("checkpoints"),
-                scope_.counter("compactions"), scope_.counter("compacted_bytes")} {}
+      counters_{obs::Scope("haystack@" + std::to_string(rpc.id()))} {}
 
 void HaystackStore::Start() {
   rpc_.Serve<HsWriteRequest>([this](sim::NodeId src, HsWriteRequest req) {
@@ -234,7 +231,7 @@ sim::Task<Result<HsWriteReply>> HaystackStore::HandleWrite(sim::NodeId src,
   ++vol.dirty;  // Mo lives in memory; the on-disk index lags (§2.2)
   live_bytes_ += size;
   total_bytes_ += size;
-  counters_.writes->Add();
+  counters_.writes.Add();
   HsWriteReply reply;
   reply.offset = offset;
   co_return reply;
@@ -258,7 +255,7 @@ sim::Task<Result<HsReadReply>> HaystackStore::HandleRead(sim::NodeId src, HsRead
   if (!data.ok()) {
     co_return data.status();
   }
-  counters_.reads->Add();
+  counters_.reads.Add();
   HsReadReply reply;
   reply.data = std::move(*data);
   reply.checksum = nit->second.checksum;
@@ -282,7 +279,7 @@ sim::Task<Result<HsFlagReply>> HaystackStore::HandleFlag(sim::NodeId src, HsFlag
   vit->second.dead_bytes += nit->second.size;
   live_bytes_ -= nit->second.size;
   ++vit->second.dirty;
-  counters_.flags->Add();
+  counters_.flags.Add();
   co_return HsFlagReply{};
 }
 
@@ -323,8 +320,8 @@ sim::Task<Result<HsCompactReply>> HaystackStore::HandleCompact(sim::NodeId src,
   vol.dead_bytes = 0;
   ++vol.generation;
   ++vol.dirty;
-  counters_.compactions->Add();
-  counters_.compacted_bytes->Add(rewritten);
+  counters_.compactions.Add();
+  counters_.compacted_bytes.Add(rewritten);
   HsCompactReply reply;
   reply.bytes_rewritten = rewritten;
   co_return reply;
@@ -344,7 +341,7 @@ sim::Task<> HaystackStore::CheckpointLoop() {
       (void)co_await disk.WriteFile(IndexFile(id), std::string(1, 'i'), /*sync=*/true);
       co_await disk.ChargeWrite(bytes);
       vol.dirty = 0;
-      counters_.checkpoints->Add();
+      counters_.checkpoints.Add();
     }
   }
 }

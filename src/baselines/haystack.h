@@ -193,20 +193,17 @@ class HaystackStore {
   HaystackStore(rpc::Node& rpc, const HaystackConfig& config);
   void Start();
 
-  // Value snapshot of the registry-backed counters ("haystack@<node>#<i>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t flags = 0;
-    uint64_t checkpoints = 0;
-    uint64_t compactions = 0;
-    uint64_t compacted_bytes = 0;
+  // Live registry counters ("haystack@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& writes = *scope.counter("writes");
+    obs::Counter& reads = *scope.counter("reads");
+    obs::Counter& flags = *scope.counter("flags");
+    obs::Counter& checkpoints = *scope.counter("checkpoints");
+    obs::Counter& compactions = *scope.counter("compactions");
+    obs::Counter& compacted_bytes = *scope.counter("compacted_bytes");
   };
-  Stats stats() const {
-    return Stats{counters_.writes->value(),      counters_.reads->value(),
-                 counters_.flags->value(),       counters_.checkpoints->value(),
-                 counters_.compactions->value(), counters_.compacted_bytes->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
   // Bytes of live vs total needle data (storage efficiency, Fig. 18).
   uint64_t live_bytes() const { return live_bytes_; }
@@ -245,15 +242,7 @@ class HaystackStore {
   std::map<uint32_t, Volume> volumes_;
   uint64_t live_bytes_ = 0;
   uint64_t total_bytes_ = 0;
-  obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* reads;
-    obs::Counter* flags;
-    obs::Counter* checkpoints;
-    obs::Counter* compactions;
-    obs::Counter* compacted_bytes;
-  } counters_;
+  Counters counters_;
 };
 
 // ---- client ----

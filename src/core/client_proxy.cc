@@ -18,22 +18,13 @@ ClientProxy::ClientProxy(rpc::Node& rpc, CheetahOptions options,
       manager_nodes_(std::move(manager_nodes)),
       proxy_id_(proxy_id),
       rng_(0x9c0ffee0ull + proxy_id),
-      scope_("proxy@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("puts"),    scope_.counter("gets"),
-                scope_.counter("deletes"), scope_.counter("retries"),
-                scope_.counter("failures"), scope_.counter("cache_hits"),
-                scope_.counter("corrupt_replica_reads"),
-                scope_.counter("read_repairs"),
-                scope_.counter("inline_puts"),
-                scope_.counter("ec_degraded_reads"),
-                scope_.counter("ec_chunk_repairs"),
-                scope_.counter("fast_redirects")} {}
+      counters_{obs::Scope("proxy@" + std::to_string(rpc.id()))} {}
 
 ClientProxy::MetaWindow& ClientProxy::WindowFor(sim::NodeId dst) {
   auto it = windows_.find(dst);
   if (it == windows_.end()) {
     auto mw = std::make_unique<MetaWindow>(options_.aimd);
-    mw->window_gauge = scope_.gauge("aimd_window." + std::to_string(dst));
+    mw->window_gauge = counters_.scope.gauge("aimd_window." + std::to_string(dst));
     it = windows_.emplace(dst, std::move(mw)).first;
   }
   return *it->second;
@@ -160,7 +151,7 @@ uint64_t ClientProxy::StaleViewHint(const Status& s) {
 sim::Task<> ClientProxy::ChaseStaleView(const Status& s) {
   const uint64_t hint = StaleViewHint(s);
   if (hint > topo_.view) {
-    counters_.fast_redirects->Add();
+    counters_.fast_redirects.Add();
     // The server is provably ahead: poll the managers until the replicated
     // topology catches up to the hinted view. No jittered sleep between
     // rounds — the view is already committed somewhere, the only latency is
@@ -198,15 +189,15 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
     Status s = co_await PutAttempt(name, data, checksum, reqid, re_meta, re_data);
     if (s.ok()) {
-      counters_.puts->Add();
+      counters_.puts.Add();
       co_return s;
     }
     if (s.code() == ErrorCode::kAlreadyExists ||
         s.code() == ErrorCode::kResourceExhausted) {
-      counters_.failures->Add();
+      counters_.failures.Add();
       co_return s;  // terminal
     }
-    counters_.retries->Add();
+    counters_.retries.Add();
     if (s.IsStaleView()) {
       co_await ChaseStaleView(s);
     } else if (s.IsOverloaded()) {
@@ -221,7 +212,7 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
       co_await BackoffAndRefresh(attempt);
     }
   }
-  counters_.failures->Add();
+  counters_.failures.Add();
   co_return Status::Unavailable("put exhausted retries");
 }
 
@@ -279,7 +270,7 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
       co_return Status::IoError("data write failed: " + ws.ToString());
     }
   } else {
-    counters_.inline_puts->Add();
+    counters_.inline_puts.Add();
   }
 
   // Wait for the MetaX-persisted ack (already satisfied in Cheetah-OW). The
@@ -385,7 +376,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
     // metadata lookup with the data read.
     auto cached = options_.enable_read_cache ? meta_cache_.find(name) : meta_cache_.end();
     if (cached != meta_cache_.end()) {
-      counters_.cache_hits->Add();
+      counters_.cache_hits.Add();
       // Concurrent ops on this proxy can mutate meta_cache_ while the
       // parallel lookup below is suspended, invalidating the iterator —
       // work from a copy.
@@ -411,7 +402,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       auto& meta = par->meta;
       auto& data0 = par->data;
       if (meta.ok() && data0.ok() && meta->meta.checksum == cached_meta.checksum) {
-        counters_.gets->Add();
+        counters_.gets.Add();
         co_return std::move(data0);
       }
       meta_cache_.erase(name);
@@ -420,7 +411,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
         // location using the authoritative metadata.
         auto data = co_await ReadData(par->meta->meta, /*verify=*/true);
         if (data.ok()) {
-          counters_.gets->Add();
+          counters_.gets.Add();
           co_return data;
         }
       }
@@ -440,7 +431,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       }
       LOG_DEBUG << "proxy " << proxy_id_ << " get " << name << " attempt " << attempt
                 << " meta: " << meta.status().ToString();
-      counters_.retries->Add();
+      counters_.retries.Add();
       if (meta.status().IsTimeout()) {
         ReportSuspect(primary);
       }
@@ -459,15 +450,15 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       if (options_.enable_read_cache) {
         meta_cache_[name] = meta->meta;
       }
-      counters_.gets->Add();
+      counters_.gets.Add();
       co_return data;
     }
     LOG_DEBUG << "proxy " << proxy_id_ << " get " << name << " attempt " << attempt
               << " data: " << data.status().ToString();
-    counters_.retries->Add();
+    counters_.retries.Add();
     co_await BackoffAndRefresh(attempt);
   }
-  counters_.failures->Add();
+  counters_.failures.Add();
   co_return Status::Unavailable("get exhausted retries");
 }
 
@@ -519,7 +510,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool ve
       // remember the replica for repair.
       if (r.status().code() == ErrorCode::kCorruption ||
           r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads->Add();
+        counters_.corrupt_replica_reads.Add();
         damaged.push_back(as_damaged);
       }
       continue;
@@ -529,7 +520,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool ve
       // the checksum it stored at write time.
       const uint32_t crc = r->content_valid ? Crc32c(r->data) : r->checksum;
       if (crc != meta.checksum || r->checksum != meta.checksum) {
-        counters_.corrupt_replica_reads->Add();
+        counters_.corrupt_replica_reads.Add();
         damaged.push_back(as_damaged);
         continue;  // corrupt/partial replica; try another
       }
@@ -605,14 +596,14 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
         }
         if (r.status().code() == ErrorCode::kCorruption ||
             r.status().code() == ErrorCode::kIoError) {
-          self->counters_.corrupt_replica_reads->Add();
+          self->counters_.corrupt_replica_reads.Add();
           st->damaged[j] = 1;
         }
         co_return;
       }
       const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
       if (got != crc) {
-        self->counters_.corrupt_replica_reads->Add();
+        self->counters_.corrupt_replica_reads.Add();
         st->damaged[j] = 1;
         co_return;
       }
@@ -655,14 +646,14 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
       }
       if (r.status().code() == ErrorCode::kCorruption ||
           r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads->Add();
+        counters_.corrupt_replica_reads.Add();
         st->damaged[j] = 1;
       }
       continue;
     }
     const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
     if (got != meta.chunk_crcs[j]) {
-      counters_.corrupt_replica_reads->Add();
+      counters_.corrupt_replica_reads.Add();
       st->damaged[j] = 1;
       continue;
     }
@@ -676,7 +667,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   if (!decoded.ok()) {
     co_return decoded.status();
   }
-  counters_.ec_degraded_reads->Add();
+  counters_.ec_degraded_reads.Add();
 
   if (options_.enable_read_repair) {
     // Fire-and-forget reconstruction repair of the positively-damaged chunks
@@ -706,7 +697,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
         auto w = co_await self->rpc_.Call(targets[j].node, std::move(write),
                                           self->options_.rpc_timeout);
         if (w.ok()) {
-          self->counters_.ec_chunk_repairs->Add();
+          self->counters_.ec_chunk_repairs.Add();
         }
       }
     }(this, meta, block_size, std::move(targets), st));
@@ -739,7 +730,7 @@ void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
       auto w = co_await self->rpc_.Call(d.data_server, std::move(write),
                                         self->options_.rpc_timeout);
       if (w.ok()) {
-        self->counters_.read_repairs->Add();
+        self->counters_.read_repairs.Add();
       }
     }
   }(this, meta, block_size, std::move(damaged), std::move(data)));
@@ -770,13 +761,13 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
     req.proxy_id = proxy_id_;
     auto r = co_await CallMeta(primary, std::move(req));
     if (r.ok()) {
-      counters_.deletes->Add();
+      counters_.deletes.Add();
       co_return Status::Ok();
     }
     if (r.status().IsNotFound()) {
       co_return r.status();
     }
-    counters_.retries->Add();
+    counters_.retries.Add();
     if (r.status().IsTimeout()) {
       ReportSuspect(primary);
     }
@@ -789,7 +780,7 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
       co_await BackoffAndRefresh(attempt);
     }
   }
-  counters_.failures->Add();
+  counters_.failures.Add();
   co_return Status::Unavailable("delete exhausted retries");
 }
 

@@ -46,32 +46,23 @@ class ClientProxy {
   sim::Task<Result<std::string>> Get(std::string name);
   sim::Task<Status> Delete(std::string name);
 
-  // Value snapshot of the registry-backed counters ("proxy@<node>#<i>.*").
-  struct Stats {
-    uint64_t puts = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t retries = 0;
-    uint64_t failures = 0;
-    uint64_t cache_hits = 0;
-    uint64_t corrupt_replica_reads = 0;  // replicas rejected by verification
-    uint64_t read_repairs = 0;           // damaged replicas rewritten
-    uint64_t inline_puts = 0;            // objects stored in the MetaX record
-    uint64_t ec_degraded_reads = 0;      // EC gets that needed reconstruction
-    uint64_t ec_chunk_repairs = 0;       // stripe chunks rewritten after a get
-    uint64_t fast_redirects = 0;         // stale-view NACKs chased sans backoff
+  // Live registry counters ("proxy@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& puts = *scope.counter("puts");
+    obs::Counter& gets = *scope.counter("gets");
+    obs::Counter& deletes = *scope.counter("deletes");
+    obs::Counter& retries = *scope.counter("retries");
+    obs::Counter& failures = *scope.counter("failures");
+    obs::Counter& cache_hits = *scope.counter("cache_hits");
+    obs::Counter& corrupt_replica_reads = *scope.counter("corrupt_replica_reads");  // rejected
+    obs::Counter& read_repairs = *scope.counter("read_repairs");  // damaged replicas rewritten
+    obs::Counter& inline_puts = *scope.counter("inline_puts");  // stored in the MetaX record
+    obs::Counter& ec_degraded_reads = *scope.counter("ec_degraded_reads");  // reconstructed
+    obs::Counter& ec_chunk_repairs = *scope.counter("ec_chunk_repairs");  // rewritten after get
+    obs::Counter& fast_redirects = *scope.counter("fast_redirects");  // NACKs chased sans backoff
   };
-  Stats stats() const {
-    return Stats{counters_.puts->value(),    counters_.gets->value(),
-                 counters_.deletes->value(), counters_.retries->value(),
-                 counters_.failures->value(), counters_.cache_hits->value(),
-                 counters_.corrupt_replica_reads->value(),
-                 counters_.read_repairs->value(),
-                 counters_.inline_puts->value(),
-                 counters_.ec_degraded_reads->value(),
-                 counters_.ec_chunk_repairs->value(),
-                 counters_.fast_redirects->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
   uint64_t view() const { return topo_.view; }
   const cluster::TopologyMap& topology() const { return topo_; }
@@ -181,21 +172,7 @@ class ClientProxy {
   std::map<ReqId, std::shared_ptr<PersistWait>> persist_waits_;
   std::unordered_map<std::string, ObMeta> meta_cache_;
 
-  obs::Scope scope_;
-  struct {
-    obs::Counter* puts;
-    obs::Counter* gets;
-    obs::Counter* deletes;
-    obs::Counter* retries;
-    obs::Counter* failures;
-    obs::Counter* cache_hits;
-    obs::Counter* corrupt_replica_reads;
-    obs::Counter* read_repairs;
-    obs::Counter* inline_puts;
-    obs::Counter* ec_degraded_reads;
-    obs::Counter* ec_chunk_repairs;
-    obs::Counter* fast_redirects;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

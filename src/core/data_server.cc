@@ -14,11 +14,7 @@ DataServer::DataServer(rpc::Node& rpc, CheetahOptions options,
     : rpc_(rpc),
       options_(std::move(options)),
       manager_nodes_(std::move(manager_nodes)),
-      scope_("data@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("writes"),          scope_.counter("reads"),
-                scope_.counter("probes"),          scope_.counter("bytes_written"),
-                scope_.counter("bytes_read"),      scope_.counter("volumes_recovered"),
-                scope_.counter("recovery_bytes"),  scope_.counter("verify_failures")} {}
+      counters_{obs::Scope("data@" + std::to_string(rpc.id()))} {}
 
 void DataServer::Start() {
   rpc_.Serve<DataWriteRequest>(
@@ -93,8 +89,8 @@ sim::Task<Result<DataWriteReply>> DataServer::HandleWrite(sim::NodeId src,
       co_return s;
     }
   }
-  counters_.writes->Add();
-  counters_.bytes_written->Add(req.data.size());
+  counters_.writes.Add();
+  counters_.bytes_written.Add(req.data.size());
   DataWriteReply reply;
   reply.checksum = req.checksum;
   co_return reply;
@@ -123,7 +119,7 @@ sim::Task<Result<DataReadReply>> DataServer::HandleRead(sim::NodeId src,
     // Verified read: reject per extent, before any damaged byte is framed
     // into a reply.
     if (req.verify && (!crc || *crc != req.expected_checksum)) {
-      counters_.verify_failures->Add();
+      counters_.verify_failures.Add();
       co_return Status::Corruption("extent checksum mismatch at " + req.device +
                                    "+" + std::to_string(offset));
     }
@@ -133,11 +129,11 @@ sim::Task<Result<DataReadReply>> DataServer::HandleRead(sim::NodeId src,
   if (req.verify && reply.content_valid && Crc32c(reply.data) != req.expected_checksum) {
     // Belt and suspenders for full-content mode: the payload itself rotted
     // while the stored checksum stayed intact.
-    counters_.verify_failures->Add();
+    counters_.verify_failures.Add();
     co_return Status::Corruption("payload checksum mismatch on " + req.device);
   }
-  counters_.reads->Add();
-  counters_.bytes_read->Add(reply.data.size());
+  counters_.reads.Add();
+  counters_.bytes_read.Add(reply.data.size());
   co_return reply;
 }
 
@@ -151,12 +147,12 @@ sim::Task<Result<DataProbeReply>> DataServer::HandleProbe(sim::NodeId src,
     if (!crc.ok() || *crc != req.expected_checksum) {
       reply.present = false;
       reply.checksum = crc.ok() ? *crc : 0;
-      counters_.probes->Add();
+      counters_.probes.Add();
       co_return reply;
     }
     reply.checksum = *crc;
   }
-  counters_.probes->Add();
+  counters_.probes.Add();
   co_return reply;
 }
 
@@ -214,8 +210,8 @@ sim::Task<Result<cluster::RecoverVolumeReply>> DataServer::HandleRecover(
       co_return s;
     }
   }
-  counters_.volumes_recovered->Add();
-  counters_.recovery_bytes->Add(copied);
+  counters_.volumes_recovered.Add();
+  counters_.recovery_bytes.Add(copied);
   // Tell the manager the volume is whole again.
   for (sim::NodeId mgr : manager_nodes_) {
     cluster::RecoveryDoneRequest done;

@@ -34,23 +34,19 @@ class DataServer {
   // Registers RPC handlers and starts the heartbeat loop.
   void Start();
 
-  // Value snapshot of the registry-backed counters ("data@<node>#<i>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t probes = 0;
-    uint64_t bytes_written = 0;
-    uint64_t bytes_read = 0;
-    uint64_t volumes_recovered = 0;
-    uint64_t recovery_bytes = 0;
-    uint64_t verify_failures = 0;  // verified reads refused for corruption
+  // Live registry counters ("data@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& writes = *scope.counter("writes");
+    obs::Counter& reads = *scope.counter("reads");
+    obs::Counter& probes = *scope.counter("probes");
+    obs::Counter& bytes_written = *scope.counter("bytes_written");
+    obs::Counter& bytes_read = *scope.counter("bytes_read");
+    obs::Counter& volumes_recovered = *scope.counter("volumes_recovered");
+    obs::Counter& recovery_bytes = *scope.counter("recovery_bytes");
+    obs::Counter& verify_failures = *scope.counter("verify_failures");  // refused as corrupt
   };
-  Stats stats() const {
-    return Stats{counters_.writes->value(),          counters_.reads->value(),
-                 counters_.probes->value(),          counters_.bytes_written->value(),
-                 counters_.bytes_read->value(),      counters_.volumes_recovered->value(),
-                 counters_.recovery_bytes->value(),  counters_.verify_failures->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
  private:
   sim::Storage& DiskFor(uint32_t disk_index) {
@@ -70,17 +66,7 @@ class DataServer {
   rpc::Node& rpc_;
   CheetahOptions options_;
   std::vector<sim::NodeId> manager_nodes_;
-  obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* reads;
-    obs::Counter* probes;
-    obs::Counter* bytes_written;
-    obs::Counter* bytes_read;
-    obs::Counter* volumes_recovered;
-    obs::Counter* recovery_bytes;
-    obs::Counter* verify_failures;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

@@ -26,38 +26,12 @@ MetaServer::MetaServer(rpc::Node& rpc, CheetahOptions options,
       options_(std::move(options)),
       manager_nodes_(std::move(manager_nodes)),
       seed_(seed),
-      scope_("meta@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("put_allocs"),
-                scope_.counter("gets"),
-                scope_.counter("deletes"),
-                scope_.counter("replications"),
-                scope_.counter("pg_pulls_served"),
-                scope_.counter("recovered_kvs"),
-                scope_.counter("completed_puts"),
-                scope_.counter("revoked_puts"),
-                scope_.counter("logs_cleaned"),
-                scope_.counter("migrated_objects")} {
+      counters_{obs::Scope("meta@" + std::to_string(rpc.id()))} {
   scrubber_ = std::make_unique<Scrubber>(*this, rpc_, options_);
   tier_ = std::make_unique<tier::TierEngine>(*this, rpc_, options_);
 }
 
 MetaServer::~MetaServer() = default;
-
-MetaServer::Stats MetaServer::stats() const {
-  const Scrubber::Stats scrub = scrubber_->stats();
-  return Stats{counters_.put_allocs->value(),
-               counters_.gets->value(),
-               counters_.deletes->value(),
-               counters_.replications->value(),
-               counters_.pg_pulls_served->value(),
-               counters_.recovered_kvs->value(),
-               counters_.completed_puts->value(),
-               counters_.revoked_puts->value(),
-               counters_.logs_cleaned->value(),
-               counters_.migrated_objects->value(),
-               scrub.objects,
-               scrub.repairs};
-}
 
 void MetaServer::Start() {
   rpc_.Serve<PutAllocRequest>(
@@ -263,7 +237,7 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
     // round the swap takes; the proxy's retry loop absorbs it.
     co_return Status::Unavailable("object is moving between storage classes");
   }
-  counters_.put_allocs->Add();
+  counters_.put_allocs.Add();
 
   // A retry may be chasing a put whose effect already came AND went: the
   // first attempt landed, a concurrent delete consumed the object, and only
@@ -512,7 +486,7 @@ sim::Task<Result<ReplicateMetaXReply>> MetaServer::HandleReplicate(
   if (!s.ok()) {
     co_return s;
   }
-  counters_.replications->Add();
+  counters_.replications.Add();
   co_return ReplicateMetaXReply{};
 }
 
@@ -531,7 +505,7 @@ sim::Task<Result<PutCommitAck>> MetaServer::HandleCommit(sim::NodeId src,
 sim::Task<Result<GetMetaReply>> MetaServer::HandleGet(sim::NodeId src, GetMetaRequest req) {
   const cluster::PgId pg = topo_.pg_count ? topo_.PgOf(req.name) : 0;
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
-  counters_.gets->Add();
+  counters_.gets.Add();
 
   if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
     // A recovered entry will never see its commit notification (see
@@ -609,7 +583,7 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
       pit->second.committed = true;
       pending_names_.erase(pit->second.name);
     }
-    counters_.completed_puts->Add();
+    counters_.completed_puts.Add();
     co_return Status::Ok();
   }
   // Snapshot every topology-derived field before the first co_await: a
@@ -700,7 +674,7 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
     pit->second.committed = true;
     pending_names_.erase(pit->second.name);
   }
-  counters_.completed_puts->Add();
+  counters_.completed_puts.Add();
   co_return Status::Ok();
 }
 
@@ -720,7 +694,7 @@ sim::Task<> MetaServer::RevokePut(PendingPut p) {
   co_await DiscardData(p.meta);
   pending_names_.erase(p.name);
   pending_.erase(p.reqid);
-  counters_.revoked_puts->Add();
+  counters_.revoked_puts.Add();
 }
 
 sim::Task<> MetaServer::DiscardData(const ObMeta& meta) {
@@ -790,7 +764,7 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
   if (!meta.ok()) {
     co_return meta.status();
   }
-  counters_.deletes->Add();
+  counters_.deletes.Add();
   // §4.3.3: delete = retire the MetaX record and clear the allocator bits —
   // the reclaimed space is immediately reusable; data servers are untouched
   // (the extents are dropped lazily via a discard notification). The record
@@ -890,7 +864,7 @@ sim::Task<Result<PgPullReply>> MetaServer::HandlePgPull(sim::NodeId src, PgPullR
     for (auto& [key, value] : *opdones) {
       reply.kvs.emplace_back(std::move(key), std::move(value));
     }
-    counters_.pg_pulls_served->Add();
+    counters_.pg_pulls_served.Add();
   }
   co_return reply;
 }
@@ -941,7 +915,7 @@ sim::Task<Result<cluster::MigratePgReply>> MetaServer::HandleMigratePg(
       batch.Put(k, v);
     }
     reply.kvs_pulled += r->kvs.size();
-    counters_.recovered_kvs->Add(r->kvs.size());
+    counters_.recovered_kvs.Add(r->kvs.size());
     CO_RETURN_IF_ERROR(co_await db_->Write(std::move(batch)));
     if (r->next_start_after.empty()) {
       co_return reply;
@@ -1055,7 +1029,7 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
               for (auto& [k, v] : r->kvs) {
                 batch.Put(k, v);
               }
-              counters_.recovered_kvs->Add(r->kvs.size());
+              counters_.recovered_kvs.Add(r->kvs.size());
               (void)co_await db_->Write(std::move(batch));
               if (r->next_start_after.empty()) {
                 complete = true;
@@ -1299,7 +1273,7 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     puts.emplace_back(key, updated.Encode());
     (void)co_await PersistAndReplicate(pg, std::move(puts), {});
     co_await DiscardData(old_meta);
-    counters_.migrated_objects->Add();
+    counters_.migrated_objects.Add();
   }
 }
 
@@ -1394,7 +1368,7 @@ sim::Task<> MetaServer::CleanLogs() {
     touched.insert(p.meta.lvid);
     pending_names_.erase(p.name);
     pending_.erase(it);
-    counters_.logs_cleaned->Add();
+    counters_.logs_cleaned.Add();
   }
   for (auto& [pg, deletes] : deletes_by_pg) {
     (void)co_await PersistAndReplicate(pg, {}, std::move(deletes));

@@ -52,22 +52,22 @@ class MetaServer {
   // Registers handlers and spawns init/heartbeat/cleaner loops.
   void Start();
 
-  // Value snapshot of the registry-backed counters ("meta@<node>#<i>.*").
-  struct Stats {
-    uint64_t put_allocs = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t replications = 0;
-    uint64_t pg_pulls_served = 0;
-    uint64_t recovered_kvs = 0;     // KVs pulled into this server on adoption
-    uint64_t completed_puts = 0;    // §5.3: verified-complete without commit
-    uint64_t revoked_puts = 0;
-    uint64_t logs_cleaned = 0;
-    uint64_t migrated_objects = 0;  // Cheetah-NoVG only
-    uint64_t scrubbed_objects = 0;  // mirrored from the Scrubber
-    uint64_t scrub_repairs = 0;
+  // Live registry counters ("meta@<node>#<i>.*"); scrub counts live in
+  // scrubber().stats().
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& put_allocs = *scope.counter("put_allocs");
+    obs::Counter& gets = *scope.counter("gets");
+    obs::Counter& deletes = *scope.counter("deletes");
+    obs::Counter& replications = *scope.counter("replications");
+    obs::Counter& pg_pulls_served = *scope.counter("pg_pulls_served");
+    obs::Counter& recovered_kvs = *scope.counter("recovered_kvs");  // pulled in on adoption
+    obs::Counter& completed_puts = *scope.counter("completed_puts");  // §5.3 verified-complete
+    obs::Counter& revoked_puts = *scope.counter("revoked_puts");
+    obs::Counter& logs_cleaned = *scope.counter("logs_cleaned");
+    obs::Counter& migrated_objects = *scope.counter("migrated_objects");  // Cheetah-NoVG only
   };
-  Stats stats() const;
+  const Counters& stats() const { return counters_; }
 
   const cluster::TopologyMap& topology() const { return topo_; }
   uint64_t view() const { return topo_.view; }
@@ -188,19 +188,7 @@ class MetaServer {
   std::unique_ptr<Scrubber> scrubber_;
   std::unique_ptr<tier::TierEngine> tier_;
 
-  obs::Scope scope_;
-  struct {
-    obs::Counter* put_allocs;
-    obs::Counter* gets;
-    obs::Counter* deletes;
-    obs::Counter* replications;
-    obs::Counter* pg_pulls_served;
-    obs::Counter* recovered_kvs;
-    obs::Counter* completed_puts;
-    obs::Counter* revoked_puts;
-    obs::Counter* logs_cleaned;
-    obs::Counter* migrated_objects;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

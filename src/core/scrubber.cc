@@ -17,13 +17,7 @@ Scrubber::Scrubber(MetaServer& ms, rpc::Node& rpc, const CheetahOptions& options
     : ms_(ms),
       rpc_(rpc),
       options_(options),
-      scope_("scrub@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("objects"),
-                scope_.counter("corrupt_found"),
-                scope_.counter("repairs"),
-                scope_.counter("repair_failures"),
-                scope_.counter("probe_errors"),
-                scope_.counter("bytes_repaired")} {}
+      counters_{obs::Scope("scrub@" + std::to_string(rpc.id()))} {}
 
 sim::Task<> Scrubber::Loop() {
   for (;;) {
@@ -74,7 +68,7 @@ sim::Task<> Scrubber::ScrubPg(cluster::PgId pg) {
     if (meta->storage_class == StorageClass::kInline) {
       // The payload lives in MetaX itself; the KV layer's own block CRCs and
       // WAL recovery audit it. Nothing on the data plane to probe.
-      counters_.objects->Add();
+      counters_.objects.Add();
       continue;
     }
     if (meta->storage_class == StorageClass::kEc) {
@@ -117,17 +111,17 @@ sim::Task<> Scrubber::ScrubPg(cluster::PgId pg) {
       auto r = co_await rpc_.Call(pv.node, std::move(probe),
                                   options_.rpc_timeout);
       if (!r.ok()) {
-        counters_.probe_errors->Add();
+        counters_.probe_errors.Add();
         continue;  // indeterminate; next scrub retries
       }
       if (r->present) {
         good = &pv;
       } else {
-        counters_.corrupt_found->Add();
+        counters_.corrupt_found.Add();
         bad.push_back(&pv);
       }
     }
-    counters_.objects->Add();
+    counters_.objects.Add();
     if (bad.empty() || good == nullptr) {
       continue;
     }
@@ -145,7 +139,7 @@ sim::Task<> Scrubber::ScrubPg(cluster::PgId pg) {
     auto data = co_await rpc_.Call(good->node, std::move(read),
                                    options_.rpc_timeout);
     if (!data.ok()) {
-      counters_.repair_failures->Add();
+      counters_.repair_failures.Add();
       continue;
     }
     for (const Target* pv : bad) {
@@ -161,10 +155,10 @@ sim::Task<> Scrubber::ScrubPg(cluster::PgId pg) {
       auto w = co_await rpc_.Call(pv->node, std::move(write),
                                   options_.rpc_timeout);
       if (w.ok()) {
-        counters_.repairs->Add();
-        counters_.bytes_repaired->Add(repaired_bytes);
+        counters_.repairs.Add();
+        counters_.bytes_repaired.Add(repaired_bytes);
       } else {
-        counters_.repair_failures->Add();
+        counters_.repair_failures.Add();
       }
     }
   }
@@ -210,22 +204,22 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     probe.expected_checksum = meta.chunk_crcs[j];
     auto r = co_await rpc_.Call(targets[j].node, std::move(probe), options_.rpc_timeout);
     if (!r.ok()) {
-      counters_.probe_errors->Add();
+      counters_.probe_errors.Add();
       continue;  // indeterminate; next scrub retries
     }
     if (r->present) {
       good.push_back(j);
     } else {
-      counters_.corrupt_found->Add();
+      counters_.corrupt_found.Add();
       bad.push_back(j);
     }
   }
-  counters_.objects->Add();
+  counters_.objects.Add();
   if (bad.empty()) {
     co_return;
   }
   if (good.size() < k) {
-    counters_.repair_failures->Add();  // beyond m losses; nothing to rebuild from
+    counters_.repair_failures.Add();  // beyond m losses; nothing to rebuild from
     co_return;
   }
   // Verified reads of k surviving chunks, then Reed-Solomon reconstruction.
@@ -250,19 +244,19 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     }
   }
   if (have < k) {
-    counters_.repair_failures->Add();
+    counters_.repair_failures.Add();
     co_return;
   }
   auto rebuilt = tier::ReconstructChunks(chunks, k, meta.ec_m);
   if (!rebuilt.ok()) {
-    counters_.repair_failures->Add();
+    counters_.repair_failures.Add();
     co_return;
   }
   for (size_t j : bad) {
     // Only write back a chunk whose rebuilt bytes match the recorded CRC — a
     // reconstruction from a racing state must never overwrite with garbage.
     if (Crc32c((*rebuilt)[j]) != meta.chunk_crcs[j]) {
-      counters_.repair_failures->Add();
+      counters_.repair_failures.Add();
       continue;
     }
     RepairWriteRequest write;
@@ -276,10 +270,10 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     const uint64_t repaired_bytes = write.data.size();
     auto w = co_await rpc_.Call(targets[j].node, std::move(write), options_.rpc_timeout);
     if (w.ok()) {
-      counters_.repairs->Add();
-      counters_.bytes_repaired->Add(repaired_bytes);
+      counters_.repairs.Add();
+      counters_.bytes_repaired.Add(repaired_bytes);
     } else {
-      counters_.repair_failures->Add();
+      counters_.repair_failures.Add();
     }
   }
 }

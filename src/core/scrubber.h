@@ -37,23 +37,17 @@ class Scrubber {
   // One full audit of every ready PG this server is primary for.
   sim::Task<> ScrubAll();
 
-  // Value snapshot of the registry-backed counters ("scrub@<node>.*").
-  struct Stats {
-    uint64_t objects = 0;          // objects audited (all replicas probed)
-    uint64_t corrupt_found = 0;    // replicas that failed their probe
-    uint64_t repairs = 0;          // divergent replicas rewritten
-    uint64_t repair_failures = 0;  // rewrites that errored (retried next pass)
-    uint64_t probe_errors = 0;     // indeterminate probes (RPC-level failure)
-    uint64_t bytes_repaired = 0;
+  // Live registry counters ("scrub@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& objects = *scope.counter("objects");  // all replicas probed
+    obs::Counter& corrupt_found = *scope.counter("corrupt_found");  // replicas failing probe
+    obs::Counter& repairs = *scope.counter("repairs");  // divergent replicas rewritten
+    obs::Counter& repair_failures = *scope.counter("repair_failures");  // retried next pass
+    obs::Counter& probe_errors = *scope.counter("probe_errors");  // RPC-level failure
+    obs::Counter& bytes_repaired = *scope.counter("bytes_repaired");
   };
-  Stats stats() const {
-    return Stats{counters_.objects->value(),
-                 counters_.corrupt_found->value(),
-                 counters_.repairs->value(),
-                 counters_.repair_failures->value(),
-                 counters_.probe_errors->value(),
-                 counters_.bytes_repaired->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
  private:
   sim::Task<> ScrubPg(cluster::PgId pg);
@@ -65,15 +59,7 @@ class Scrubber {
   rpc::Node& rpc_;
   const CheetahOptions& options_;
 
-  obs::Scope scope_;
-  struct {
-    obs::Counter* objects;
-    obs::Counter* corrupt_found;
-    obs::Counter* repairs;
-    obs::Counter* repair_failures;
-    obs::Counter* probe_errors;
-    obs::Counter* bytes_repaired;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

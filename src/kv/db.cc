@@ -111,8 +111,7 @@ sim::Task<Result<std::unique_ptr<DB>>> DB::Open(Options options, sim::Storage* s
     if (r.bad_blocks > 0) {
       LOG_WARN << "kv " << name << ": salvaged " << (r.blocks - r.bad_blocks)
                << "/" << r.blocks << " blocks";
-      db->recovery_.sst_blocks_bad += r.bad_blocks;
-      db->counters_.sst_blocks_bad->Add(r.bad_blocks);
+      db->counters_.sst_blocks_bad.Add(r.bad_blocks);
     }
     co_return TablePtr(std::make_shared<Table>(name, std::move(r.entries)));
   };
@@ -172,8 +171,7 @@ sim::Task<Result<std::unique_ptr<DB>>> DB::Open(Options options, sim::Storage* s
       uint32_t crc = 0;
       uint64_t len = 0;
       if (!GetFixed32(&input, &crc) || !GetFixed64(&input, &len) || input.size() < len) {
-        ++db->recovery_.wal_torn_tail;
-        db->counters_.wal_torn_tail->Add();
+        db->counters_.wal_torn_tail.Add();
         break;
       }
       std::string_view payload = input.substr(0, len);
@@ -184,15 +182,13 @@ sim::Task<Result<std::unique_ptr<DB>>> DB::Open(Options options, sim::Storage* s
       }
       if (!batch.ok()) {
         damage_seen = true;
-        ++db->recovery_.wal_corrupt_records;
-        db->counters_.wal_corrupt_records->Add();
+        db->counters_.wal_corrupt_records.Add();
         continue;
       }
       db->ApplyToMem(*batch);
-      ++db->recovery_.wal_records_replayed;
+      ++db->wal_records_replayed_;
       if (damage_seen) {
-        ++db->recovery_.wal_salvaged_records;
-        db->counters_.wal_salvaged_records->Add();
+        db->counters_.wal_salvaged_records.Add();
       }
     }
     // Consolidate: older WALs' contents now live in the memtable; keep
@@ -228,7 +224,7 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
   }
   ++in_flight_writes_;
   const std::string record = FrameWalRecord(batch.Encode());
-  counters_.wal_bytes->Add(record.size());
+  counters_.wal_bytes.Add(record.size());
   Status s = co_await storage_->Append(WalName(mem_wal_seq_), record, options_.sync_wal);
   if (!s.ok()) {
     --in_flight_writes_;
@@ -236,7 +232,7 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
     co_return s;
   }
   ApplyToMem(batch);
-  counters_.writes->Add();
+  counters_.writes.Add();
   --in_flight_writes_;
   co_await MaybeScheduleFlush();
   tracer.End(span, storage_->Now());
@@ -301,7 +297,7 @@ sim::Task<> DB::FlushTask() {
     (void)storage_->DeleteFile(WalName(imm_wal_seq_));
     has_imm_ = false;
     imm_.clear();
-    counters_.flushes->Add();
+    counters_.flushes.Add();
   } else {
     LOG_WARN << "kv flush failed: " << s.ToString();
   }
@@ -379,7 +375,7 @@ sim::Task<> DB::CompactTask() {
     for (const auto& t : input_l1) {
       (void)storage_->DeleteFile(t->file_name());
     }
-    counters_.compactions->Add();
+    counters_.compactions.Add();
   } else {
     LOG_WARN << "kv compaction failed: " << s.ToString();
   }
@@ -426,7 +422,7 @@ std::optional<std::optional<std::string>> DB::LookupInMemory(std::string_view ke
 }
 
 sim::Task<Result<std::string>> DB::Get(std::string key) {
-  counters_.gets->Add();
+  counters_.gets.Add();
   uint64_t charged = 0;
   auto found = LookupInMemory(key, &charged);
   if (charged > 0) {

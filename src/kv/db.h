@@ -12,8 +12,8 @@
 // distinguishes a clean tail from a torn final record (benign power-loss
 // truncation) from a full-length record whose CRC or decode fails (media
 // damage), and keeps salvaging records that follow a damaged one. The
-// classification is reported in RecoveryStats and obs counters so a scrub
-// or operator can tell silent corruption from an ordinary crash.
+// classification is reported in the DB's obs counters so a scrub or
+// operator can tell silent corruption from an ordinary crash.
 #ifndef SRC_KV_DB_H_
 #define SRC_KV_DB_H_
 
@@ -38,31 +38,30 @@ namespace cheetah::kv {
 
 class DB {
  public:
-  // Value snapshot of this DB's registry-backed counters (the counters
-  // themselves live in obs::Registry under "kv.<name>#<instance>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t flushes = 0;
-    uint64_t compactions = 0;
-    uint64_t gets = 0;
-    uint64_t wal_bytes = 0;
+  // Live registry counters ("kv.<name>#<instance>.*"). The wal_*/sst_*
+  // ones count what Open() found on disk; each DB instance opens once.
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& writes = *scope.counter("writes");
+    obs::Counter& flushes = *scope.counter("flushes");
+    obs::Counter& compactions = *scope.counter("compactions");
+    obs::Counter& gets = *scope.counter("gets");
+    obs::Counter& wal_bytes = *scope.counter("wal_bytes");
+    obs::Counter& wal_torn_tail = *scope.counter("wal_torn_tail");  // truncated final record
+    obs::Counter& wal_corrupt_records = *scope.counter("wal_corrupt_records");  // CRC/decode bad
+    obs::Counter& wal_salvaged_records = *scope.counter("wal_salvaged_records");  // after damage
+    obs::Counter& sst_blocks_bad = *scope.counter("sst_blocks_bad");  // skipped by salvage
   };
+  const Counters& stats() const { return counters_; }
 
-  // What the last Open() found on disk. `clean` means every WAL byte
-  // replayed and every SSTable block verified: any other combination is
-  // either a benign crash artifact (torn tail) or media damage (corrupt
-  // records / bad blocks).
-  struct RecoveryStats {
-    uint64_t wal_records_replayed = 0;
-    uint64_t wal_torn_tail = 0;        // truncated final record (power loss)
-    uint64_t wal_corrupt_records = 0;  // full-length record, CRC/decode bad
-    uint64_t wal_salvaged_records = 0; // good records found after a corrupt one
-    uint64_t sst_blocks_bad = 0;       // SSTable blocks skipped by salvage
-    bool clean() const {
-      return wal_torn_tail == 0 && wal_corrupt_records == 0 && sst_blocks_bad == 0;
-    }
-  };
-  const RecoveryStats& recovery_stats() const { return recovery_; }
+  // Open() replayed every WAL byte and verified every SSTable block. Anything
+  // else is either a benign crash artifact (torn tail) or media damage
+  // (corrupt records / bad blocks).
+  bool recovered_clean() const {
+    return counters_.wal_torn_tail.value() == 0 && counters_.wal_corrupt_records.value() == 0 &&
+           counters_.sst_blocks_bad.value() == 0;
+  }
+  uint64_t wal_records_replayed() const { return wal_records_replayed_; }
 
   // Opens (or creates) the database named options.name on `storage`.
   static sim::Task<Result<std::unique_ptr<DB>>> Open(Options options, sim::Storage* storage);
@@ -88,11 +87,6 @@ class DB {
   // Number of live entries (exact; walks the merged view without disk charge).
   uint64_t CountLiveEntries() const;
 
-  Stats stats() const {
-    return Stats{counters_.writes->value(), counters_.flushes->value(),
-                 counters_.compactions->value(), counters_.gets->value(),
-                 counters_.wal_bytes->value()};
-  }
   const Options& options() const { return options_; }
 
   // Test hook: waits until no flush/compaction is running.
@@ -102,13 +96,7 @@ class DB {
   DB(Options options, sim::Storage* storage)
       : options_(std::move(options)),
         storage_(storage),
-        scope_("kv." + options_.name),
-        counters_{scope_.counter("writes"), scope_.counter("flushes"),
-                  scope_.counter("compactions"), scope_.counter("gets"),
-                  scope_.counter("wal_bytes"), scope_.counter("wal_torn_tail"),
-                  scope_.counter("wal_corrupt_records"),
-                  scope_.counter("wal_salvaged_records"),
-                  scope_.counter("sst_blocks_bad")} {}
+        counters_{obs::Scope("kv." + options_.name)} {}
 
   // Node allocations come from the process-wide pool: the memtable churns one
   // tree node per applied key, and pooling them keeps the write path off
@@ -162,20 +150,8 @@ class DB {
   std::vector<TablePtr> l0_;  // newest first
   std::vector<TablePtr> l1_;  // tiered runs, newest first
 
-  RecoveryStats recovery_;
-
-  obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* flushes;
-    obs::Counter* compactions;
-    obs::Counter* gets;
-    obs::Counter* wal_bytes;
-    obs::Counter* wal_torn_tail;
-    obs::Counter* wal_corrupt_records;
-    obs::Counter* wal_salvaged_records;
-    obs::Counter* sst_blocks_bad;
-  } counters_;
+  uint64_t wal_records_replayed_ = 0;
+  Counters counters_;
 };
 
 }  // namespace cheetah::kv

@@ -4,7 +4,8 @@
 // Single-threaded like the simulator, so increments are plain integer adds.
 // Handles returned by the registry are stable for the process lifetime
 // (values can be zeroed, the objects are never deallocated), so components
-// look their metrics up once at construction and keep raw pointers.
+// look their metrics up once at construction and keep references or
+// pointers.
 //
 // Per-instance metrics (a server's op counters, a DB's write counts) go
 // through a Scope, which appends a fresh instance id to the prefix — a
@@ -103,11 +104,15 @@ class Registry {
 };
 
 // Per-instance namespace within the global registry: metrics are named
-// "<prefix>#<instance>.<field>".
+// "<prefix>#<instance>.<field>". Not copyable, so neither is a component's
+// counter struct that holds one: a before/after comparison has to copy the
+// counter's value() out instead of aliasing the live counters.
 class Scope {
  public:
   explicit Scope(const std::string& prefix)
       : prefix_(prefix + "#" + std::to_string(Registry::Global().NextInstanceId())) {}
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
   Counter* counter(const std::string& field) const {
     return Registry::Global().counter(prefix_ + "." + field);

@@ -15,9 +15,9 @@ Scheduler::Scheduler(sim::EventLoop& loop, uint32_t node, const QosParams& param
   for (int c = 0; c < kNumClasses; ++c) {
     buckets_[c] = TokenBucket(params_.rate_per_sec[c], params_.burst_cost);
     const std::string name = TrafficClassName(static_cast<TrafficClass>(c));
-    submitted_ctr_[c] = scope_.counter("submitted." + name);
-    dispatched_ctr_[c] = scope_.counter("dispatched." + name);
-    shed_ctr_[c] = scope_.counter("shed." + name);
+    submitted_[c] = scope_.counter("submitted." + name);
+    dispatched_[c] = scope_.counter("dispatched." + name);
+    sheds_[c] = scope_.counter("shed." + name);
     depth_gauge_[c] = scope_.gauge("depth." + name);
     sojourn_hist_[c] = scope_.histogram("sojourn_ns." + name);
   }
@@ -30,12 +30,10 @@ int Scheduler::shed_level() const {
   return level < params_.max_shed_level ? level : params_.max_shed_level;
 }
 
-void Scheduler::RejectWith(TrafficClass cls, const char* reason,
+void Scheduler::RejectWith(TrafficClass cls, obs::Counter* reason,
                            Nanos retry_after, const RejectFn& reject) {
-  const int c = Ord(cls);
-  ++sheds_[c];
-  shed_ctr_[c]->Add();
-  scope_.counter(std::string("shed_reason.") + reason)->Add();
+  sheds_[Ord(cls)]->Add();
+  reason->Add();
   if (reject) {
     reject(retry_after);
   }
@@ -48,23 +46,22 @@ void Scheduler::Submit(TrafficClass cls, size_t bytes, RunFn run,
   const Nanos now = loop_.Now();
   const int c = Ord(cls);
   const double cost = CostOf(bytes);
-  ++submitted_[c];
-  submitted_ctr_[c]->Add();
+  submitted_[c]->Add();
 
   // Admission checks, cheapest signal first. Each rejection carries the
   // earliest time at which retrying could plausibly succeed.
   if (!buckets_[c].TryTake(cost, now)) {
-    RejectWith(cls, "rate", buckets_[c].NextAvailable(cost, now) - now, reject);
+    RejectWith(cls, shed_rate_, buckets_[c].NextAvailable(cost, now) - now, reject);
     return;
   }
   const int level = shed_level();
   shed_level_gauge_->Set(level);
   if (level > 0 && c >= kNumClasses - level) {
-    RejectWith(cls, "overload", params_.codel_interval, reject);
+    RejectWith(cls, shed_overload_, params_.codel_interval, reject);
     return;
   }
   if (params_.queue_limit[c] > 0 && queue_.depth(cls) >= params_.queue_limit[c]) {
-    RejectWith(cls, "queue_full", params_.codel_interval, reject);
+    RejectWith(cls, shed_queue_full_, params_.codel_interval, reject);
     return;
   }
 
@@ -87,8 +84,7 @@ void Scheduler::TryDispatch() {
     if (p.cls == TrafficClass::kForeground || p.cls == TrafficClass::kReplication) {
       codel_.Record(sojourn, now);
     }
-    ++dispatched_[c];
-    dispatched_ctr_[c]->Add();
+    dispatched_[c]->Add();
     ++active_;
     active_gauge_->Set(active_);
     p.run([this, epoch = epoch_] {

@@ -48,9 +48,9 @@ class Scheduler {
   const QosParams& params() const { return params_; }
   int active() const { return active_; }
   size_t depth(TrafficClass cls) const { return queue_.depth(cls); }
-  uint64_t submitted(TrafficClass cls) const { return submitted_[Ord(cls)]; }
-  uint64_t dispatched(TrafficClass cls) const { return dispatched_[Ord(cls)]; }
-  uint64_t sheds(TrafficClass cls) const { return sheds_[Ord(cls)]; }
+  uint64_t submitted(TrafficClass cls) const { return submitted_[Ord(cls)]->value(); }
+  uint64_t dispatched(TrafficClass cls) const { return dispatched_[Ord(cls)]->value(); }
+  uint64_t sheds(TrafficClass cls) const { return sheds_[Ord(cls)]->value(); }
   int shed_level() const;
 
  private:
@@ -62,7 +62,7 @@ class Scheduler {
     return kib > 1.0 ? kib : 1.0;
   }
 
-  void RejectWith(TrafficClass cls, const char* reason, Nanos retry_after,
+  void RejectWith(TrafficClass cls, obs::Counter* reason, Nanos retry_after,
                   const RejectFn& reject);
   void TryDispatch();
   void OnComplete();
@@ -82,14 +82,13 @@ class Scheduler {
   int active_ = 0;
   uint64_t epoch_ = 0;
 
-  std::array<uint64_t, kNumClasses> submitted_{};
-  std::array<uint64_t, kNumClasses> dispatched_{};
-  std::array<uint64_t, kNumClasses> sheds_{};
-
   obs::Scope scope_;
-  std::array<obs::Counter*, kNumClasses> submitted_ctr_;
-  std::array<obs::Counter*, kNumClasses> dispatched_ctr_;
-  std::array<obs::Counter*, kNumClasses> shed_ctr_;
+  std::array<obs::Counter*, kNumClasses> submitted_;
+  std::array<obs::Counter*, kNumClasses> dispatched_;
+  std::array<obs::Counter*, kNumClasses> sheds_;
+  obs::Counter* shed_rate_ = scope_.counter("shed_reason.rate");
+  obs::Counter* shed_overload_ = scope_.counter("shed_reason.overload");
+  obs::Counter* shed_queue_full_ = scope_.counter("shed_reason.queue_full");
   std::array<obs::Gauge*, kNumClasses> depth_gauge_;
   std::array<obs::Histogram*, kNumClasses> sojourn_hist_;
   obs::Gauge* active_gauge_;

@@ -75,11 +75,7 @@ class Network {
 
   Network(EventLoop& loop, NetParams params)
       : loop_(loop),
-        params_(params),
-        scope_("sim.net"),
-        sent_(scope_.counter("messages_sent")),
-        dropped_(scope_.counter("messages_dropped")),
-        bytes_(scope_.counter("bytes")) {}
+        params_(params) {}
 
   void Register(NodeId id, Handler handler);
   void Unregister(NodeId id);
@@ -173,10 +169,10 @@ class Network {
 
   EventLoop& loop_;
   NetParams params_;
-  obs::Scope scope_;
-  obs::Counter* sent_;
-  obs::Counter* dropped_;
-  obs::Counter* bytes_;
+  obs::Scope scope_{"sim.net"};
+  obs::Counter* sent_ = scope_.counter("messages_sent");
+  obs::Counter* dropped_ = scope_.counter("messages_dropped");
+  obs::Counter* bytes_ = scope_.counter("bytes");
   obs::Counter* fault_dropped_ = scope_.counter("fault_dropped");
   obs::Counter* fault_duplicated_ = scope_.counter("fault_duplicated");
   obs::Counter* fault_delayed_ = scope_.counter("fault_delayed");

@@ -113,8 +113,7 @@ Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, std::stri
   // clears a latent sector error (remapped sector).
   Extent ext{std::move(data), checksum, length};
   if (gray_.write_corrupt_prob > 0 && fault_rng_.Bernoulli(gray_.write_corrupt_prob)) {
-    ++corrupted_;
-    writes_corrupted_c_->Add();
+    writes_corrupted_->Add();
     FlipExtent(ext);
   }
   if (!store_volume_content_) {
@@ -151,8 +150,7 @@ uint64_t Storage::InjectBitRot(double prob, uint64_t seed) {
       ++hit;
     }
   }
-  bitrot_ += hit;
-  bitrot_extents_c_->Add(hit);
+  bitrot_extents_->Add(hit);
   return hit;
 }
 
@@ -174,8 +172,7 @@ uint64_t Storage::InjectLatentSectorErrors(double prob, uint64_t seed) {
       ++hit;
     }
   }
-  lse_ += hit;
-  lse_extents_c_->Add(hit);
+  lse_extents_->Add(hit);
   return hit;
 }
 
@@ -189,8 +186,7 @@ bool Storage::CorruptExtent(const std::string& volume, uint64_t offset) {
     return false;
   }
   FlipExtent(eit->second);
-  ++bitrot_;
-  bitrot_extents_c_->Add();
+  bitrot_extents_->Add();
   return true;
 }
 

@@ -62,13 +62,7 @@ class Storage {
       : loop_(&loop),
         params_(params),
         channels_(loop, params.channels),
-        bus_(loop, 1),
-        scope_("sim.disk"),
-        ops_(scope_.counter("ops")),
-        io_bytes_(scope_.counter("bytes")),
-        writes_corrupted_c_(scope_.counter("writes_corrupted")),
-        bitrot_extents_c_(scope_.counter("bitrot_extents")),
-        lse_extents_c_(scope_.counter("lse_extents")) {}
+        bus_(loop, 1) {}
 
   const DiskParams& params() const { return params_; }
 
@@ -198,7 +192,7 @@ class Storage {
   }
   const GrayFailure& gray_failure() const { return gray_; }
   void set_fault_seed(uint64_t seed) { fault_rng_ = Rng(seed); }
-  uint64_t writes_corrupted() const { return corrupted_; }
+  uint64_t writes_corrupted() const { return writes_corrupted_->value(); }
 
   // At-rest integrity faults, applied instantaneously to data already on the
   // media (no device time passes; the damage is only discovered by later
@@ -220,8 +214,8 @@ class Storage {
   // same way bit rot does. Returns false if no such extent exists.
   bool CorruptExtent(const std::string& volume, uint64_t offset);
 
-  uint64_t bitrot_extents() const { return bitrot_; }
-  uint64_t lse_extents() const { return lse_; }
+  uint64_t bitrot_extents() const { return bitrot_extents_->value(); }
+  uint64_t lse_extents() const { return lse_extents_->value(); }
 
   uint64_t TotalFileBytes() const;
 
@@ -268,20 +262,17 @@ class Storage {
   // write_corrupt_prob gray failure share the same damage model).
   static void FlipExtent(Extent& e);
 
-  obs::Scope scope_;
-  obs::Counter* ops_;
-  obs::Counter* io_bytes_;
-  obs::Counter* writes_corrupted_c_;
-  obs::Counter* bitrot_extents_c_;
-  obs::Counter* lse_extents_c_;
+  obs::Scope scope_{"sim.disk"};
+  obs::Counter* ops_ = scope_.counter("ops");
+  obs::Counter* io_bytes_ = scope_.counter("bytes");
+  obs::Counter* writes_corrupted_ = scope_.counter("writes_corrupted");
+  obs::Counter* bitrot_extents_ = scope_.counter("bitrot_extents");
+  obs::Counter* lse_extents_ = scope_.counter("lse_extents");
   uint32_t node_id_ = 0;
   bool store_volume_content_ = true;
   GrayFailure gray_;
   Nanos fsync_stuck_until_ = 0;
   Rng fault_rng_{0xd15cu};
-  uint64_t corrupted_ = 0;
-  uint64_t bitrot_ = 0;
-  uint64_t lse_ = 0;
   std::unordered_map<std::string, File> files_;
   std::unordered_map<std::string, Volume> volumes_;
 };

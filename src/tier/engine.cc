@@ -19,12 +19,7 @@ TierEngine::TierEngine(core::MetaServer& ms, rpc::Node& rpc,
     : ms_(ms),
       rpc_(rpc),
       options_(options),
-      scope_("tier@" + std::to_string(rpc.id())),
-      counters_{scope_.counter("scanned"),
-                scope_.counter("demotions"),
-                scope_.counter("demote_aborts"),
-                scope_.counter("demote_failures"),
-                scope_.counter("bytes_demoted")} {}
+      counters_{obs::Scope("tier@" + std::to_string(rpc.id()))} {}
 
 sim::Task<> TierEngine::Loop() {
   for (;;) {
@@ -73,7 +68,7 @@ sim::Task<> TierEngine::TierPg(cluster::PgId pg) {
     if (!meta.ok() || meta->storage_class != core::StorageClass::kReplica) {
       continue;
     }
-    counters_.scanned->Add();
+    counters_.scanned.Add();
     // Access recency: the ObMeta's birth time floors it (survives restarts);
     // gets served since then keep the object hot via last_access_.
     Nanos last = static_cast<Nanos>(meta->born_ns);
@@ -94,7 +89,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   const uint32_t m = options_.tier.ec_m;
   auto alloc = ms_.AllocateEcStripe(pg, ShardBytes(meta.size, k));
   if (!alloc.ok()) {
-    counters_.demote_failures->Add();
+    counters_.demote_failures.Add();
     co_return;
   }
   const cluster::LvId stripe_lvid = alloc->first;
@@ -117,7 +112,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     if (stripe == nullptr || src_lv == nullptr ||
         stripe->replicas.size() != static_cast<size_t>(k) + m) {
       co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-      counters_.demote_failures->Add();
+      counters_.demote_failures.Add();
       co_return;
     }
     stripe_block_size = stripe->block_size;
@@ -126,7 +121,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
       const cluster::PhysicalVolume* pv = ms_.topo_.FindPv(pv_id);
       if (pv == nullptr) {
         co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-        counters_.demote_failures->Add();
+        counters_.demote_failures.Add();
         co_return;
       }
       chunk_targets.push_back(Target{pv->DeviceName(), pv->disk_index, pv->data_server});
@@ -165,7 +160,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     // run metadata-only (content_valid=false) and there are no real bytes to
     // restripe. Retry on a later pass.
     co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-    counters_.demote_failures->Add();
+    counters_.demote_failures.Add();
     co_return;
   }
 
@@ -199,7 +194,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   for (const Status& s : results) {
     if (!s.ok()) {
       co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-      counters_.demote_failures->Add();
+      counters_.demote_failures.Add();
       co_return;
     }
   }
@@ -218,7 +213,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
                                 options_.rpc_timeout);
     if (!r.ok() || !r->present) {
       co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-      counters_.demote_failures->Add();
+      counters_.demote_failures.Add();
       co_return;
     }
   }
@@ -275,7 +270,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   if (!swapped) {
     co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
     ms_.tiering_names_.erase(name);
-    (persist_error ? counters_.demote_failures : counters_.demote_aborts)->Add();
+    (persist_error ? counters_.demote_failures : counters_.demote_aborts).Add();
     co_return;
   }
 
@@ -287,8 +282,8 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   ms_.dirty_bitmaps_.insert(stripe_lvid);
   co_await ms_.DiscardData(old_meta);
   ms_.tiering_names_.erase(name);
-  counters_.demotions->Add();
-  counters_.bytes_demoted->Add(meta.size);
+  counters_.demotions.Add();
+  counters_.bytes_demoted.Add(meta.size);
   LOG_DEBUG << "tier " << rpc_.id() << ": demoted " << name << " (" << meta.size
             << "B) to rs(" << k << "," << m << ") lv " << stripe_lvid;
 }

@@ -50,21 +50,16 @@ class TierEngine {
   // One full demotion scan of every ready PG this server is primary for.
   sim::Task<> TierAll();
 
-  // Value snapshot of the registry-backed counters ("tier@<node>.*").
-  struct Stats {
-    uint64_t scanned = 0;          // settled replica objects considered
-    uint64_t demotions = 0;        // objects swapped to the EC class
-    uint64_t demote_aborts = 0;    // swaps abandoned (object changed underneath)
-    uint64_t demote_failures = 0;  // stripe I/O or persist errors (retried later)
-    uint64_t bytes_demoted = 0;    // object bytes now living as EC stripes
+  // Live registry counters ("tier@<node>#<i>.*").
+  struct Counters {
+    obs::Scope scope;
+    obs::Counter& scanned = *scope.counter("scanned");  // settled replica objects considered
+    obs::Counter& demotions = *scope.counter("demotions");  // objects swapped to the EC class
+    obs::Counter& demote_aborts = *scope.counter("demote_aborts");  // object changed underneath
+    obs::Counter& demote_failures = *scope.counter("demote_failures");  // I/O or persist errors
+    obs::Counter& bytes_demoted = *scope.counter("bytes_demoted");  // now living as EC stripes
   };
-  Stats stats() const {
-    return Stats{counters_.scanned->value(),
-                 counters_.demotions->value(),
-                 counters_.demote_aborts->value(),
-                 counters_.demote_failures->value(),
-                 counters_.bytes_demoted->value()};
-  }
+  const Counters& stats() const { return counters_; }
 
  private:
   sim::Task<> TierPg(cluster::PgId pg);
@@ -78,14 +73,7 @@ class TierEngine {
   rpc::Node& rpc_;
   const core::CheetahOptions& options_;
 
-  obs::Scope scope_;
-  struct {
-    obs::Counter* scanned;
-    obs::Counter* demotions;
-    obs::Counter* demote_aborts;
-    obs::Counter* demote_failures;
-    obs::Counter* bytes_demoted;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::tier

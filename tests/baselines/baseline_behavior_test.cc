@@ -41,13 +41,13 @@ TEST(HaystackBehaviorTest, AsyncCheckpointLagsWrites) {
   // Writes finished; the on-disk index is still stale (§2.2's criticism)...
   uint64_t checkpoints = 0;
   for (int s = 0; s < cluster.num_stores(); ++s) {
-    checkpoints += cluster.store(s).stats().checkpoints;
+    checkpoints += cluster.store(s).stats().checkpoints.value();
   }
   // ...until the asynchronous checkpointer catches up.
   cluster.loop().RunFor(Millis(600));
   uint64_t later = 0;
   for (int s = 0; s < cluster.num_stores(); ++s) {
-    later += cluster.store(s).stats().checkpoints;
+    later += cluster.store(s).stats().checkpoints.value();
   }
   EXPECT_GT(later, checkpoints);
 }
@@ -72,7 +72,7 @@ TEST(HaystackBehaviorTest, CompactionRewritesOnlyLiveBytes) {
   cluster.loop().RunFor(Seconds(3));
   uint64_t compacted = 0;
   for (int s = 0; s < cluster.num_stores(); ++s) {
-    compacted += cluster.store(s).stats().compacted_bytes;
+    compacted += cluster.store(s).stats().compacted_bytes.value();
   }
   // 5 live objects x 10000 bytes x 3 replicas rewritten, not the 20 written.
   EXPECT_EQ(compacted, 5u * 10000u * 3u);
@@ -89,7 +89,7 @@ TEST(CephBehaviorTest, SmallObjectsDoubleWriteThroughJournal) {
   auto journal_bytes = [&cluster] {
     uint64_t total = 0;
     for (int i = 0; i < cluster.num_osds(); ++i) {
-      total += cluster.osd(i).stats().journal_bytes;
+      total += cluster.osd(i).stats().journal_bytes.value();
     }
     return total;
   };

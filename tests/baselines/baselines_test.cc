@@ -153,7 +153,7 @@ TEST(HaystackTest, DeleteDoesNotReclaimUntilCompaction) {
   for (int s = 0; s < cluster.num_stores(); ++s) {
     live += cluster.store(s).live_bytes();
     total += cluster.store(s).total_bytes();
-    compactions += cluster.store(s).stats().compactions;
+    compactions += cluster.store(s).stats().compactions.value();
   }
   EXPECT_GT(compactions, 0u);
   EXPECT_EQ(live, total);  // space reclaimed
@@ -197,7 +197,7 @@ TEST(CephTest, ExpansionTriggersBackfill) {
   }
   cluster.AddOsd();
   cluster.loop().RunFor(Seconds(5));
-  EXPECT_GT(cluster.osd(cluster.num_osds() - 1).stats().backfilled_objects, 0u)
+  EXPECT_GT(cluster.osd(cluster.num_osds() - 1).stats().backfilled_objects.value(), 0u)
       << "adding an OSD must migrate remapped PGs' objects";
   // Objects remain readable after the remap (new primaries have the data).
   int readable = 0;

@@ -122,7 +122,7 @@ void ScrubAllOnce(Testbed& bed) {
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   return total;
 }
@@ -260,12 +260,11 @@ EcSweepResult RunEcSweep(uint64_t seed) {
   }
 
   for (int i = 0; i < bed.num_meta(); ++i) {
-    auto ts = bed.meta(i).tier_engine().stats();
-    result.demotions += ts.demotions;
+    result.demotions += bed.meta(i).tier_engine().stats().demotions.value();
   }
   for (int w = 0; w < kWorkers; ++w) {
-    result.inline_puts += bed.proxy(w).stats().inline_puts;
-    result.ec_degraded_reads += bed.proxy(w).stats().ec_degraded_reads;
+    result.inline_puts += bed.proxy(w).stats().inline_puts.value();
+    result.ec_degraded_reads += bed.proxy(w).stats().ec_degraded_reads.value();
   }
   result.history = *history;
   std::ostringstream fp;

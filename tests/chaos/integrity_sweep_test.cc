@@ -117,7 +117,7 @@ void ScrubAllOnce(Testbed& bed) {
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   return total;
 }
@@ -223,10 +223,10 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
     }
   }
   for (int i = 0; i < bed.num_meta(); ++i) {
-    result.scrub_repairs += bed.meta(i).scrubber().stats().repairs;
+    result.scrub_repairs += bed.meta(i).scrubber().stats().repairs.value();
   }
   for (int w = 0; w < kWorkers; ++w) {
-    result.read_repairs += bed.proxy(w).stats().read_repairs;
+    result.read_repairs += bed.proxy(w).stats().read_repairs.value();
   }
   fp << "| injected=" << result.injected << " scrub_repairs=" << result.scrub_repairs
      << " read_repairs=" << result.read_repairs

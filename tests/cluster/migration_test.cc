@@ -120,11 +120,11 @@ TEST(MigrationTest, StaleProxyChasesNewOwnerWithoutBackoff) {
     bed.Partition(bed.proxy_node(1), bed.manager_node(m));
   }
   ASSERT_TRUE(bed.DrainMetaMachine(1).ok());
-  ASSERT_EQ(bed.proxy(1).stats().fast_redirects, 0u);
+  ASSERT_EQ(bed.proxy(1).stats().fast_redirects.value(), 0u);
   ASSERT_LT(bed.proxy(1).view(), bed.manager(bed.LeaderManager()).view());
   bed.Heal();
   ASSERT_TRUE(bed.PutObject(1, key, std::string(4096, 'r')).ok());
-  EXPECT_GE(bed.proxy(1).stats().fast_redirects, 1u)
+  EXPECT_GE(bed.proxy(1).stats().fast_redirects.value(), 1u)
       << "stale-owner NACK did not take the fast-redirect path";
   auto got = bed.GetObject(0, key);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -277,7 +277,7 @@ void ScrubAllNow(Testbed& bed) {
 uint64_t TotalDemotions(Testbed& bed) {
   uint64_t sum = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    sum += bed.meta(i).tier_engine().stats().demotions;
+    sum += bed.meta(i).tier_engine().stats().demotions.value();
   }
   return sum;
 }
@@ -347,7 +347,7 @@ TEST(MigrationTest, DemoteDuringMigrateIsDeferred) {
   ScrubAllNow(bed);
   uint64_t corrupt = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt, 0u);
 

@@ -180,7 +180,7 @@ TEST_F(CheetahTest, ReadCacheServesRepeatGets) {
     auto got = bed().GetObject(0, "hot");
     ASSERT_TRUE(got.ok());
   }
-  EXPECT_GT(bed().proxy(0).stats().cache_hits, 0u);
+  EXPECT_GT(bed().proxy(0).stats().cache_hits.value(), 0u);
 }
 
 TEST_F(CheetahTest, MetaxKvsCleanedAfterCommit) {
@@ -193,7 +193,7 @@ TEST_F(CheetahTest, MetaxKvsCleanedAfterCommit) {
   uint64_t cleaned = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
     pending += bed().meta(i).pending_puts();
-    cleaned += bed().meta(i).stats().logs_cleaned;
+    cleaned += bed().meta(i).stats().logs_cleaned.value();
   }
   EXPECT_EQ(pending, 0u);
   EXPECT_GE(cleaned, 10u);
@@ -224,7 +224,7 @@ TEST_F(CheetahTest, MetaServerCrashIsRecovered) {
   // The surviving servers pulled the dead server's PGs.
   uint64_t recovered = 0;
   for (int i = 1; i < bed().num_meta(); ++i) {
-    recovered += bed().meta(i).stats().recovered_kvs;
+    recovered += bed().meta(i).stats().recovered_kvs.value();
   }
   EXPECT_GT(recovered, 0u);
 }
@@ -267,7 +267,7 @@ TEST_F(CheetahTest, DataServerCrashVolumesRecovered) {
   bed().RunFor(Seconds(4));  // detection + replacement + parallel pulls
   uint64_t recovered = 0;
   for (int i = 1; i < bed().num_data(); ++i) {
-    recovered += bed().data(i).stats().volumes_recovered;
+    recovered += bed().data(i).stats().volumes_recovered.value();
   }
   EXPECT_GT(recovered, 0u);
   // Writes proceed and all data remains readable after recovery.
@@ -359,7 +359,7 @@ TEST_F(CheetahTest, DataExpansionIsMigrationFree) {
   bed().RunFor(Seconds(1));
   // No recovery/migration traffic hit any data server.
   for (int i = 0; i < bed().num_data(); ++i) {
-    EXPECT_EQ(bed().data(i).stats().recovery_bytes, 0u);
+    EXPECT_EQ(bed().data(i).stats().recovery_bytes.value(), 0u);
   }
   // Old objects unaffected; new puts work (and can land on new volumes).
   for (int i = 0; i < 20; ++i) {
@@ -378,22 +378,22 @@ TEST_F(CheetahTest, MetaExpansionMovesMetadataNotData) {
   bed().RunFor(Seconds(2));  // clean logs so stats are quiescent
   uint64_t writes_before = 0;
   for (int i = 0; i < bed().num_data(); ++i) {
-    writes_before += bed().data(i).stats().writes;
+    writes_before += bed().data(i).stats().writes.value();
   }
   auto added = bed().AddMetaMachine();
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   bed().RunFor(Seconds(2));
   // Metadata moved to the new server (CRUSH remap)...
-  EXPECT_GT(bed().meta(*added).stats().recovered_kvs, 0u);
+  EXPECT_GT(bed().meta(*added).stats().recovered_kvs.value(), 0u);
   // ...but not a single byte of object data.
   uint64_t writes_after = 0;
   for (int i = 0; i < bed().num_data(); ++i) {
-    writes_after += bed().data(i).stats().writes;
+    writes_after += bed().data(i).stats().writes.value();
   }
   EXPECT_EQ(writes_after, writes_before);
   uint64_t migrated = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
-    migrated += bed().meta(i).stats().migrated_objects;
+    migrated += bed().meta(i).stats().migrated_objects.value();
   }
   EXPECT_EQ(migrated, 0u);
   // Everything still readable.
@@ -414,7 +414,7 @@ TEST_F(CheetahTest, NoVgVariantMigratesOnMetaExpansion) {
   bed().RunFor(Seconds(5));  // migration traffic
   uint64_t migrated = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
-    migrated += bed().meta(i).stats().migrated_objects;
+    migrated += bed().meta(i).stats().migrated_objects.value();
   }
   EXPECT_GT(migrated, 0u);
   for (int i = 0; i < 30; ++i) {

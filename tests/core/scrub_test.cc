@@ -51,8 +51,8 @@ TEST_F(ScrubTest, CleanClusterScrubsWithoutRepairs) {
   ScrubAll();
   uint64_t scrubbed = 0, repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    scrubbed += bed_->meta(i).stats().scrubbed_objects;
-    repairs += bed_->meta(i).stats().scrub_repairs;
+    scrubbed += bed_->meta(i).scrubber().stats().objects.value();
+    repairs += bed_->meta(i).scrubber().stats().repairs.value();
   }
   EXPECT_EQ(scrubbed, 20u);
   EXPECT_EQ(repairs, 0u);
@@ -88,7 +88,7 @@ TEST_F(ScrubTest, ScrubRepairsLostReplica) {
   ScrubAll();
   uint64_t repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs += bed_->meta(i).stats().scrub_repairs;
+    repairs += bed_->meta(i).scrubber().stats().repairs.value();
   }
   EXPECT_GE(repairs, 1u);
 
@@ -96,7 +96,7 @@ TEST_F(ScrubTest, ScrubRepairsLostReplica) {
   ScrubAll();
   uint64_t repairs_after = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs_after += bed_->meta(i).stats().scrub_repairs;
+    repairs_after += bed_->meta(i).scrubber().stats().repairs.value();
   }
   EXPECT_EQ(repairs_after, repairs);
   for (int trial = 0; trial < 6; ++trial) {  // random replica choice
@@ -150,11 +150,11 @@ TEST_F(ScrubTest, VerifiedGetTriggersReadRepair) {
     auto got = bed_->GetObject(0, "heal-me");
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, payload);
-    observed = bed_->proxy(0).stats().corrupt_replica_reads;
+    observed = bed_->proxy(0).stats().corrupt_replica_reads.value();
   }
   ASSERT_GT(observed, 0u) << "no get ever touched a damaged replica";
   bed_->RunFor(Seconds(1));  // let the fire-and-forget repair land
-  EXPECT_GT(bed_->proxy(0).stats().read_repairs, 0u);
+  EXPECT_GT(bed_->proxy(0).stats().read_repairs.value(), 0u);
 
   // Read-repair only heals replicas the gets actually touched; one scrub
   // pass mops up any replica no get ever routed to, after which a second
@@ -162,12 +162,12 @@ TEST_F(ScrubTest, VerifiedGetTriggersReadRepair) {
   ScrubAll();
   uint64_t corrupt_first = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    corrupt_first += bed_->meta(i).scrubber().stats().corrupt_found;
+    corrupt_first += bed_->meta(i).scrubber().stats().corrupt_found.value();
   }
   ScrubAll();
   uint64_t corrupt_second = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    corrupt_second += bed_->meta(i).scrubber().stats().corrupt_found;
+    corrupt_second += bed_->meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt_second, corrupt_first);
   // Read-repair got there first for at least one replica: the scrub pass had
@@ -287,12 +287,12 @@ TEST(ScrubRaceTest, ReadRepairRacingDeleteStaysConsistent) {
   scrub_all();
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   scrub_all();
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
@@ -313,7 +313,7 @@ TEST_F(ScrubTest, PeriodicScrubRunsWhenEnabled) {
   bed.RunFor(Seconds(3));
   uint64_t scrubbed = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    scrubbed += bed.meta(i).stats().scrubbed_objects;
+    scrubbed += bed.meta(i).scrubber().stats().objects.value();
   }
   EXPECT_GT(scrubbed, 0u);
 }

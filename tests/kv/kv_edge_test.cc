@@ -137,7 +137,7 @@ TEST_F(KvEdgeTest, CorruptManifestFailsOpen) {
       (void)co_await db->Put("k" + std::to_string(i), std::string(200, 'v'));
     }
     co_await db->WaitForMaintenance();
-    EXPECT_GT(db->stats().flushes, 0u);
+    EXPECT_GT(db->stats().flushes.value(), 0u);
   });
   db_.reset();
   // Flip a byte in the manifest.
@@ -178,10 +178,10 @@ TEST_F(KvEdgeTest, TornWalTailStopsReplayCleanly) {
     EXPECT_EQ((co_await db->Get("good2")).value_or("X"), "v2");
     // Replay classified the damage as a truncated tail — a benign power-loss
     // artifact, not media corruption.
-    EXPECT_EQ(db->recovery_stats().wal_torn_tail, 1u);
-    EXPECT_EQ(db->recovery_stats().wal_corrupt_records, 0u);
-    EXPECT_EQ(db->recovery_stats().wal_records_replayed, 2u);
-    EXPECT_FALSE(db->recovery_stats().clean());
+    EXPECT_EQ(db->stats().wal_torn_tail.value(), 1u);
+    EXPECT_EQ(db->stats().wal_corrupt_records.value(), 0u);
+    EXPECT_EQ(db->wal_records_replayed(), 2u);
+    EXPECT_FALSE(db->recovered_clean());
     // The DB remains writable after truncating the torn tail.
     EXPECT_TRUE((co_await db->Put("good3", "v3")).ok());
     EXPECT_EQ((co_await db->Get("good3")).value_or("X"), "v3");
@@ -195,10 +195,10 @@ TEST_F(KvEdgeTest, CleanReopenReportsCleanRecovery) {
   });
   db_.reset();
   Run(Options{}, [](DB* db) -> Task<> {
-    EXPECT_TRUE(db->recovery_stats().clean());
-    EXPECT_EQ(db->recovery_stats().wal_records_replayed, 2u);
-    EXPECT_EQ(db->recovery_stats().wal_torn_tail, 0u);
-    EXPECT_EQ(db->recovery_stats().wal_corrupt_records, 0u);
+    EXPECT_TRUE(db->recovered_clean());
+    EXPECT_EQ(db->wal_records_replayed(), 2u);
+    EXPECT_EQ(db->stats().wal_torn_tail.value(), 0u);
+    EXPECT_EQ(db->stats().wal_corrupt_records.value(), 0u);
     co_return;
   });
 }
@@ -235,11 +235,11 @@ TEST_F(KvEdgeTest, CorruptWalRecordIsSkippedAndLaterRecordsSalvaged) {
     EXPECT_EQ((co_await db->Get("good1")).value_or("X"), "v1");
     EXPECT_TRUE((co_await db->Get("doomed")).status().IsNotFound());
     EXPECT_EQ((co_await db->Get("good3")).value_or("X"), "v3");
-    EXPECT_EQ(db->recovery_stats().wal_corrupt_records, 1u);
-    EXPECT_EQ(db->recovery_stats().wal_salvaged_records, 1u);  // good3
-    EXPECT_EQ(db->recovery_stats().wal_records_replayed, 2u);
-    EXPECT_EQ(db->recovery_stats().wal_torn_tail, 0u);
-    EXPECT_FALSE(db->recovery_stats().clean());
+    EXPECT_EQ(db->stats().wal_corrupt_records.value(), 1u);
+    EXPECT_EQ(db->stats().wal_salvaged_records.value(), 1u);  // good3
+    EXPECT_EQ(db->wal_records_replayed(), 2u);
+    EXPECT_EQ(db->stats().wal_torn_tail.value(), 0u);
+    EXPECT_FALSE(db->recovered_clean());
     EXPECT_TRUE((co_await db->Put("again", "v4")).ok());
     EXPECT_EQ((co_await db->Get("again")).value_or("X"), "v4");
   });

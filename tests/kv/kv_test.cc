@@ -104,7 +104,7 @@ TEST_F(KvTest, FlushAndReadFromTables) {
       (void)co_await db->Put("key" + std::to_string(i), std::string(100, 'v'));
     }
     co_await db->WaitForMaintenance();
-    EXPECT_GT(db->stats().flushes, 0u);
+    EXPECT_GT(db->stats().flushes.value(), 0u);
     for (int i = 0; i < 100; ++i) {
       auto v = co_await db->Get("key" + std::to_string(i));
       CO_ASSERT_TRUE(v.ok());
@@ -119,7 +119,7 @@ TEST_F(KvTest, CompactionPreservesData) {
       (void)co_await db->Put("key" + std::to_string(i % 50), "gen" + std::to_string(i));
     }
     co_await db->WaitForMaintenance();
-    EXPECT_GT(db->stats().compactions, 0u);
+    EXPECT_GT(db->stats().compactions.value(), 0u);
     for (int i = 0; i < 50; ++i) {
       auto v = co_await db->Get("key" + std::to_string(i));
       CO_ASSERT_TRUE(v.ok());
@@ -329,10 +329,10 @@ TEST_F(KvTest, StatsTrackActivity) {
     }
     (void)co_await db->Get("k0");
     co_await db->WaitForMaintenance();
-    EXPECT_EQ(db->stats().writes, 200u);
-    EXPECT_GE(db->stats().gets, 1u);
-    EXPECT_GT(db->stats().flushes, 0u);
-    EXPECT_GT(db->stats().wal_bytes, 0u);
+    EXPECT_EQ(db->stats().writes.value(), 200u);
+    EXPECT_GE(db->stats().gets.value(), 1u);
+    EXPECT_GT(db->stats().flushes.value(), 0u);
+    EXPECT_GT(db->stats().wal_bytes.value(), 0u);
   });
 }
 
@@ -346,7 +346,7 @@ TEST_F(KvTest, SmallerBufferFlushesMoreOften) {
         (void)co_await db->Put("k" + std::to_string(i), std::string(100, 'v'));
       }
       co_await db->WaitForMaintenance();
-      flushes_small = db->stats().flushes;
+      flushes_small = db->stats().flushes.value();
     });
   }
   // Fresh storage for an independent run.
@@ -363,7 +363,7 @@ TEST_F(KvTest, SmallerBufferFlushesMoreOften) {
       (void)co_await (*db)->Put("k" + std::to_string(i), std::string(100, 'v'));
     }
     co_await (*db)->WaitForMaintenance();
-    *out = (*db)->stats().flushes;
+    *out = (*db)->stats().flushes.value();
   }(&storage2, &flushes_large));
   loop2.Run();
   EXPECT_GT(flushes_small, flushes_large);

@@ -70,15 +70,16 @@ void ScrubAllNow(Testbed& bed) {
   }
 }
 
-tier::TierEngine::Stats TierStats(Testbed& bed) {
-  tier::TierEngine::Stats sum;
+struct TierTotals {
+  uint64_t demotions = 0;
+  uint64_t bytes_demoted = 0;
+};
+TierTotals TierStats(Testbed& bed) {
+  TierTotals sum;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    auto s = bed.meta(i).tier_engine().stats();
-    sum.scanned += s.scanned;
-    sum.demotions += s.demotions;
-    sum.demote_aborts += s.demote_aborts;
-    sum.demote_failures += s.demote_failures;
-    sum.bytes_demoted += s.bytes_demoted;
+    const auto& s = bed.meta(i).tier_engine().stats();
+    sum.demotions += s.demotions.value();
+    sum.bytes_demoted += s.bytes_demoted.value();
   }
   return sum;
 }
@@ -86,7 +87,7 @@ tier::TierEngine::Stats TierStats(Testbed& bed) {
 uint64_t DataWrites(Testbed& bed) {
   uint64_t writes = 0;
   for (int i = 0; i < bed.num_data(); ++i) {
-    writes += bed.data(i).stats().writes;
+    writes += bed.data(i).stats().writes.value();
   }
   return writes;
 }
@@ -121,7 +122,7 @@ TEST(TierTest, InlinePutServedFromMetaXWithoutDataWrites) {
   const uint64_t writes_before = DataWrites(bed);
   ASSERT_TRUE(bed.PutObject(0, "tiny", payload).ok());
   EXPECT_EQ(DataWrites(bed), writes_before) << "inline put touched the data plane";
-  EXPECT_EQ(bed.proxy(0).stats().inline_puts, 1u);
+  EXPECT_EQ(bed.proxy(0).stats().inline_puts.value(), 1u);
 
   // Both the putting proxy (cache hit) and a cold proxy (GetMeta carries the
   // payload) read it back byte-identically.
@@ -135,7 +136,7 @@ TEST(TierTest, InlinePutServedFromMetaXWithoutDataWrites) {
   // Above the threshold the replica path still runs.
   ASSERT_TRUE(bed.PutObject(0, "big", RandomData(8192, 12)).ok());
   EXPECT_GT(DataWrites(bed), writes_before);
-  EXPECT_EQ(bed.proxy(0).stats().inline_puts, 1u);
+  EXPECT_EQ(bed.proxy(0).stats().inline_puts.value(), 1u);
 
   // Inline objects survive settle + scrub + delete like any other.
   bed.RunFor(Seconds(2));
@@ -170,7 +171,7 @@ TEST(TierTest, ColdObjectDemotesToEcAndReadsBack) {
       EXPECT_EQ(*got, payload);
     }
   }
-  EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads, 0u) << "healthy stripe read degraded";
+  EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads.value(), 0u) << "healthy stripe read degraded";
 
   // A demoted object is not re-demoted, and the scrubber audits the stripe.
   TierAllNow(bed);
@@ -178,7 +179,7 @@ TEST(TierTest, ColdObjectDemotesToEcAndReadsBack) {
   ScrubAllNow(bed);
   uint64_t corrupt = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt, 0u);
 
@@ -235,18 +236,18 @@ TEST(TierTest, DegradedReadReconstructsAndRepairsChunk) {
   auto got = bed.GetObject(1, "striped");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, payload);
-  const auto after_first = bed.proxy(1).stats();
+  const uint64_t degraded_first = bed.proxy(1).stats().ec_degraded_reads.value();
   // The damaged chunk might be parity, in which case the fast path never saw
   // it; scrub it out below either way. If a data chunk was hit, the read was
   // degraded and repaired.
-  if (after_first.ec_degraded_reads > 0) {
-    EXPECT_GT(after_first.corrupt_replica_reads, 0u);
+  if (degraded_first > 0) {
+    EXPECT_GT(bed.proxy(1).stats().corrupt_replica_reads.value(), 0u);
     bed.RunFor(Seconds(1));  // fire-and-forget repair lands
-    EXPECT_GT(bed.proxy(1).stats().ec_chunk_repairs, 0u);
+    EXPECT_GT(bed.proxy(1).stats().ec_chunk_repairs.value(), 0u);
     auto again = bed.GetObject(1, "striped");
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, payload);
-    EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads, after_first.ec_degraded_reads)
+    EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads.value(), degraded_first)
         << "chunk repair did not stick";
   }
 
@@ -257,12 +258,12 @@ TEST(TierTest, DegradedReadReconstructsAndRepairsChunk) {
   ScrubAllNow(bed);
   uint64_t corrupt_last = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_last += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_last += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   ScrubAllNow(bed);
   uint64_t corrupt_final = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_final += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_final += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt_final, corrupt_last);
   auto final_got = bed.GetObject(0, "striped");
@@ -335,12 +336,12 @@ TEST(TierRaceTest, DemotionRacingDeleteStaysConsistent) {
   ScrubAllNow(bed);
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   ScrubAllNow(bed);
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
@@ -401,12 +402,12 @@ TEST(TierRaceTest, DemotionRacingRecreateKeepsNewBytes) {
   ScrubAllNow(bed);
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   ScrubAllNow(bed);
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found.value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
