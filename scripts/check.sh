@@ -62,3 +62,11 @@ CHEETAH_BENCH_SMOKE=1 "$builddir/bench/resize_under_fire"
 # throughput floor over the legacy priority_queue loop.
 ctest --preset "$preset" -L perf -j "$(nproc)"
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/sim_engine_speed"
+
+# Bench tier: the repository benchmark (perfbench/) compiles ../src through
+# its own CMake project, so a change to the storage model or the message
+# types can break it while everything above stays green. Its self-test
+# builds it and runs every workload at smoke size, checking each run's
+# correctness gate, that repeated runs agree, and that tracing leaves the
+# fingerprint unchanged.
+python3 perfbench/selftest.py

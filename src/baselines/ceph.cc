@@ -103,7 +103,7 @@ void CephOsd::UnlockPg(uint32_t pg) {
   next->Set();
 }
 
-sim::Task<Status> CephOsd::LocalWrite(const std::string& name, std::string data,
+sim::Task<Status> CephOsd::LocalWrite(const std::string& name, Bytes data,
                                       uint32_t checksum) {
   sim::Storage& disk = rpc_.machine().disk(0);
   const uint64_t size = data.size();
@@ -311,7 +311,7 @@ sim::Task<Status> CephClient::Put(std::string name, std::string data) {
   req.pg = pg;
   req.checksum = Crc32c(data);
   req.name = std::move(name);
-  req.data = std::move(data);
+  req.data = Bytes(std::move(data));
   auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
   co_return r.ok() ? Status::Ok() : r.status();
 }
@@ -327,7 +327,7 @@ sim::Task<Result<std::string>> CephClient::Get(std::string name) {
   if (!r.ok()) {
     co_return r.status();
   }
-  co_return std::move(r->data);
+  co_return std::move(r->data).ToString();
 }
 
 sim::Task<Status> CephClient::Delete(std::string name) {

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/crush/crush.h"
 #include "src/kv/db.h"
@@ -55,7 +56,7 @@ struct CWriteRequest {
   uint64_t epoch = 0;
   uint32_t pg = 0;
   std::string name;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 40 + name.size() + data.size(); }
 };
@@ -70,14 +71,14 @@ struct CRepWriteRequest {
   uint64_t epoch = 0;
   uint32_t pg = 0;
   std::string name;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 40 + name.size() + data.size(); }
 };
 
 struct CReadReply {
   CReadReply() = default;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 16 + data.size(); }
 };
@@ -110,7 +111,7 @@ struct CBackfillReply {
   struct Obj {
     Obj() = default;
     std::string name;
-    std::string data;
+    Bytes data;
     uint32_t checksum = 0;
   };
   std::vector<Obj> objects;
@@ -162,7 +163,7 @@ class CephOsd {
   sim::Task<> LockPg(uint32_t pg);
   void UnlockPg(uint32_t pg);
 
-  sim::Task<Status> LocalWrite(const std::string& name, std::string data,
+  sim::Task<Status> LocalWrite(const std::string& name, Bytes data,
                                uint32_t checksum);
   sim::Task<Result<CWriteReply>> HandleWrite(sim::NodeId, CWriteRequest req);
   sim::Task<Result<CRepWriteReply>> HandleRepWrite(sim::NodeId, CRepWriteRequest req);

@@ -367,10 +367,11 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
     co_return assigned.status();
   }
   // (3) Write the needle to all n stores in parallel; each persists data+Mo.
+  const Bytes payload(std::move(data));
   std::vector<sim::Task<Status>> tasks;
   for (sim::NodeId store : assigned->stores) {
     tasks.push_back([](HaystackClient* self, sim::NodeId store, uint32_t volume,
-                       std::string name, std::string data,
+                       std::string name, Bytes data,
                        uint32_t checksum) -> sim::Task<Status> {
       HsWriteRequest write;
       write.volume = volume;
@@ -379,7 +380,7 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
       write.checksum = checksum;
       auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
       co_return r.ok() ? Status::Ok() : r.status();
-    }(this, store, assigned->volume, name, data, checksum));
+    }(this, store, assigned->volume, name, payload, checksum));
   }
   auto results = co_await sim::WhenAll(std::move(tasks));
   for (const Status& s : results) {
@@ -408,7 +409,7 @@ sim::Task<Result<std::string>> HaystackClient::Get(std::string name) {
   if (!r.ok()) {
     co_return r.status();
   }
-  co_return std::move(r->data);
+  co_return std::move(r->data).ToString();
 }
 
 sim::Task<Status> HaystackClient::Delete(std::string name) {

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
@@ -111,14 +112,14 @@ struct HsWriteRequest {
   HsWriteRequest() = default;
   uint32_t volume = 0;
   std::string name;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 32 + name.size() + data.size(); }
 };
 
 struct HsReadReply {
   HsReadReply() = default;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 16 + data.size(); }
 };

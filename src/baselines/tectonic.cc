@@ -271,17 +271,18 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
     co_return placed.status();
   }
   // Chunk writes go to the n stores in parallel.
+  const Bytes payload(std::move(data));
   std::vector<sim::Task<Status>> tasks;
   for (sim::NodeId store : placed->stores) {
     tasks.push_back([](TectonicClient* self, sim::NodeId store, uint64_t chunk_id,
-                       std::string data, uint32_t checksum) -> sim::Task<Status> {
+                       Bytes data, uint32_t checksum) -> sim::Task<Status> {
       TnChunkWriteRequest write;
       write.chunk_id = chunk_id;
       write.data = std::move(data);
       write.checksum = checksum;
       auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
       co_return r.ok() ? Status::Ok() : r.status();
-    }(this, store, placed->chunk_id, data, checksum));
+    }(this, store, placed->chunk_id, payload, checksum));
   }
   auto results = co_await sim::WhenAll(std::move(tasks));
   for (const Status& s : results) {
@@ -332,7 +333,7 @@ sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {
   if (!data.ok()) {
     co_return data.status();
   }
-  co_return std::move(data->data);
+  co_return std::move(data->data).ToString();
 }
 
 sim::Task<Status> TectonicClient::Delete(std::string name) {

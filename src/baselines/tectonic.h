@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/kv/db.h"
 #include "src/rpc/node.h"
@@ -107,14 +108,14 @@ struct TnChunkWriteRequest {
   using Response = TnChunkWriteReply;
   TnChunkWriteRequest() = default;
   uint64_t chunk_id = 0;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 24 + data.size(); }
 };
 
 struct TnChunkReadReply {
   TnChunkReadReply() = default;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;
   size_t wire_size() const { return 16 + data.size(); }
 };

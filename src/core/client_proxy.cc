@@ -175,14 +175,14 @@ sim::Task<Status> ClientProxy::Put(std::string name, std::string data) {
   auto& tracer = obs::Tracer::Global();
   const uint64_t op =
       tracer.enabled() ? tracer.BeginOp("put", rpc_.id(), rpc_.machine().loop().Now()) : 0;
-  Status s = co_await PutImpl(std::move(name), std::move(data));
+  Status s = co_await PutImpl(std::move(name), Bytes(std::move(data)));
   tracer.EndOp(op, rpc_.machine().loop().Now(), s.ok());
   co_return s;
 }
 
-sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
+sim::Task<Status> ClientProxy::PutImpl(std::string name, Bytes data) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
-  const uint32_t checksum = Crc32c(data);
+  const uint32_t checksum = Crc32c(data.view());
   const ReqId reqid = (static_cast<uint64_t>(proxy_id_) << 32) | next_req_++;
   bool re_meta = false;
   bool re_data = false;
@@ -216,7 +216,7 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
   co_return Status::Unavailable("put exhausted retries");
 }
 
-sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::string& data,
+sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& data,
                                           uint32_t checksum, ReqId reqid, bool re_meta,
                                           bool re_data) {
   const cluster::PgId pg = topo_.PgOf(name);
@@ -241,7 +241,7 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
   if (options_.tier.inline_threshold > 0 &&
       data.size() <= options_.tier.inline_threshold) {
     alloc.is_inline = true;
-    alloc.inline_data = data;
+    alloc.inline_data = data.ToString();
   }
   auto reply = co_await CallMeta(primary, std::move(alloc));
   if (!reply.ok()) {
@@ -303,7 +303,7 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
     ObMeta cached;
     if (reply->inline_stored) {
       cached.storage_class = StorageClass::kInline;
-      cached.inline_data = data;
+      cached.inline_data = data.ToString();
     } else {
       cached.lvid = reply->lvid;
       cached.extents = reply->extents;
@@ -317,7 +317,7 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
 
 sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LogicalVolume& lv,
                                                  const std::vector<alloc::Extent>& extents,
-                                                 const std::string& data, uint32_t checksum) {
+                                                 const Bytes& data, uint32_t checksum) {
   std::vector<sim::Task<Status>> tasks;
   for (cluster::PvId pv_id : lv.replicas) {
     const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
@@ -326,7 +326,7 @@ sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LogicalVolume& l
     }
     tasks.push_back([](ClientProxy* self, const cluster::PhysicalVolume* pv,
                        uint32_t block_size, std::vector<alloc::Extent> extents,
-                       std::string data, uint32_t checksum) -> sim::Task<Status> {
+                       Bytes data, uint32_t checksum) -> sim::Task<Status> {
       DataWriteRequest write;
       write.view = self->topo_.view;
       write.device = pv->DeviceName();
@@ -361,12 +361,15 @@ sim::Task<Result<std::string>> ClientProxy::Get(std::string name) {
   auto& tracer = obs::Tracer::Global();
   const uint64_t op =
       tracer.enabled() ? tracer.BeginOp("get", rpc_.id(), rpc_.machine().loop().Now()) : 0;
-  Result<std::string> r = co_await GetImpl(std::move(name));
+  Result<Bytes> r = co_await GetImpl(std::move(name));
   tracer.EndOp(op, rpc_.machine().loop().Now(), r.ok());
-  co_return r;
+  if (!r.ok()) {
+    co_return r.status();
+  }
+  co_return std::move(r).value().ToString();
 }
 
-sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
+sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
     const cluster::PgId pg = topo_.PgOf(name);
@@ -382,7 +385,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       // work from a copy.
       const ObMeta cached_meta = cached->second;
       struct ParallelGet {
-        Result<std::string> data = Status::Internal("unresolved");
+        Result<Bytes> data = Status::Internal("unresolved");
         Result<GetMetaReply> meta = Status::Internal("unresolved");
       };
       auto par = std::make_shared<ParallelGet>();
@@ -462,13 +465,13 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
   co_return Status::Unavailable("get exhausted retries");
 }
 
-sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool verify) {
+sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) {
   if (meta.storage_class == StorageClass::kInline) {
     // The payload rode inside the MetaX record; nothing on the data plane.
     if (verify && Crc32c(meta.inline_data) != meta.checksum) {
       co_return Status::Corruption("inline payload checksum mismatch");
     }
-    co_return meta.inline_data;
+    co_return Bytes(meta.inline_data);
   }
   if (meta.storage_class == StorageClass::kEc) {
     co_return co_await ReadEcData(meta);
@@ -515,15 +518,20 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool ve
       }
       continue;
     }
-    if (verify) {
+    // A reply of the wrong length is a damaged replica even when its
+    // checksum looks right: in metadata-only mode the checksum is the one
+    // the device reports, not one computed over the bytes.
+    bool intact = r->data.size() == meta.size;
+    if (verify && intact) {
       // Full-content mode: recompute; metadata-only mode: the device reports
       // the checksum it stored at write time.
-      const uint32_t crc = r->content_valid ? Crc32c(r->data) : r->checksum;
-      if (crc != meta.checksum || r->checksum != meta.checksum) {
-        counters_.corrupt_replica_reads.Add();
-        damaged.push_back(as_damaged);
-        continue;  // corrupt/partial replica; try another
-      }
+      const uint32_t crc = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
+      intact = crc == meta.checksum && r->checksum == meta.checksum;
+    }
+    if (!intact) {
+      counters_.corrupt_replica_reads.Add();
+      damaged.push_back(as_damaged);
+      continue;  // corrupt/partial replica; try another
     }
     if (verify && !damaged.empty() && options_.enable_read_repair) {
       SpawnReadRepair(meta, block_size, std::move(damaged), r->data);
@@ -533,7 +541,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool ve
   co_return Status::Unavailable("no data replica answered");
 }
 
-sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
+sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   const uint32_t k = meta.ec_k;
   const uint32_t m = meta.ec_m;
   // Everything the chunk I/O needs, copied out of the topology before the
@@ -566,7 +574,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   const uint64_t shard_bytes = tier::ShardBytes(meta.size, k);
 
   struct StripeState {
-    std::vector<std::optional<std::string>> chunks;  // verified survivors
+    std::vector<std::optional<Bytes>> chunks;  // verified survivors
     std::vector<char> damaged;  // positive evidence of damage, per chunk
   };
   auto st = std::make_shared<StripeState>();
@@ -601,8 +609,8 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
         }
         co_return;
       }
-      const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
-      if (got != crc) {
+      const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
+      if (r->data.size() != shard_bytes || got != crc) {
         self->counters_.corrupt_replica_reads.Add();
         st->damaged[j] = 1;
         co_return;
@@ -621,10 +629,10 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
     std::string data;
     data.reserve(static_cast<size_t>(shard_bytes) * k);
     for (uint32_t j = 0; j < k; ++j) {
-      data += *st->chunks[j];
+      data += st->chunks[j]->view();
     }
     data.resize(meta.size);
-    co_return data;
+    co_return Bytes(std::move(data));
   }
 
   // Degraded: pull parity chunks until any k survive, then decode. Parity is
@@ -651,8 +659,8 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
       }
       continue;
     }
-    const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
-    if (got != meta.chunk_crcs[j]) {
+    const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
+    if (r->data.size() != shard_bytes || got != meta.chunk_crcs[j]) {
       counters_.corrupt_replica_reads.Add();
       st->damaged[j] = 1;
       continue;
@@ -692,7 +700,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
         write.disk_index = targets[j].disk_index;
         write.block_size = block_size;
         write.extents = meta.extents;
-        write.data = (*rebuilt)[j];
+        write.data = Bytes(std::move((*rebuilt)[j]));
         write.checksum = meta.chunk_crcs[j];
         auto w = co_await self->rpc_.Call(targets[j].node, std::move(write),
                                           self->options_.rpc_timeout);
@@ -702,11 +710,11 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
       }
     }(this, meta, block_size, std::move(targets), st));
   }
-  co_return std::move(*decoded);
+  co_return Bytes(std::move(*decoded));
 }
 
 void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                                  std::vector<DamagedReplica> damaged, std::string data) {
+                                  std::vector<DamagedReplica> damaged, Bytes data) {
   // Fire-and-forget on the proxy's actor: the get that discovered the damage
   // has already returned by the time these writes land. Everything the task
   // needs is copied in — a concurrent delete or topology push can't dangle
@@ -717,7 +725,7 @@ void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
   // write is itself overwritten; scrub re-heals if it races in between).
   rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta, uint32_t block_size,
                                   std::vector<DamagedReplica> damaged,
-                                  std::string data) -> sim::Task<> {
+                                  Bytes data) -> sim::Task<> {
     for (const DamagedReplica& d : damaged) {
       RepairWriteRequest write;
       write.view = self->topo_.view;

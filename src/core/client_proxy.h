@@ -41,7 +41,9 @@ class ClientProxy {
   // Each is the root of a traced operation: the obs::Tracer records a kOp
   // span whose children (RPCs, disk I/O, persistence waits) reconstruct the
   // critical path — bench/fig6_decomposition.cc derives the paper's latency
-  // breakdown from these instead of hand-placed timers.
+  // breakdown from these instead of hand-placed timers. Put takes the
+  // caller's string over as the one shared payload buffer every replica
+  // write uses; Get builds its returned string once, on the way out.
   sim::Task<Status> Put(std::string name, std::string data);
   sim::Task<Result<std::string>> Get(std::string name);
   sim::Task<Status> Delete(std::string name);
@@ -80,8 +82,8 @@ class ClientProxy {
   };
 
   // Op bodies; the public wrappers open/close the root trace span.
-  sim::Task<Status> PutImpl(std::string name, std::string data);
-  sim::Task<Result<std::string>> GetImpl(std::string name);
+  sim::Task<Status> PutImpl(std::string name, Bytes data);
+  sim::Task<Result<Bytes>> GetImpl(std::string name);
   sim::Task<Status> DeleteImpl(std::string name);
 
   // Meta-server RPC with proxy-side admission: under QoS every call toward a
@@ -122,16 +124,16 @@ class ClientProxy {
   sim::Task<> ChaseStaleView(const Status& s);
 
   // One full put attempt; the caller loops on retryable failures.
-  sim::Task<Status> PutAttempt(const std::string& name, const std::string& data,
-                               uint32_t checksum, ReqId reqid, bool re_meta, bool re_data);
+  sim::Task<Status> PutAttempt(const std::string& name, const Bytes& data, uint32_t checksum,
+                               ReqId reqid, bool re_meta, bool re_data);
   sim::Task<Status> WriteDataReplicas(const cluster::LogicalVolume& lv,
                                       const std::vector<alloc::Extent>& extents,
-                                      const std::string& data, uint32_t checksum);
-  sim::Task<Result<std::string>> ReadData(const ObMeta& meta, bool verify);
+                                      const Bytes& data, uint32_t checksum);
+  sim::Task<Result<Bytes>> ReadData(const ObMeta& meta, bool verify);
   // EC stripe read: verified reads of the k data chunks (systematic layout);
   // on damage, pulls parity and reconstructs from any k of k+m. Degraded
   // successes fire-and-forget a rewrite of the damaged chunks.
-  sim::Task<Result<std::string>> ReadEcData(const ObMeta& meta);
+  sim::Task<Result<Bytes>> ReadEcData(const ObMeta& meta);
 
   // A replica that positively failed verification (server-side kCorruption /
   // kIoError or client-side checksum mismatch) — everything a repair write
@@ -144,7 +146,7 @@ class ClientProxy {
   // Fire-and-forget maintenance-class rewrite of damaged replicas from the
   // verified payload the get just returned.
   void SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                       std::vector<DamagedReplica> damaged, std::string data);
+                       std::vector<DamagedReplica> damaged, Bytes data);
 
   sim::Task<Result<MetaPersistedAck>> HandlePersisted(sim::NodeId src,
                                                       MetaPersistedNotify req);

@@ -72,16 +72,21 @@ sim::Task<> DataServer::ChargeFsOverhead(uint32_t disk_index) {
 
 sim::Task<Result<DataWriteReply>> DataServer::HandleWrite(sim::NodeId src,
                                                           DataWriteRequest req) {
+  if (req.data.size() > ExtentBytes(req.extents, req.block_size)) {
+    co_return Status::InvalidArgument("payload of " + std::to_string(req.data.size()) +
+                                      " bytes overflows its extents on " + req.device);
+  }
   sim::Storage& disk = DiskFor(req.disk_index);
   co_await ChargeFsOverhead(req.disk_index);
-  // Split the object payload across the extents in order. Each stored extent
-  // carries the whole-object checksum so probes and metadata-only reads can
-  // report it without reassembling the payload.
+  // Split the object payload across the extents in order; each slice shares
+  // the request's buffer. Each stored extent carries the whole-object
+  // checksum so probes and metadata-only reads can report it without
+  // reassembling the payload.
   uint64_t consumed = 0;
   for (const auto& e : req.extents) {
     const uint64_t extent_bytes = e.count * req.block_size;
     const uint64_t take = std::min<uint64_t>(extent_bytes, req.data.size() - consumed);
-    std::string slice = req.data.substr(consumed, take);
+    Bytes slice = req.data.Slice(consumed, take);
     consumed += take;
     Status s = co_await disk.WriteBlocks(req.device, e.block * req.block_size,
                                          std::move(slice), req.checksum);
@@ -98,10 +103,17 @@ sim::Task<Result<DataWriteReply>> DataServer::HandleWrite(sim::NodeId src,
 
 sim::Task<Result<DataReadReply>> DataServer::HandleRead(sim::NodeId src,
                                                         DataReadRequest req) {
+  if (req.length > ExtentBytes(req.extents, req.block_size)) {
+    co_return Status::InvalidArgument("read of " + std::to_string(req.length) +
+                                      " bytes overruns its extents on " + req.device);
+  }
   sim::Storage& disk = DiskFor(req.disk_index);
   co_await ChargeFsOverhead(req.disk_index);
   DataReadReply reply;
   reply.content_valid = disk.store_volume_content();
+  // A single-extent object is answered with the stored extent's own handle;
+  // only an object split over several extents is joined into a new buffer.
+  std::string joined;
   uint64_t remaining = req.length;
   for (const auto& e : req.extents) {
     const uint64_t offset = e.block * req.block_size;
@@ -123,10 +135,18 @@ sim::Task<Result<DataReadReply>> DataServer::HandleRead(sim::NodeId src,
       co_return Status::Corruption("extent checksum mismatch at " + req.device +
                                    "+" + std::to_string(offset));
     }
-    reply.data += *data;
+    if (req.extents.size() == 1) {
+      reply.data = std::move(*data);
+    } else {
+      joined.append(data->view());
+    }
     remaining -= want;
   }
-  if (req.verify && reply.content_valid && Crc32c(reply.data) != req.expected_checksum) {
+  if (req.extents.size() > 1) {
+    reply.data = Bytes(std::move(joined));
+  }
+  if (req.verify && reply.content_valid &&
+      Crc32c(reply.data.view()) != req.expected_checksum) {
     // Belt and suspenders for full-content mode: the payload itself rotted
     // while the stored checksum stayed intact.
     counters_.verify_failures.Add();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/alloc/bitmap_allocator.h"
+#include "src/common/bytes.h"
 #include "src/cluster/topology.h"
 #include "src/core/metax.h"
 
@@ -189,14 +190,14 @@ struct DataWriteRequest {
   uint32_t disk_index = 0;
   uint32_t block_size = 4096;
   std::vector<alloc::Extent> extents;
-  std::string data;
+  Bytes data;              // at most the extents' bytes, else refused
   uint32_t checksum = 0;   // whole-object checksum
   size_t wire_size() const { return 64 + device.size() + data.size(); }
 };
 
 struct DataReadReply {
   DataReadReply() = default;
-  std::string data;
+  Bytes data;
   uint32_t checksum = 0;  // whole-object checksum as stored at write time
   // False when the device runs in metadata-only mode and `data` is
   // synthesized — the caller verifies against `checksum` instead of
@@ -211,7 +212,7 @@ struct DataReadRequest {
   uint32_t disk_index = 0;
   uint32_t block_size = 4096;
   std::vector<alloc::Extent> extents;
-  uint64_t length = 0;  // object size (may be < extent bytes)
+  uint64_t length = 0;  // object size (may be < extent bytes, never more)
   // Verified read: the server compares every extent's stored checksum (and,
   // in full-content mode, the recomputed payload CRC) against
   // expected_checksum and answers kCorruption instead of shipping damaged
@@ -280,7 +281,7 @@ struct VolumePullReply {
   struct ExtentData {
     ExtentData() = default;
     uint64_t offset = 0;
-    std::string data;
+    Bytes data;
     uint32_t checksum = 0;
   };
   std::vector<ExtentData> extents;

@@ -223,7 +223,7 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     co_return;
   }
   // Verified reads of k surviving chunks, then Reed-Solomon reconstruction.
-  std::vector<std::optional<std::string>> chunks(total);
+  std::vector<std::optional<Bytes>> chunks(total);
   uint32_t have = 0;
   for (size_t j : good) {
     if (have == k) {
@@ -265,7 +265,7 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     write.disk_index = targets[j].disk_index;
     write.block_size = block_size;
     write.extents = meta.extents;
-    write.data = (*rebuilt)[j];
+    write.data = Bytes(std::move((*rebuilt)[j]));
     write.checksum = meta.chunk_crcs[j];
     const uint64_t repaired_bytes = write.data.size();
     auto w = co_await rpc_.Call(targets[j].node, std::move(write), options_.rpc_timeout);

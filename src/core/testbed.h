@@ -83,6 +83,7 @@ class Testbed {
   sim::Machine& manager_machine(int i) { return *managers_.at(i).machine; }
   rpc::Node& proxy_rpc(int i) { return *proxies_.at(i).rpc; }  // protocol tests
   rpc::Node& meta_rpc(int i) { return *metas_.at(i).rpc; }
+  rpc::Node& data_rpc(int i) { return *datas_.at(i).rpc; }
 
   // Null when options.qos.enabled is false.
   qos::Scheduler* meta_scheduler(int i) { return metas_.at(i).sched.get(); }

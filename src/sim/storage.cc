@@ -7,6 +7,21 @@
 
 namespace cheetah::sim {
 
+namespace {
+
+// Metadata-only reads return a window of one run of filler bytes, replaced
+// by a longer run when a longer read arrives (slices of the old run keep it
+// alive), so a read allocates nothing.
+Bytes SyntheticContent(uint64_t length) {
+  thread_local Bytes filler;
+  if (filler.size() < length) {
+    filler = Bytes(std::string(std::max<uint64_t>(length, 2 * filler.size()), 'x'));
+  }
+  return filler.Slice(0, length);
+}
+
+}  // namespace
+
 void Storage::RecordIo(const char* what, uint64_t bytes, Nanos done) {
   ops_->Add();
   io_bytes_->Add(bytes);
@@ -95,7 +110,7 @@ std::vector<std::string> Storage::ListFiles(const std::string& prefix) const {
   return out;
 }
 
-Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, std::string data,
+Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, Bytes data,
                                   uint32_t checksum) {
   const uint64_t length = data.size();
   co_await ChargeWrite(length);
@@ -111,14 +126,10 @@ Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, std::stri
   // Flipping the stored checksum (not recomputing over flipped bytes) models
   // this in both full-content and metadata-only modes. A rewrite always
   // clears a latent sector error (remapped sector).
-  Extent ext{std::move(data), checksum, length};
+  Extent ext{store_volume_content_ ? std::move(data) : Bytes(), checksum, length};
   if (gray_.write_corrupt_prob > 0 && fault_rng_.Bernoulli(gray_.write_corrupt_prob)) {
     writes_corrupted_->Add();
     FlipExtent(ext);
-  }
-  if (!store_volume_content_) {
-    ext.data.clear();
-    ext.data.shrink_to_fit();
   }
   vol.extents.emplace(offset, std::move(ext));
   vol.bytes_used += length;
@@ -128,7 +139,9 @@ Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, std::stri
 void Storage::FlipExtent(Extent& e) {
   e.checksum ^= 0x5eedbad0u;
   if (!e.data.empty()) {
-    e.data[0] = static_cast<char>(e.data[0] ^ 0x40);
+    std::string flipped = e.data.ToString();
+    flipped[0] = static_cast<char>(flipped[0] ^ 0x40);
+    e.data = Bytes(std::move(flipped));
   }
 }
 
@@ -176,6 +189,15 @@ uint64_t Storage::InjectLatentSectorErrors(double prob, uint64_t seed) {
   return hit;
 }
 
+const Storage::Extent* Storage::FindExtent(const std::string& volume, uint64_t offset) const {
+  auto vit = volumes_.find(volume);
+  if (vit == volumes_.end()) {
+    return nullptr;
+  }
+  auto eit = vit->second.extents.find(offset);
+  return eit == vit->second.extents.end() ? nullptr : &eit->second;
+}
+
 bool Storage::CorruptExtent(const std::string& volume, uint64_t offset) {
   auto vit = volumes_.find(volume);
   if (vit == volumes_.end()) {
@@ -190,38 +212,40 @@ bool Storage::CorruptExtent(const std::string& volume, uint64_t offset) {
   return true;
 }
 
-Task<Result<std::string>> Storage::ReadBlocks(std::string volume, uint64_t offset,
-                                              uint64_t length) {
-  auto vit = volumes_.find(volume);
-  if (vit == volumes_.end()) {
+Task<Result<Bytes>> Storage::ReadBlocks(std::string volume, uint64_t offset,
+                                        uint64_t length) {
+  if (!volumes_.contains(volume)) {
     co_return Status::NotFound("no such volume " + volume);
   }
-  auto eit = vit->second.extents.find(offset);
-  if (eit == vit->second.extents.end() || eit->second.length != length) {
+  const Extent* found = FindExtent(volume, offset);
+  if (found == nullptr || found->length != length) {
     co_return Status::NotFound("no extent at requested offset");
   }
+  // The extent as the transfer started. A write or discard of this offset
+  // during the transfer frees the map node; the read then completes with
+  // the blocks it started on, and otherwise with the extent as it stands at
+  // completion (damage injected mid-transfer is seen).
+  const Extent started = *found;
   co_await ChargeRead(length);
-  if (eit->second.unreadable) {
+  found = FindExtent(volume, offset);
+  const Extent& e = found != nullptr && found->length == length ? *found : started;
+  if (e.unreadable) {
     co_return Status::IoError("latent sector error at " + volume + "+" +
                               std::to_string(offset));
   }
   if (!store_volume_content_) {
-    co_return std::string(length, 'x');  // synthesized payload
+    co_return SyntheticContent(length);
   }
-  co_return eit->second.data;
+  co_return e.data;
 }
 
 std::optional<uint32_t> Storage::PeekChecksum(const std::string& volume,
                                               uint64_t offset) const {
-  auto vit = volumes_.find(volume);
-  if (vit == volumes_.end()) {
+  const Extent* e = FindExtent(volume, offset);
+  if (e == nullptr || e->unreadable) {
     return std::nullopt;
   }
-  auto eit = vit->second.extents.find(offset);
-  if (eit == vit->second.extents.end() || eit->second.unreadable) {
-    return std::nullopt;
-  }
-  return eit->second.checksum;
+  return e->checksum;
 }
 
 std::vector<Storage::ExtentInfo> Storage::ListVolumeExtents(const std::string& volume) const {
@@ -238,20 +262,22 @@ std::vector<Storage::ExtentInfo> Storage::ListVolumeExtents(const std::string& v
 }
 
 Task<Result<uint32_t>> Storage::ProbeChecksum(std::string volume, uint64_t offset) {
-  auto vit = volumes_.find(volume);
-  if (vit == volumes_.end()) {
+  if (!volumes_.contains(volume)) {
     co_return Status::NotFound("no such volume " + volume);
   }
-  auto eit = vit->second.extents.find(offset);
-  if (eit == vit->second.extents.end()) {
+  const Extent* found = FindExtent(volume, offset);
+  if (found == nullptr) {
     co_return Status::NotFound("no extent at requested offset");
   }
+  const Extent started = *found;  // same rule as ReadBlocks
   co_await ChargeRead(4096);  // checksum probe reads a header, not the payload
-  if (eit->second.unreadable) {
+  found = FindExtent(volume, offset);
+  const Extent& e = found != nullptr ? *found : started;
+  if (e.unreadable) {
     co_return Status::IoError("latent sector error at " + volume + "+" +
                               std::to_string(offset));
   }
-  co_return eit->second.checksum;
+  co_return e.checksum;
 }
 
 void Storage::DiscardBlocks(const std::string& volume, uint64_t offset) {

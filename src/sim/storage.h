@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -144,9 +145,10 @@ class Storage {
   std::vector<std::string> ListFiles(const std::string& prefix) const;
 
   // When false, volume extents keep only (length, checksum) and reads return
-  // synthesized bytes — latency/bandwidth accounting is unchanged. Benches
-  // use this to store hundreds of thousands of objects without holding their
-  // payloads in host memory; tests keep full content for integrity checks.
+  // synthesized bytes (a slice of one shared filler buffer) — latency and
+  // bandwidth accounting is unchanged. Benches use this to store hundreds of
+  // thousands of objects without holding their payloads in host memory;
+  // tests keep full content for integrity checks.
   void set_store_volume_content(bool store) { store_volume_content_ = store; }
   bool store_volume_content() const { return store_volume_content_; }
 
@@ -163,9 +165,10 @@ class Storage {
 
   // ---- raw block volumes ----
   // Writes `data` at byte offset `offset` of the named volume (synchronous).
-  Task<Status> WriteBlocks(std::string volume, uint64_t offset, std::string data,
-                           uint32_t checksum);
-  Task<Result<std::string>> ReadBlocks(std::string volume, uint64_t offset, uint64_t length);
+  // In full-content mode the extent keeps a handle to `data`'s buffer, so
+  // replicas written from one payload share it.
+  Task<Status> WriteBlocks(std::string volume, uint64_t offset, Bytes data, uint32_t checksum);
+  Task<Result<Bytes>> ReadBlocks(std::string volume, uint64_t offset, uint64_t length);
   // Checksum of the extent at `offset` without transferring data (recovery
   // probes); charges a single header-sized read.
   Task<Result<uint32_t>> ProbeChecksum(std::string volume, uint64_t offset);
@@ -226,7 +229,7 @@ class Storage {
     bool ever_synced = false;
   };
   struct Extent {
-    std::string data;
+    Bytes data;
     uint32_t checksum = 0;
     uint64_t length = 0;
     bool unreadable = false;  // latent sector error; cleared by a rewrite
@@ -258,9 +261,15 @@ class Storage {
   DiskParams params_;
   Resource channels_;
   Resource bus_;  // shared bandwidth
-  // Flips an extent's stored bytes/checksum in place (bit rot and the
-  // write_corrupt_prob gray failure share the same damage model).
+  // Damages an extent's stored checksum and bytes (bit rot and the
+  // write_corrupt_prob gray failure share the same damage model). Copy on
+  // write: the flipped bytes go to a fresh buffer, so replicas sharing the
+  // old one keep reading the original payload.
   static void FlipExtent(Extent& e);
+  // The extent at (volume, offset), or null. Coroutines look it up again
+  // after every suspension: a concurrent write, discard or media loss frees
+  // the node found before it.
+  const Extent* FindExtent(const std::string& volume, uint64_t offset) const;
 
   obs::Scope scope_{"sim.disk"};
   obs::Counter* ops_ = scope_.counter("ops");

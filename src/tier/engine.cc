@@ -137,7 +137,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   // Verified source read (maintenance class): the payload is checked against
   // the object checksum server-side, so a rotted replica can never be the
   // bytes that get striped.
-  std::string payload;
+  Bytes payload;
   bool have_payload = false;
   for (const Target& src : source_targets) {
     core::RepairReadRequest read;
@@ -164,7 +164,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     co_return;
   }
 
-  std::vector<std::string> chunks = EncodeChunks(payload, k, m);
+  std::vector<std::string> chunks = EncodeChunks(payload.view(), k, m);
   std::vector<uint32_t> crcs = ChunkCrcs(chunks);
 
   // Chunk fan-out: chunk j to stripe PV j, each stored under its own CRC so
@@ -174,7 +174,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   for (size_t j = 0; j < chunk_targets.size(); ++j) {
     writes.push_back(
         [](TierEngine* self, Target target, uint32_t block_size,
-           std::vector<alloc::Extent> extents, std::string chunk,
+           std::vector<alloc::Extent> extents, Bytes chunk,
            uint32_t crc) -> sim::Task<Status> {
           core::RepairWriteRequest write;
           write.view = self->ms_.topo_.view;
@@ -188,7 +188,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
                                             self->options_.rpc_timeout);
           co_return w.ok() ? Status::Ok() : w.status();
         }(this, chunk_targets[j], stripe_block_size, stripe_extents,
-          std::move(chunks[j]), crcs[j]));
+          Bytes(std::move(chunks[j])), crcs[j]));
   }
   auto results = co_await sim::WhenAll(std::move(writes));
   for (const Status& s : results) {

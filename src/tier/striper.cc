@@ -5,6 +5,22 @@
 
 namespace cheetah::tier {
 
+namespace {
+
+// The codec works on owned shards; only degraded reads and repairs get here.
+std::vector<std::optional<std::string>> OwnedShards(
+    const std::vector<std::optional<Bytes>>& chunks) {
+  std::vector<std::optional<std::string>> shards(chunks.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i].has_value()) {
+      shards[i] = chunks[i]->ToString();
+    }
+  }
+  return shards;
+}
+
+}  // namespace
+
 uint64_t ShardBytes(uint64_t size, uint32_t k) {
   return k == 0 ? 0 : (size + k - 1) / k;
 }
@@ -23,16 +39,16 @@ std::vector<uint32_t> ChunkCrcs(const std::vector<std::string>& chunks) {
   return crcs;
 }
 
-Result<std::string> DecodeChunks(const std::vector<std::optional<std::string>>& chunks,
-                                 uint32_t k, uint32_t m, uint64_t size) {
+Result<std::string> DecodeChunks(const std::vector<std::optional<Bytes>>& chunks, uint32_t k,
+                                 uint32_t m, uint64_t size) {
   ec::ReedSolomon rs(static_cast<int>(k), static_cast<int>(m));
-  return rs.Decode(chunks, size);
+  return rs.Decode(OwnedShards(chunks), size);
 }
 
 Result<std::vector<std::string>> ReconstructChunks(
-    const std::vector<std::optional<std::string>>& chunks, uint32_t k, uint32_t m) {
+    const std::vector<std::optional<Bytes>>& chunks, uint32_t k, uint32_t m) {
   ec::ReedSolomon rs(static_cast<int>(k), static_cast<int>(m));
-  return rs.Reconstruct(chunks);
+  return rs.Reconstruct(OwnedShards(chunks));
 }
 
 }  // namespace cheetah::tier

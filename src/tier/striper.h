@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/status.h"
 
 namespace cheetah::tier {
@@ -27,13 +28,13 @@ std::vector<uint32_t> ChunkCrcs(const std::vector<std::string>& chunks);
 
 // Reassembles the object from any k surviving chunks (nullopt = lost).
 // Truncates the zero padding back off using `size`.
-Result<std::string> DecodeChunks(const std::vector<std::optional<std::string>>& chunks,
-                                 uint32_t k, uint32_t m, uint64_t size);
+Result<std::string> DecodeChunks(const std::vector<std::optional<Bytes>>& chunks, uint32_t k,
+                                 uint32_t m, uint64_t size);
 
 // Recomputes the full chunk set from any k survivors — used to rebuild lost
 // or corrupt chunks in place during degraded-read repair and scrubbing.
 Result<std::vector<std::string>> ReconstructChunks(
-    const std::vector<std::optional<std::string>>& chunks, uint32_t k, uint32_t m);
+    const std::vector<std::optional<Bytes>>& chunks, uint32_t k, uint32_t m);
 
 }  // namespace cheetah::tier
 

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "src/common/bytes.h"
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
 #include "src/common/hash.h"
@@ -71,6 +72,65 @@ TEST(Crc32cTest, ExtendMatchesWhole) {
 
 TEST(Crc32cTest, DifferentDataDifferentCrc) {
   EXPECT_NE(Crc32c("object-a"), Crc32c("object-b"));
+}
+
+TEST(BytesTest, Empty) {
+  const Bytes none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.view(), "");
+  EXPECT_EQ(none.ToString(), "");
+  EXPECT_TRUE(Bytes(std::string()).empty());
+  EXPECT_TRUE(Bytes("abc").Slice(3, 0).empty());
+}
+
+TEST(BytesTest, SliceOfSliceStaysInBounds) {
+  const Bytes whole("0123456789");
+  const Bytes mid = whole.Slice(2, 6);
+  EXPECT_EQ(mid.view(), "234567");
+  const Bytes inner = mid.Slice(1, 4);
+  EXPECT_EQ(inner.view(), "3456");
+  EXPECT_EQ(inner.data(), whole.data() + 3);
+  EXPECT_EQ(mid.Slice(0, mid.size()).view(), mid.view());
+  EXPECT_EQ(mid.Slice(5, 1).view(), "7");
+  EXPECT_TRUE(mid.Slice(6, 0).empty());
+}
+
+TEST(BytesTest, CopiesShareStorage) {
+  Bytes original(std::string(1000, 'a'));
+  const char* const bytes = original.data();
+  const Bytes copy = original;
+  const Bytes slice = original.Slice(10, 20);
+  EXPECT_EQ(copy.data(), bytes);
+  EXPECT_EQ(slice.data(), bytes + 10);
+  original = Bytes();  // the buffer lives on in the other handles
+  EXPECT_EQ(copy.view(), std::string(1000, 'a'));
+  EXPECT_EQ(slice.view(), std::string(20, 'a'));
+}
+
+TEST(BytesTest, ToStringCopiesUnlessSoleOwner) {
+  Bytes payload(std::string(1000, 'b'));
+  const char* const bytes = payload.data();
+  EXPECT_NE(payload.ToString().data(), bytes);
+  {
+    const Bytes other = payload;
+    const std::string copied = std::move(payload).ToString();  // shared: copies
+    EXPECT_NE(copied.data(), bytes);
+    EXPECT_EQ(other.view(), copied);
+    payload = other;
+  }
+  const std::string partial = payload.Slice(1, 10).ToString();
+  EXPECT_EQ(partial, std::string(10, 'b'));
+  const std::string stolen = std::move(payload).ToString();  // sole owner: moves
+  EXPECT_EQ(stolen.data(), bytes);
+  EXPECT_EQ(stolen, std::string(1000, 'b'));
+}
+
+TEST(BytesTest, Crc32cOverView) {
+  const std::string text = "the quick brown fox jumps over the lazy dog";
+  const Bytes payload(text);
+  EXPECT_EQ(Crc32c(payload.view()), Crc32c(text));
+  EXPECT_EQ(Crc32c(payload.Slice(4, 11).view()), Crc32c(text.substr(4, 11)));
 }
 
 TEST(HashTest, CrushHashDeterministic) {

@@ -3,6 +3,8 @@
 // semantics, and notification idempotence.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/common/crc32c.h"
 #include "src/core/testbed.h"
 #include "tests/test_util.h"
@@ -185,8 +187,8 @@ TEST_F(ProtocolTest, DataServerIsObjectAgnostic) {
     write.disk_index = 0;
     write.block_size = 4096;
     write.extents = {alloc::Extent(10, 2)};
-    write.data = std::string(8192, 'r');
-    write.checksum = Crc32c(write.data);
+    write.data = Bytes(std::string(8192, 'r'));
+    write.checksum = Crc32c(write.data.view());
     auto w = co_await node.Call(ds, std::move(write), Millis(500));
     CO_ASSERT_OK(w);
 
@@ -199,8 +201,94 @@ TEST_F(ProtocolTest, DataServerIsObjectAgnostic) {
     auto r = co_await node.Call(ds, std::move(read), Millis(500));
     CO_ASSERT_OK(r);
     EXPECT_EQ(r->data.size(), 8192u);
-    EXPECT_EQ(r->data[0], 'r');
+    EXPECT_EQ(r->data.view()[0], 'r');
   });
+}
+
+// A payload longer than the extents it names is refused, not truncated to
+// fit and acked.
+TEST_F(ProtocolTest, DataServerRejectsPayloadOverflowingExtents) {
+  Raw([](rpc::Node& node, Testbed& bed) -> sim::Task<> {
+    DataWriteRequest write;
+    write.view = bed.meta(0).view();
+    write.device = "adhoc_volume";
+    write.block_size = 4096;
+    write.extents = {alloc::Extent(10, 1)};
+    write.data = Bytes(std::string(4097, 'o'));
+    write.checksum = Crc32c(write.data.view());
+    auto w = co_await node.Call(bed.data_machine(0).node_id(), std::move(write), Millis(500));
+    EXPECT_EQ(w.status().code(), ErrorCode::kInvalidArgument) << w.status().ToString();
+    EXPECT_TRUE(bed.data_machine(0).disk(0).ListVolumeExtents("adhoc_volume").empty());
+  });
+}
+
+// A read longer than its extents can hold is refused instead of answered
+// with fewer bytes than asked for.
+TEST_F(ProtocolTest, DataServerRejectsReadPastExtents) {
+  Raw([](rpc::Node& node, Testbed& bed) -> sim::Task<> {
+    const sim::NodeId ds = bed.data_machine(0).node_id();
+    DataWriteRequest write;
+    write.view = bed.meta(0).view();
+    write.device = "adhoc_volume";
+    write.block_size = 4096;
+    write.extents = {alloc::Extent(10, 1)};
+    write.data = Bytes(std::string(4096, 's'));
+    write.checksum = Crc32c(write.data.view());
+    CO_ASSERT_OK(co_await node.Call(ds, std::move(write), Millis(500)));
+
+    DataReadRequest read;
+    read.device = "adhoc_volume";
+    read.block_size = 4096;
+    read.extents = {alloc::Extent(10, 1)};
+    read.length = 8192;
+    auto r = co_await node.Call(ds, std::move(read), Millis(500));
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << r.status().ToString();
+  });
+}
+
+// Answers a data read with synthesized bytes and the expected checksum, as a
+// metadata-only device does — but the first read of the run comes back one
+// byte short.
+sim::Task<Result<DataReadReply>> FirstReadShort(std::shared_ptr<int> reads,
+                                                DataReadRequest req) {
+  DataReadReply reply;
+  reply.data = Bytes(std::string(req.length - (++*reads == 1 ? 1 : 0), 'x'));
+  reply.checksum = req.expected_checksum;
+  reply.content_valid = false;
+  co_return reply;
+}
+
+// In metadata-only mode the proxy cannot recompute a checksum, so a reply of
+// the wrong length must count as a damaged replica on its own: the get moves
+// on to the next replica and never returns a truncated object.
+TEST(ProxyReadTest, ShortReplyIsACorruptReplica) {
+  TestbedConfig config;
+  config.meta_machines = 3;
+  config.data_machines = 4;
+  config.proxies = 1;
+  config.pg_count = 8;
+  config.disks_per_data_machine = 2;
+  config.pvs_per_disk = 3;
+  config.lv_capacity_bytes = MiB(128);
+  config.store_volume_content = false;
+  Testbed bed(std::move(config));
+  ASSERT_TRUE(bed.Boot().ok());
+  const std::string payload(3 * 4096, 'p');
+  ASSERT_TRUE(bed.PutObject(0, "short", payload).ok());
+
+  auto reads = std::make_shared<int>(0);
+  for (int i = 0; i < bed.num_data(); ++i) {
+    bed.data_rpc(i).Serve<DataReadRequest>(
+        [reads](sim::NodeId, DataReadRequest req) {
+          return FirstReadShort(reads, std::move(req));
+        },
+        qos::TrafficClass::kForeground);
+  }
+  auto got = bed.GetObject(0, "short");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->size(), payload.size());
+  EXPECT_EQ(*reads, 2);
+  EXPECT_EQ(bed.proxy(0).stats().corrupt_replica_reads.value(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/core/scrubber.h"
 #include "src/core/testbed.h"
@@ -174,6 +177,81 @@ TEST_F(ScrubTest, VerifiedGetTriggersReadRepair) {
   // fewer damaged copies left than were injected.
   EXPECT_LT(corrupt_first, static_cast<uint64_t>(rotted_replicas))
       << "read-repair healed nothing before the scrub pass";
+}
+
+// Zero-copy data plane: the proxy's one payload buffer backs all three
+// replicas' stored extents. Damage is copy-on-write — rotting one replica
+// leaves the others reading the original bytes — and read-repair heals the
+// damaged replica with the healthy replicas' buffer.
+TEST_F(ScrubTest, ReplicasSharePayloadBufferAndRotCopyOnWrite) {
+  std::string payload(64 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 23);
+  }
+  ASSERT_TRUE(bed_->PutObject(0, "shared", payload).ok());
+  bed_->RunFor(Seconds(2));
+
+  struct Replica {
+    sim::Machine* machine;
+    sim::Storage* disk;
+    std::string device;
+    sim::Storage::ExtentInfo extent;
+  };
+  std::vector<Replica> replicas;
+  const auto& topo = bed_->meta(0).topology();
+  for (int d = 0; d < bed_->num_data(); ++d) {
+    auto& machine = bed_->data_machine(d);
+    for (const auto& [pv_id, pv] : topo.pvs) {
+      if (pv.data_server != machine.node_id()) {
+        continue;
+      }
+      sim::Storage& disk = machine.disk(pv.disk_index);
+      for (const auto& info : disk.ListVolumeExtents(pv.DeviceName())) {
+        replicas.push_back(Replica{&machine, &disk, pv.DeviceName(), info});
+      }
+    }
+  }
+  ASSERT_EQ(replicas.size(), 3u);  // one extent on each of three replicas
+
+  auto read = [this](const Replica& r) {
+    auto out = std::make_shared<std::optional<Result<Bytes>>>();
+    r.machine->actor().Spawn([](sim::Storage* disk, std::string device, uint64_t offset,
+                                uint64_t length,
+                                std::shared_ptr<std::optional<Result<Bytes>>> out)
+                                 -> sim::Task<> {
+      *out = co_await disk->ReadBlocks(device, offset, length);
+    }(r.disk, r.device, r.extent.offset, r.extent.length, out));
+    while (!out->has_value() && bed_->loop().RunOne()) {
+    }
+    EXPECT_TRUE(out->has_value() && (*out)->ok());
+    return out->has_value() && (*out)->ok() ? (*out)->value() : Bytes();
+  };
+  const Bytes first = read(replicas[0]);
+  EXPECT_EQ(first.view(), payload);
+  for (const Replica& r : replicas) {
+    EXPECT_EQ(read(r).data(), first.data()) << "replica on " << r.device << " copied";
+  }
+
+  ASSERT_TRUE(replicas[0].disk->CorruptExtent(replicas[0].device, replicas[0].extent.offset));
+  EXPECT_NE(read(replicas[0]).view(), payload);
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    EXPECT_EQ(read(replicas[i]).view(), payload);
+  }
+
+  // Gets return the original payload; once one lands on the damaged replica
+  // it spawns the repair.
+  for (int trial = 0; trial < 12 && bed_->proxy(0).stats().corrupt_replica_reads.value() == 0;
+       ++trial) {
+    auto got = bed_->GetObject(0, "shared");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, payload);
+  }
+  ASSERT_GT(bed_->proxy(0).stats().corrupt_replica_reads.value(), 0u);
+  bed_->RunFor(Seconds(1));
+  EXPECT_EQ(bed_->proxy(0).stats().read_repairs.value(), 1u);
+  const Bytes healed = read(replicas[0]);
+  EXPECT_EQ(healed.view(), payload);
+  EXPECT_EQ(healed.data(), read(replicas[1]).data());
 }
 
 // Read-repair racing a concurrent delete: the repair write is fire-and-forget

@@ -145,7 +145,7 @@ Nanos TimeOneWrite(Storage& disk, Machine& m, uint64_t bytes) {
   const Nanos t0 = loop.Now();
   Nanos done = 0;
   m.actor().Spawn([](Storage* d, uint64_t bytes, Nanos* done, EventLoop* loop) -> Task<> {
-    (void)co_await d->WriteBlocks("vol", 0, std::string(bytes, 'x'), 1);
+    (void)co_await d->WriteBlocks("vol", 0, Bytes(std::string(bytes, 'x')), 1);
     *done = loop->Now();
   }(&disk, bytes, &done, &loop));
   loop.RunFor(Seconds(5));
@@ -188,7 +188,7 @@ TEST(StorageGray, FlakyMediaCorruptsChecksum) {
   disk.SetGrayFailure(g);
   bool wrote = false;
   m.actor().Spawn([](Storage* d, bool* wrote) -> Task<> {
-    (void)co_await d->WriteBlocks("vol", 0, std::string(4096, 'x'), 0xabcdu);
+    (void)co_await d->WriteBlocks("vol", 0, Bytes(std::string(4096, 'x')), 0xabcdu);
     *wrote = true;
   }(&disk, &wrote));
   loop.RunFor(Seconds(1));
@@ -212,7 +212,7 @@ TEST(StorageGray, FlakyMediaCorruptionIsProbeObservable) {
   bool done = false;
   Result<uint32_t> probed = Status::Internal("unset");
   m.actor().Spawn([](Storage* d, Result<uint32_t>* probed, bool* done) -> Task<> {
-    (void)co_await d->WriteBlocks("vol", 0, std::string(4096, 'x'), 0x1234u);
+    (void)co_await d->WriteBlocks("vol", 0, Bytes(std::string(4096, 'x')), 0x1234u);
     *probed = co_await d->ProbeChecksum("vol", 0);
     *done = true;
   }(&disk, &probed, &done));
@@ -233,7 +233,7 @@ void Populate(Machine& m, Storage& disk, int n) {
   m.actor().Spawn([](Storage* d, int n, bool* done) -> Task<> {
     for (int i = 0; i < n; ++i) {
       (void)co_await d->WriteBlocks("vol", static_cast<uint64_t>(i) * 4096,
-                                    std::string(4096, 'x'),
+                                    Bytes(std::string(4096, 'x')),
                                     static_cast<uint32_t>(i + 1));
     }
     *done = true;
@@ -293,7 +293,7 @@ TEST(StorageAtRest, LatentSectorErrorsMakeExtentsUnreadableUntilRewritten) {
     *rs = r.status();
     *probed = co_await d->ProbeChecksum("vol", 0);
     // A rewrite remaps the sector: the extent is whole again.
-    (void)co_await d->WriteBlocks("vol", 0, std::string(4096, 'y'), 0xfeedu);
+    (void)co_await d->WriteBlocks("vol", 0, Bytes(std::string(4096, 'y')), 0xfeedu);
     *done = true;
   }(&disk, &read_status, &probed, &done));
   loop.RunFor(Seconds(5));
@@ -322,7 +322,7 @@ TEST(StorageGray, HealthyDiskIsExactlyUnchanged) {
   Storage& disk = m.disk();
   bool ok = false;
   m.actor().Spawn([](Storage* d, bool* ok) -> Task<> {
-    (void)co_await d->WriteBlocks("vol", 0, std::string(64, 'x'), 7u);
+    (void)co_await d->WriteBlocks("vol", 0, Bytes(std::string(64, 'x')), 7u);
     auto r = co_await d->ReadBlocks("vol", 0, 64);
     *ok = r.ok() && r->size() == 64;
   }(&disk, &ok));

@@ -95,7 +95,7 @@ TEST(StorageExtraTest, FileAndVolumeBandwidthAreIndependent) {
     (void)co_await s->WriteFile("huge.sst", std::string(64 << 20, 'x'), true);
   }(&storage));
   actor.Spawn([](Actor* a, Storage* s, Nanos* done) -> Task<> {
-    (void)co_await s->WriteBlocks("pv", 0, std::string(4096, 'y'), 1);
+    (void)co_await s->WriteBlocks("pv", 0, Bytes(std::string(4096, 'y')), 1);
     *done = a->Now();
   }(&actor, &storage, &small_done));
   loop.Run();
@@ -112,7 +112,7 @@ TEST(StorageExtraTest, VolumeBusSerializesLargeTransfers) {
     actor.Spawn([](Actor* a, Storage* s, int i, std::vector<Nanos>* done) -> Task<> {
       // 12MB at 1.2GB/s = 10ms of bus each.
       (void)co_await s->WriteBlocks("pv" + std::to_string(i), 0,
-                                    std::string(12 << 20, 'z'), 1);
+                                    Bytes(std::string(12 << 20, 'z')), 1);
       done->push_back(a->Now());
     }(&actor, &storage, i, &done));
   }

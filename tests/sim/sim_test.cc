@@ -401,9 +401,9 @@ TEST_F(StorageTest, BlockVolumeRoundTrip) {
   std::string got;
   uint32_t crc = 0;
   RunTask([](Storage* s, std::string* out, uint32_t* crc_out) -> Task<> {
-    (void)co_await s->WriteBlocks("vol0", 4096, "blockdata", 77);
+    (void)co_await s->WriteBlocks("vol0", 4096, Bytes("blockdata"), 77);
     auto r = co_await s->ReadBlocks("vol0", 4096, 9);
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
     auto p = co_await s->ProbeChecksum("vol0", 4096);
     *crc_out = p.ok() ? *p : 0;
   }(&storage_, &got, &crc));
@@ -414,18 +414,54 @@ TEST_F(StorageTest, BlockVolumeRoundTrip) {
 TEST_F(StorageTest, BlockVolumesSurvivePowerLoss) {
   std::string got;
   RunTask([](Storage* s, std::string* out) -> Task<> {
-    (void)co_await s->WriteBlocks("vol0", 0, "persist", 1);
+    (void)co_await s->WriteBlocks("vol0", 0, Bytes("persist"), 1);
     s->PowerLoss();
     auto r = co_await s->ReadBlocks("vol0", 0, 7);
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
   }(&storage_, &got));
   EXPECT_EQ(got, "persist");
 }
 
+// A read whose extent is discarded or rewritten at another length while the
+// transfer runs completes with the blocks it started on; one rewritten at
+// the same length sees the new blocks. Either way it never touches the
+// freed extent (an ASan run caught the old reader dereferencing it).
+TEST_F(StorageTest, ReadRacingDiscardOrRewrite) {
+  RunTask([](Storage* s) -> Task<> {
+    for (char c : {'a', 'b', 'c'}) {
+      (void)co_await s->WriteBlocks("vol0", MiB(2) * (c - 'a'), Bytes(std::string(MiB(1), c)),
+                                    1);
+    }
+  }(&storage_));
+  // Both rewrites and the discard land while the three 1 MiB reads still
+  // wait for the shared bus (each holds it ~420 us).
+  actor_.Spawn([](Storage* s) -> Task<> {
+    (void)co_await s->WriteBlocks("vol0", MiB(2), Bytes(std::string(100, 'x')), 2);
+  }(&storage_));
+  actor_.Spawn([](Storage* s) -> Task<> {
+    (void)co_await s->WriteBlocks("vol0", MiB(4), Bytes(std::string(MiB(1), 'z')), 3);
+  }(&storage_));
+  actor_.Spawn([](Storage* s) -> Task<> {
+    co_await SleepFor(Micros(100));
+    s->DiscardBlocks("vol0", 0);
+  }(&storage_));
+  std::vector<std::string> got(3);
+  for (int i = 0; i < 3; ++i) {
+    actor_.Spawn([](Storage* s, int i, std::string* out) -> Task<> {
+      auto r = co_await s->ReadBlocks("vol0", MiB(2) * i, MiB(1));
+      *out = r.ok() ? r->ToString() : r.status().ToString();
+    }(&storage_, i, &got[i]));
+  }
+  loop_.Run();
+  EXPECT_EQ(got[0], std::string(MiB(1), 'a'));  // discarded mid-read
+  EXPECT_EQ(got[1], std::string(MiB(1), 'b'));  // rewritten shorter mid-read
+  EXPECT_EQ(got[2], std::string(MiB(1), 'z'));  // rewritten in place mid-read
+}
+
 TEST_F(StorageTest, DiscardFreesAccounting) {
   RunTask([](Storage* s) -> Task<> {
-    (void)co_await s->WriteBlocks("vol0", 0, "aaaa", 1);
-    (void)co_await s->WriteBlocks("vol0", 100, "bbbb", 2);
+    (void)co_await s->WriteBlocks("vol0", 0, Bytes("aaaa"), 1);
+    (void)co_await s->WriteBlocks("vol0", 100, Bytes("bbbb"), 2);
   }(&storage_));
   EXPECT_EQ(storage_.VolumeBytesUsed("vol0"), 8u);
   storage_.DiscardBlocks("vol0", 0);
