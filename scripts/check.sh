@@ -70,3 +70,15 @@ CHEETAH_BENCH_SMOKE=1 "$builddir/bench/sim_engine_speed"
 # correctness gate, that repeated runs agree, and that tracing leaves the
 # fingerprint unchanged.
 python3 perfbench/selftest.py
+
+# Regression seeds: faulted_open at full size on seeds that once lost an
+# acked object (a PG rebuild freed the blocks of a put whose MetaX write was
+# still waiting for its WAL fsync). Each run must pass its audit.
+bench_bin="${CARGO_TARGET_DIR:-.bench_build}/cheetah_perf"
+for seed in 2 30 32 34; do
+  result="$("$bench_bin" --workload faulted_open --seed "$seed" 2>/dev/null | tail -n 1)" || true
+  if ! grep -q '"correct": true' <<<"$result"; then
+    echo "faulted_open seed $seed failed its audit: ${result:0:400}" >&2
+    exit 1
+  fi
+done

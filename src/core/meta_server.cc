@@ -1140,6 +1140,20 @@ sim::Task<> MetaServer::RebuildPgState(cluster::PgId pg) {
       }
     }
   }
+  // A put allocated before the scan may not be in it yet: its MetaX batch
+  // reaches the memtable only after the WAL fsync. Its extents are still
+  // taken; freeing them would hand the same blocks to the next put. (Without
+  // VGs, as in the scan, any PG's put on our volumes counts.)
+  for (const auto& [reqid, p] : pending_) {
+    const bool covered =
+        p.pg == pg || (options_.no_volume_groups && my_lvs.contains(p.meta.lvid));
+    if (!covered || p.meta.storage_class == StorageClass::kInline) {
+      continue;
+    }
+    if (alloc::BitmapAllocator* a = AllocatorFor(p.meta.lvid)) {
+      a->MarkAllocated(p.meta.extents);
+    }
+  }
   // opseq and pending puts from the PG log.
   uint64_t max_opseq = pg_opseq_[pg];
   auto logs = co_await db_->Scan(PgLogPrefix(pg), 0);

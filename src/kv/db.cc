@@ -222,21 +222,54 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
   while (freeze_pending_) {
     co_await sim::SleepFor(Micros(5));
   }
+  // Counted until applied, queued or not, so a freeze (which waits for zero)
+  // never splits a group across two WAL files.
   ++in_flight_writes_;
-  const std::string record = FrameWalRecord(batch.Encode());
-  counters_.wal_bytes.Add(record.size());
-  Status s = co_await storage_->Append(WalName(mem_wal_seq_), record, options_.sync_wal);
-  if (!s.ok()) {
-    --in_flight_writes_;
-    tracer.End(span, storage_->Now(), /*ok=*/false);
-    co_return s;
+  Writer self;
+  self.batch = &batch;
+  self.record = FrameWalRecord(batch.Encode());
+  counters_.wal_bytes.Add(self.record.size());
+  if (commits_in_flight_ < storage_->params().channels) {
+    ++commits_in_flight_;
+  } else {
+    writers_.push_back(&self);
+    co_await self.wake.Wait();
   }
-  ApplyToMem(batch);
-  counters_.writes.Add();
-  --in_flight_writes_;
-  co_await MaybeScheduleFlush();
-  tracer.End(span, storage_->Now());
-  co_return Status::Ok();
+  if (!self.done) {
+    // Holding a commit slot: lead a group of this batch and everything
+    // queued behind it.
+    std::vector<Writer*> group{&self};
+    group.insert(group.end(), writers_.begin(), writers_.end());
+    writers_.clear();
+    std::string data = std::move(self.record);
+    for (size_t i = 1; i < group.size(); ++i) {
+      data += group[i]->record;
+    }
+    const Status s =
+        co_await storage_->Append(WalName(mem_wal_seq_), std::move(data), options_.sync_wal);
+    counters_.wal_commits.Add();
+    for (Writer* w : group) {
+      if (s.ok()) {
+        ApplyToMem(*w->batch);
+        counters_.writes.Add();
+      }
+      w->status = s;
+      w->done = true;
+      --in_flight_writes_;
+      w->wake.Set();
+    }
+    if (writers_.empty()) {
+      --commits_in_flight_;
+    } else {
+      writers_.front()->wake.Set();  // hand the slot over
+      writers_.pop_front();
+    }
+  }
+  if (self.status.ok()) {
+    co_await MaybeScheduleFlush();
+  }
+  tracer.End(span, storage_->Now(), self.status.ok());
+  co_return self.status;
 }
 
 sim::Task<Status> DB::Put(std::string key, std::string value) {

@@ -1,6 +1,9 @@
 // Embedded LSM key-value store over a simulated disk (RocksDB substitute).
 //
-// Write path: WAL append (optionally fsynced) -> memtable. A full memtable is
+// Write path: WAL append (optionally fsynced) -> memtable. Writes group-commit:
+// while the device's channels are all busy with WAL commits of this DB, new
+// writers queue, and the next commit takes the whole queue as one append and
+// one fsync (see Write()). A full memtable is
 // frozen and flushed to a level-0 SSTable in the background; level-0 tables
 // are merged into a single level-1 run when l0_compaction_trigger accumulate.
 // WriteBatch gives multi-key atomicity (all-or-nothing across crashes), which
@@ -17,6 +20,7 @@
 #ifndef SRC_KV_DB_H_
 #define SRC_KV_DB_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,6 +51,7 @@ class DB {
     obs::Counter& compactions = *scope.counter("compactions");
     obs::Counter& gets = *scope.counter("gets");
     obs::Counter& wal_bytes = *scope.counter("wal_bytes");
+    obs::Counter& wal_commits = *scope.counter("wal_commits");  // WAL appends (+ fsyncs)
     obs::Counter& wal_torn_tail = *scope.counter("wal_torn_tail");  // truncated final record
     obs::Counter& wal_corrupt_records = *scope.counter("wal_corrupt_records");  // CRC/decode bad
     obs::Counter& wal_salvaged_records = *scope.counter("wal_salvaged_records");  // after damage
@@ -71,6 +76,14 @@ class DB {
   ~DB() = default;
 
   // Atomically applies `batch`. Durable (given sync_wal) once this returns.
+  //
+  // Group commit: a writer commits alone while fewer than the disk's
+  // `channels` WAL commits of this DB are in flight; otherwise it queues.
+  // A finishing commit hands its slot to the first queued writer, which
+  // leads a group of every batch queued so far: one WAL append of their
+  // framed records (one record per batch, so replay and torn-tail handling
+  // are unchanged) and one fsync, then the batches reach the memtable in
+  // queue order and every member returns the group's status.
   sim::Task<Status> Write(WriteBatch batch);
 
   sim::Task<Status> Put(std::string key, std::string value);
@@ -137,7 +150,18 @@ class DB {
   bool flushing_ = false;
   bool compacting_ = false;
   bool freeze_pending_ = false;  // flush wants to swap memtables; writes stall
-  int in_flight_writes_ = 0;     // WAL appends not yet applied to the memtable
+  int in_flight_writes_ = 0;     // writes (queued ones too) not yet in the memtable
+
+  // A write queued for a group commit. Lives in the writer's frame.
+  struct Writer {
+    const WriteBatch* batch = nullptr;
+    std::string record;  // framed WAL record
+    Status status;
+    bool done = false;  // a group committed (or failed) it
+    sim::Event wake;    // set when done, or when handed a commit slot
+  };
+  std::deque<Writer*> writers_;  // waiting for a commit slot, in arrival order
+  int commits_in_flight_ = 0;    // WAL appends of this DB not yet finished
 
   // Table names as listed by the last-read manifest (used during Open).
   std::vector<std::string> manifest_l0_;

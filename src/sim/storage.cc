@@ -37,12 +37,12 @@ Task<Status> Storage::Append(std::string name, std::string data, bool sync) {
   co_await ChargeFileWrite(data.size());
   File& f = files_[name];
   f.data.append(data);
-  if (sync) {
-    co_await ChargeFsync();
-    f.synced_len = f.data.size();
-    f.ever_synced = true;
+  if (!sync) {
+    co_return Status::Ok();
   }
-  co_return Status::Ok();
+  const uint64_t end = f.data.size();
+  co_await ChargeFsync();
+  co_return FinishSync(name, end);
 }
 
 Task<Status> Storage::WriteFile(std::string name, std::string data, bool sync) {
@@ -50,23 +50,22 @@ Task<Status> Storage::WriteFile(std::string name, std::string data, bool sync) {
   File& f = files_[name];
   f.data = std::move(data);
   f.synced_len = std::min<uint64_t>(f.synced_len, f.data.size());
-  if (sync) {
-    co_await ChargeFsync();
-    f.synced_len = f.data.size();
-    f.ever_synced = true;
+  if (!sync) {
+    co_return Status::Ok();
   }
-  co_return Status::Ok();
+  const uint64_t end = f.data.size();
+  co_await ChargeFsync();
+  co_return FinishSync(name, end);
 }
 
-Task<Status> Storage::Sync(std::string name) {
+Status Storage::FinishSync(const std::string& name, uint64_t len) {
   auto it = files_.find(name);
-  if (it == files_.end()) {
-    co_return Status::NotFound("sync: no such file " + name);
+  if (it == files_.end() || it->second.data.size() < len) {
+    return Status::IoError("sync: " + name + " was deleted or cut during the sync");
   }
-  co_await ChargeFsync();
   it->second.synced_len = it->second.data.size();
   it->second.ever_synced = true;
-  co_return Status::Ok();
+  return Status::Ok();
 }
 
 Task<Result<std::string>> Storage::ReadFile(std::string name) {
@@ -75,6 +74,10 @@ Task<Result<std::string>> Storage::ReadFile(std::string name) {
     co_return Status::NotFound("read: no such file " + name);
   }
   co_await ChargeFileRead(it->second.data.size());
+  it = files_.find(name);
+  if (it == files_.end()) {
+    co_return Status::NotFound("read: " + name + " was deleted during the read");
+  }
   co_return it->second.data;
 }
 
@@ -87,6 +90,10 @@ Task<Result<std::string>> Storage::ReadAt(std::string name, uint64_t offset, uin
     co_return Status::InvalidArgument("read past end of " + name);
   }
   co_await ChargeFileRead(length);
+  it = files_.find(name);
+  if (it == files_.end() || offset + length > it->second.data.size()) {
+    co_return Status::NotFound("read: " + name + " was deleted or cut during the read");
+  }
   co_return it->second.data.substr(offset, length);
 }
 

@@ -131,11 +131,15 @@ class Storage {
   }
 
   // ---- flat filesystem ----
+  // Every call looks the file up again after each device wait. A DeleteFile
+  // or PowerLoss during a sync's wait fails the sync with kIoError (the bytes
+  // it was to make durable are gone); one during a read fails it with
+  // kNotFound.
+  //
   // Appends to (creating if absent) a file; durable immediately iff sync.
   Task<Status> Append(std::string name, std::string data, bool sync);
   // Replaces the entire file content; durable immediately iff sync.
   Task<Status> WriteFile(std::string name, std::string data, bool sync);
-  Task<Status> Sync(std::string name);
   Task<Result<std::string>> ReadFile(std::string name);
   Task<Result<std::string>> ReadAt(std::string name, uint64_t offset, uint64_t length);
   // Deletion is a metadata operation; modeled as instantaneous and durable.
@@ -251,6 +255,10 @@ class Storage {
     }
     return static_cast<Nanos>(static_cast<double>(n) * gray_.latency_multiplier);
   }
+
+  // Marks `name` synced once an fsync covering its first `len` bytes ends;
+  // fails if the file went away or was cut below `len` during the wait.
+  Status FinishSync(const std::string& name, uint64_t len);
 
   // Counts the I/O and, when tracing, records a closed [now, done] disk span
   // attributed to the current op context. Defined in storage.cc to keep

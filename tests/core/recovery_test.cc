@@ -4,12 +4,15 @@
 //    post-view-change primary;
 //  * crashing the meta server that is itself mid-way through pulling PGs
 //    (crash during view change) must still converge to a view where every
-//    acknowledged object is readable.
+//    acknowledged object is readable;
+//  * a PG rebuild on view adoption must keep the extents of a put whose
+//    MetaX write has not reached the memtable yet.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/core/testbed.h"
 #include "tests/test_util.h"
@@ -136,6 +139,117 @@ TEST(Recovery, CrashDuringViewChangeConvergesWithoutLoss) {
     ASSERT_TRUE(got.ok()) << name << " after restarts: " << got.status().ToString();
     EXPECT_EQ((*got)[0], fill) << name;
   }
+}
+
+// Every view adoption rebuilds the primary's allocators from the OBMETA rows
+// in its KV. A put's MetaX batch reaches the memtable only after its WAL
+// fsync, so a rebuild in that window used to free the put's blocks and hand
+// them to the next put in the PG, which then overwrote the first object.
+TEST(Recovery, PgRebuildKeepsExtentsOfPutsStillPersisting) {
+  Testbed bed(SmallConfig());
+  ASSERT_TRUE(bed.Boot().ok());
+
+  // Two names in one PG other than 0 (an added data server's volume joins
+  // PG 0's group, which would give the second put a fresh volume).
+  const cluster::TopologyMap& topo = bed.meta(0).topology();
+  std::string first;
+  std::string second;
+  for (int i = 0; second.empty() && i < 1000; ++i) {
+    const std::string name = "rebuild-" + std::to_string(i);
+    if (topo.PgOf(name) == 0) {
+      continue;
+    }
+    if (first.empty()) {
+      first = name;
+    } else if (topo.PgOf(name) == topo.PgOf(first)) {
+      second = name;
+    }
+  }
+  ASSERT_FALSE(second.empty());
+  const cluster::PgId pg = topo.PgOf(first);
+  int primary = -1;
+  for (int m = 0; m < bed.num_meta(); ++m) {
+    if (bed.meta_node(m) == topo.PrimaryOf(pg)) {
+      primary = m;
+    }
+  }
+  ASSERT_GE(primary, 0);
+  const uint64_t view_before = bed.meta(primary).view();
+
+  // Hold the primary's fsyncs so the first put's MetaX write stays between
+  // its WAL append and the memtable.
+  bed.meta_machine(primary).SetGrayFailure(sim::GrayFailure{.fsync_stuck_for = Millis(300)});
+  auto first_status = std::make_shared<Status>(Status::Internal("pending"));
+  auto second_status = std::make_shared<Status>(Status::Internal("pending"));
+  bed.RunOnProxy(0, [first, first_status](ClientProxy& proxy) -> sim::Task<> {
+    *first_status = co_await proxy.Put(first, std::string(8192, 'a'));
+  }, Nanos{0});
+  bed.RunFor(Millis(5));
+  ASSERT_EQ(bed.meta(primary).pending_puts(), 1u);
+
+  // A view change: the primary rebuilds the PG while the first put persists.
+  bed.BeginAddDataMachine(1, 1);
+  const Nanos deadline = bed.loop().Now() + Millis(250);
+  while (bed.loop().Now() < deadline &&
+         !(bed.meta(primary).view() > view_before && bed.meta(primary).IsReady(pg) &&
+           !bed.meta(primary).adopting())) {
+    ASSERT_TRUE(bed.loop().RunOne());
+  }
+  ASSERT_GT(bed.meta(primary).view(), view_before) << "no view change in the window";
+  ASSERT_EQ(first_status->code(), ErrorCode::kInternal) << "the first put already finished";
+
+  bed.RunOnProxy(1, [second, second_status](ClientProxy& proxy) -> sim::Task<> {
+    *second_status = co_await proxy.Put(second, std::string(8192, 'b'));
+  }, Nanos{0});
+  const Nanos settle = bed.loop().Now() + Seconds(10);
+  while (bed.loop().Now() < settle && (first_status->code() == ErrorCode::kInternal ||
+                                       second_status->code() == ErrorCode::kInternal)) {
+    ASSERT_TRUE(bed.loop().RunOne());
+  }
+  bed.meta_machine(primary).ClearGrayFailure();
+  ASSERT_TRUE(first_status->ok()) << first_status->ToString();
+  ASSERT_TRUE(second_status->ok()) << second_status->ToString();
+
+  // Disjoint extents, as the primary records them...
+  auto metas = std::make_shared<std::vector<Result<GetMetaReply>>>();
+  auto done = std::make_shared<bool>(false);
+  bed.proxy_machine(0).actor().Spawn(
+      [](rpc::Node* node, Testbed* bed, std::vector<std::string> names,
+         std::shared_ptr<std::vector<Result<GetMetaReply>>> metas,
+         std::shared_ptr<bool> done) -> sim::Task<> {
+        for (const std::string& name : names) {
+          const cluster::TopologyMap& now = bed->meta(0).topology();
+          GetMetaRequest req;
+          req.view = now.view;
+          req.name = name;
+          metas->push_back(co_await node->Call(now.PrimaryOf(now.PgOf(name)), std::move(req),
+                                               Millis(200)));
+        }
+        *done = true;
+      }(&bed.proxy_rpc(0), &bed, {first, second}, metas, done));
+  while (!*done && bed.loop().RunOne()) {
+  }
+  ASSERT_EQ(metas->size(), 2u);
+  ASSERT_TRUE((*metas)[0].ok()) << (*metas)[0].status().ToString();
+  ASSERT_TRUE((*metas)[1].ok()) << (*metas)[1].status().ToString();
+  const ObMeta& a = (*metas)[0]->meta;
+  const ObMeta& b = (*metas)[1]->meta;
+  if (a.lvid == b.lvid) {
+    for (const alloc::Extent& ea : a.extents) {
+      for (const alloc::Extent& eb : b.extents) {
+        EXPECT_TRUE(ea.block + ea.count <= eb.block || eb.block + eb.count <= ea.block)
+            << "lv " << a.lvid << ": blocks " << ea.block << "+" << ea.count << " and "
+            << eb.block << "+" << eb.count << " overlap";
+      }
+    }
+  }
+  // ...and both objects read back intact.
+  auto got_first = bed.GetObject(0, first);
+  ASSERT_TRUE(got_first.ok()) << got_first.status().ToString();
+  EXPECT_EQ(*got_first, std::string(8192, 'a'));
+  auto got_second = bed.GetObject(1, second);
+  ASSERT_TRUE(got_second.ok()) << got_second.status().ToString();
+  EXPECT_EQ(*got_second, std::string(8192, 'b'));
 }
 
 }  // namespace

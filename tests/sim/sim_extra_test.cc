@@ -3,6 +3,10 @@
 // open-queue resource model under bursts.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/common/units.h"
 #include "src/sim/actor.h"
 #include "src/sim/event_loop.h"
@@ -120,6 +124,56 @@ TEST(StorageExtraTest, VolumeBusSerializesLargeTransfers) {
   ASSERT_EQ(done.size(), 2u);
   // The second completes roughly one transfer after the first.
   EXPECT_GE(done[1], done[0] + Millis(9));
+}
+
+// The file plane looks a file up again after every device wait: a file
+// deleted (or erased by power loss) mid-operation fails that operation
+// instead of leaving it writing through a freed node (ASan guards this).
+TEST(StorageExtraTest, FileVanishingDuringSyncedAppendFailsTheAppend) {
+  const std::vector<std::function<void(Storage&)>> disturbances = {
+      [](Storage& s) { (void)s.DeleteFile("wal"); },
+      [](Storage& s) { s.PowerLoss(); },  // never synced: the file is erased
+  };
+  for (const auto& disturb : disturbances) {
+    EventLoop loop;
+    Actor actor(loop);
+    Storage storage(loop, DiskParams{});
+    storage.SetGrayFailure(GrayFailure{.fsync_stuck_for = Millis(1)});
+    Status appended = Status::Internal("not run");
+    actor.Spawn([](Storage* s, Status* out) -> Task<> {
+      *out = co_await s->Append("wal", std::string(100, 'w'), /*sync=*/true);
+    }(&storage, &appended));
+    loop.RunFor(Micros(500));  // the write landed; the fsync is stuck
+    EXPECT_EQ(storage.FileSize("wal"), 100u);
+    disturb(storage);
+    loop.Run();
+    EXPECT_EQ(appended.code(), ErrorCode::kIoError) << appended.ToString();
+    EXPECT_FALSE(storage.FileExists("wal"));
+  }
+}
+
+TEST(StorageExtraTest, FileDeletedDuringReadFailsTheRead) {
+  EventLoop loop;
+  Actor actor(loop);
+  Storage storage(loop, DiskParams{});
+  Result<std::string> whole = Status::Internal("not run");
+  Result<std::string> part = Status::Internal("not run");
+  actor.Spawn([](Storage* s, Result<std::string>* whole,
+                 Result<std::string>* part) -> Task<> {
+    (void)co_await s->WriteFile("sst", std::string(1 << 20, 's'), /*sync=*/true);
+    Actor* a = co_await CurrentActor{};
+    a->Spawn([](Storage* s, Result<std::string>* out) -> Task<> {
+      *out = co_await s->ReadFile("sst");
+    }(s, whole));
+    a->Spawn([](Storage* s, Result<std::string>* out) -> Task<> {
+      *out = co_await s->ReadAt("sst", 4096, 4096);
+    }(s, part));
+    co_await SleepFor(Micros(10));  // both reads are on the device
+    (void)s->DeleteFile("sst");
+  }(&storage, &whole, &part));
+  loop.Run();
+  EXPECT_TRUE(whole.status().IsNotFound()) << whole.status().ToString();
+  EXPECT_TRUE(part.status().IsNotFound()) << part.status().ToString();
 }
 
 TEST(ResourceExtraTest, BurstThenIdleDrains) {
