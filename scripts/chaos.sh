@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
-# Chaos hunt driver: runs the chaos sweep (variants x nemesis schedules) for a
-# range of seeds and prints a replay command for every failing seed. The
-# simulator is fully deterministic, so one seed + the printed schedule
-# reproduces a failure byte-for-byte.
+# Chaos hunt: runs every chaos sweep (chaos, migration, EC, integrity)
+# for a range of seeds and prints a replay command for every failing
+# (sweep, seed). The simulator is fully deterministic, so one seed + the
+# printed schedule reproduces a failure byte-for-byte.
 #
 # Usage: scripts/chaos.sh [--seeds N] [--from K] [--preset default|sanitize]
 #   --seeds N    run seeds FROM..FROM+N-1 (default 10)
 #   --from K     start at seed K instead of 1 (resume a hunt)
 #   --preset P   CMake preset to build/run under (default: default)
-# The seed range is also overridable via environment (flags win):
-#   CHEETAH_CHAOS_HUNT_SEEDS / CHEETAH_CHAOS_HUNT_FROM — handy for CI matrix
-#   entries that can't pass arguments.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-seeds="${CHEETAH_CHAOS_HUNT_SEEDS:-10}"
-from="${CHEETAH_CHAOS_HUNT_FROM:-1}"
+seeds=10
+from=1
 preset=default
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -27,32 +24,34 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
+sweeps=(chaos_sweep_test migration_sweep_test ec_sweep_test integrity_sweep_test)
 builddir=build
 [[ "$preset" == "sanitize" ]] && builddir=build-sanitize
 if [[ ! -f "$builddir/CMakeCache.txt" ]]; then
   cmake --preset "$preset"
 fi
-cmake --build --preset "$preset" -j "$(nproc)" --target chaos_sweep_test
+cmake --build --preset "$preset" -j "$(nproc)" --target "${sweeps[@]}"
 
 # One ctest invocation only covers the default seed set (test names are fixed
-# at discovery time), so the hunt drives the gtest binary directly with one
-# seed per run — a failure then pins that seed exactly.
+# at discovery time), so the hunt drives the gtest binaries directly with one
+# seed per run — a failure then pins that sweep and seed exactly.
 failed=()
 for ((s = from; s < from + seeds; s++)); do
-  echo "== chaos seed $s =="
-  if ! CHEETAH_CHAOS_SEEDS="$s" "$builddir/tests/chaos_sweep_test" \
-      --gtest_brief=1; then
-    failed+=("$s")
-  fi
+  for sweep in "${sweeps[@]}"; do
+    echo "== $sweep seed $s =="
+    if ! CHEETAH_SWEEP_SEEDS="$s" "$builddir/tests/$sweep" --gtest_brief=1; then
+      failed+=("CHEETAH_SWEEP_SEEDS=$s $builddir/tests/$sweep")
+    fi
+  done
 done
 
 echo
 if [[ ${#failed[@]} -eq 0 ]]; then
-  echo "chaos hunt clean: seeds $from..$((from + seeds - 1))"
+  echo "chaos hunt clean: ${#sweeps[@]} sweeps, seeds $from..$((from + seeds - 1))"
 else
-  echo "chaos hunt found ${#failed[@]} failing seed(s); replay with:"
-  for s in "${failed[@]}"; do
-    echo "  CHEETAH_CHAOS_SEEDS=$s $builddir/tests/chaos_sweep_test"
+  echo "chaos hunt found ${#failed[@]} failing run(s); replay with:"
+  for run in "${failed[@]}"; do
+    echo "  $run"
   done
   exit 1
 fi

@@ -14,12 +14,13 @@ cmake --build --preset "$preset" -j "$(nproc)"
 ctest --preset "$preset" -j "$(nproc)"
 
 # Chaos tier: the same fixed seeds the suite registered at discovery time,
-# made explicit so the pin survives any future default change.
+# made explicit so the pin survives any future default change. Every sweep
+# reads its seed list from the one variable CHEETAH_SWEEP_SEEDS.
 # scripts/chaos.sh hunts with larger seed ranges. The determinism tests in
 # this tier double as engine-fingerprint guards: each sweep replays one run
 # under the reference heap engine and requires a byte-identical schedule and
 # history versus the default timer wheel.
-CHEETAH_CHAOS_SEEDS=1,2,3 ctest --preset "$preset" -L chaos -j "$(nproc)"
+CHEETAH_SWEEP_SEEDS=1,2,3 ctest --preset "$preset" -L chaos -j "$(nproc)"
 
 # QoS tier: the scheduler/admission unit tests plus the chaos-with-QoS run
 # (ctest label `qos`), then the overload figure at reduced scale — the fig21
@@ -35,7 +36,7 @@ CHEETAH_BENCH_SMOKE=1 "$builddir/bench/fig21_overload"
 # at-rest damage is repaired, then the scrub-overhead bench at reduced scale —
 # it asserts foreground GET p99 with scrubbing stays within 2x of scrub-off
 # and that an injected bit-rot burst is fully repaired before its audit pass.
-CHEETAH_INTEGRITY_SEEDS=1,2 ctest --preset "$preset" -L integrity -j "$(nproc)"
+CHEETAH_SWEEP_SEEDS=1,2 ctest --preset "$preset" -L integrity -j "$(nproc)"
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/scrub_overhead"
 
 # EC/tiering tier: storage-class placement, demotion, degraded-read, and
@@ -43,16 +44,16 @@ CHEETAH_BENCH_SMOKE=1 "$builddir/bench/scrub_overhead"
 # pinned seeds), then the storage-class frontier bench at reduced scale — it
 # asserts every cold object demotes, EC storage overhead stays <= 1.6x, and
 # the inline put path beats the replica put path on latency.
-CHEETAH_EC_SEEDS=1,2 ctest --preset "$preset" -L ec -j "$(nproc)"
+CHEETAH_SWEEP_SEEDS=1,2 ctest --preset "$preset" -L ec -j "$(nproc)"
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 
 # Membership/migration tier: failure-detector units, live drain/migration
 # tests, and the migration chaos sweep (ctest label `migrate`, pinned seeds —
-# larger hunts via CHEETAH_MIGRATE_SEEDS), then the resize-under-fire bench at
+# larger hunts via CHEETAH_SWEEP_SEEDS), then the resize-under-fire bench at
 # reduced scale — it asserts zero failed foreground ops while the cluster
 # doubles and a node drains, foreground p99 within 2x of steady state, a
 # completed drain, and a clean full audit afterwards.
-CHEETAH_MIGRATE_SEEDS=1,2 ctest --preset "$preset" -L migrate -j "$(nproc)"
+CHEETAH_SWEEP_SEEDS=1,2 ctest --preset "$preset" -L migrate -j "$(nproc)"
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/resize_under_fire"
 
 # Perf tier: simulator engine internals (timer wheel vs reference heap,

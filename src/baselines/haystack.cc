@@ -1,6 +1,8 @@
 #include "src/baselines/haystack.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
@@ -216,18 +218,21 @@ void HaystackStore::Start() {
 sim::Task<Result<HsWriteReply>> HaystackStore::HandleWrite(sim::NodeId src,
                                                            HsWriteRequest req) {
   sim::Storage& disk = rpc_.machine().disk(0);
-  Volume& vol = volumes_[req.volume];
+  Volume& vol = volumes_[req.volume];  // std::map: stable across inserts
+  // Reserve the needle's slot before the first wait, so concurrent appends
+  // to one volume never share an offset.
+  const uint64_t size = req.data.size();
+  const uint64_t offset = vol.tail;
+  const uint32_t generation = vol.generation;
+  vol.tail += size;
   // Appending through the filesystem costs a metadata update per needle.
   co_await disk.ChargeWrite(config_.fs_overhead_bytes);
-  const uint64_t offset = vol.tail;
-  const uint64_t size = req.data.size();
-  Status s = co_await disk.WriteBlocks(DeviceName(req.volume, vol.generation), offset,
+  Status s = co_await disk.WriteBlocks(DeviceName(req.volume, generation), offset,
                                        std::move(req.data), req.checksum);
   if (!s.ok()) {
     co_return s;
   }
-  vol.tail += size;
-  vol.index[req.name] = Needle{offset, size, req.checksum, false};
+  vol.index[req.name] = Needle{offset, size, req.checksum, false, generation};
   ++vol.dirty;  // Mo lives in memory; the on-disk index lags (§2.2)
   live_bytes_ += size;
   total_bytes_ += size;
@@ -237,48 +242,60 @@ sim::Task<Result<HsWriteReply>> HaystackStore::HandleWrite(sim::NodeId src,
   co_return reply;
 }
 
-sim::Task<Result<HsReadReply>> HaystackStore::HandleRead(sim::NodeId src, HsReadRequest req) {
-  auto vit = volumes_.find(req.volume);
+const HaystackStore::Needle* HaystackStore::FindLive(uint32_t volume,
+                                                     const std::string& name) const {
+  auto vit = volumes_.find(volume);
   if (vit == volumes_.end()) {
-    co_return Status::NotFound("no such volume");
+    return nullptr;
   }
-  auto nit = vit->second.index.find(req.name);
-  if (nit == vit->second.index.end() || nit->second.deleted) {
+  auto nit = vit->second.index.find(name);
+  return nit == vit->second.index.end() || nit->second.deleted ? nullptr : &nit->second;
+}
+
+sim::Task<Result<HsReadReply>> HaystackStore::HandleRead(sim::NodeId src, HsReadRequest req) {
+  if (FindLive(req.volume, req.name) == nullptr) {
     co_return Status::NotFound("needle absent or deleted");
   }
   sim::Storage& disk = rpc_.machine().disk(0);
   // Read in-volume filesystem metadata, then the needle (§6.1's explanation
   // of the get gap).
   co_await disk.ChargeRead(config_.fs_overhead_bytes);
-  auto data = co_await disk.ReadBlocks(DeviceName(req.volume, vit->second.generation),
-                                       nit->second.offset, nit->second.size);
+  const Needle* needle = FindLive(req.volume, req.name);
+  if (needle == nullptr) {
+    co_return Status::NotFound("needle deleted during the read");
+  }
+  // A read that has started completes with the blocks it started on, even
+  // if the needle is flagged or compacted away meanwhile.
+  const uint32_t checksum = needle->checksum;
+  auto data = co_await disk.ReadBlocks(DeviceName(req.volume, needle->generation),
+                                       needle->offset, needle->size);
   if (!data.ok()) {
     co_return data.status();
   }
   counters_.reads.Add();
   HsReadReply reply;
   reply.data = std::move(*data);
-  reply.checksum = nit->second.checksum;
+  reply.checksum = checksum;
   co_return reply;
 }
 
 sim::Task<Result<HsFlagReply>> HaystackStore::HandleFlag(sim::NodeId src, HsFlagRequest req) {
-  auto vit = volumes_.find(req.volume);
-  if (vit == volumes_.end()) {
-    co_return Status::NotFound("no such volume");
-  }
-  auto nit = vit->second.index.find(req.name);
-  if (nit == vit->second.index.end() || nit->second.deleted) {
+  if (FindLive(req.volume, req.name) == nullptr) {
     co_return Status::NotFound("needle absent");
   }
   // Persist the deletion flag (a small synchronous write into the volume).
   sim::Storage& disk = rpc_.machine().disk(0);
   co_await disk.ChargeWrite(config_.fs_overhead_bytes);
   co_await disk.ChargeFsync();
+  Volume& vol = volumes_.at(req.volume);
+  auto nit = vol.index.find(req.name);
+  if (nit == vol.index.end() || nit->second.deleted) {
+    co_return Status::NotFound("needle deleted meanwhile");
+  }
   nit->second.deleted = true;
-  vit->second.dead_bytes += nit->second.size;
+  vol.dead_bytes += nit->second.size;
   live_bytes_ -= nit->second.size;
-  ++vit->second.dirty;
+  ++vol.dirty;
   counters_.flags.Add();
   co_return HsFlagReply{};
 }
@@ -292,33 +309,64 @@ sim::Task<Result<HsCompactReply>> HaystackStore::HandleCompact(sim::NodeId src,
   Volume& vol = vit->second;
   sim::Storage& disk = rpc_.machine().disk(0);
   // Rewrite live needles into a fresh volume file (next generation): read +
-  // write every live byte — the I/O amplification §4.3.3 describes.
+  // write every live byte — the I/O amplification §4.3.3 describes. Writes
+  // and flags keep landing in vol.index meanwhile, so the loop walks a
+  // snapshot, and the old copies stay readable until the swap.
+  const std::vector<std::pair<std::string, Needle>> snapshot(vol.index.begin(),
+                                                             vol.index.end());
+  const uint32_t new_gen = vol.generation + 1;
+  const std::string new_dev = DeviceName(req.volume, new_gen);
   uint64_t new_tail = 0;
   uint64_t rewritten = 0;
   std::unordered_map<std::string, Needle> new_index;
-  const std::string old_dev = DeviceName(req.volume, vol.generation);
-  const std::string new_dev = DeviceName(req.volume, vol.generation + 1);
-  for (auto& [name, needle] : vol.index) {
+  std::vector<std::pair<std::string, uint64_t>> discards;  // (file, offset)
+  for (const auto& [name, needle] : snapshot) {
+    const std::string dev = DeviceName(req.volume, needle.generation);
     if (needle.deleted) {
-      disk.DiscardBlocks(old_dev, needle.offset);
+      discards.emplace_back(dev, needle.offset);
       continue;
     }
-    auto data = co_await disk.ReadBlocks(old_dev, needle.offset, needle.size);
+    auto data = co_await disk.ReadBlocks(dev, needle.offset, needle.size);
     if (!data.ok()) {
       continue;
     }
-    disk.DiscardBlocks(old_dev, needle.offset);
+    discards.emplace_back(dev, needle.offset);
     co_await disk.ChargeWrite(config_.fs_overhead_bytes);
     (void)co_await disk.WriteBlocks(new_dev, new_tail, std::move(*data), needle.checksum);
-    new_index[name] = Needle{new_tail, needle.size, needle.checksum, false};
+    new_index[name] = Needle{new_tail, needle.size, needle.checksum, false, new_gen};
     new_tail += needle.size;
     rewritten += needle.size;
+  }
+  // Carry over what changed during the rewrite: needles written meanwhile
+  // keep their bytes in the old file; a rewritten needle flagged meanwhile
+  // is dropped (its bytes are already counted dead).
+  std::unordered_map<std::string, const Needle*> before;
+  for (const auto& [name, needle] : snapshot) {
+    before[name] = &needle;
+  }
+  for (const auto& [name, needle] : vol.index) {
+    auto bit = before.find(name);
+    const bool unchanged = bit != before.end() &&
+                           bit->second->generation == needle.generation &&
+                           bit->second->offset == needle.offset;
+    if (!unchanged) {
+      new_index[name] = needle;
+    } else if (needle.deleted && !bit->second->deleted) {
+      auto nit = new_index.find(name);
+      if (nit != new_index.end()) {
+        discards.emplace_back(new_dev, nit->second.offset);
+        new_index.erase(nit);
+      }
+    }
+  }
+  for (const auto& [dev, offset] : discards) {
+    disk.DiscardBlocks(dev, offset);
   }
   total_bytes_ -= vol.dead_bytes;
   vol.index = std::move(new_index);
   vol.tail = new_tail;
   vol.dead_bytes = 0;
-  ++vol.generation;
+  vol.generation = new_gen;
   ++vol.dirty;
   counters_.compactions.Add();
   counters_.compacted_bytes.Add(rewritten);

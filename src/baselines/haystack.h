@@ -216,14 +216,19 @@ class HaystackStore {
     uint64_t size = 0;
     uint32_t checksum = 0;
     bool deleted = false;
+    uint32_t generation = 0;  // volume file holding the bytes
   };
   struct Volume {
-    uint64_t tail = 0;
+    uint64_t tail = 0;  // next free offset in the current generation
     uint64_t dead_bytes = 0;
     uint32_t generation = 0;  // bumped by compaction (new volume file)
     std::unordered_map<std::string, Needle> index;  // the in-memory Mo KV
     uint64_t dirty = 0;  // index mutations since the last checkpoint
   };
+
+  // The live needle `name` of `volume`, or null. Handlers look it up again
+  // after every disk wait: a finishing compaction replaces the whole index.
+  const Needle* FindLive(uint32_t volume, const std::string& name) const;
 
   std::string DeviceName(uint32_t volume, uint32_t generation) const {
     return "hvol_" + std::to_string(volume) + "_g" + std::to_string(generation);

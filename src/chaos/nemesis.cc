@@ -18,6 +18,39 @@ std::string Secs(Nanos t) {
   return os.str();
 }
 
+// One wave of at-rest damage on every disk of data[victim]; draws the rot
+// and LSE probabilities, the wave seed and the hit time, in that order.
+void AddRotWave(NemesisSchedule& s, Rng& rng, int victim, int wave, int waves, Nanos span) {
+  const double rot_prob = 0.05 + 0.05 * static_cast<double>(rng.Uniform(4));
+  const double lse_prob = 0.02 + 0.02 * static_cast<double>(rng.Uniform(3));
+  const uint64_t wave_seed = rng.Next();
+  const Nanos hit = span / 6 + (wave * span) / (2 * waves) + rng.Uniform(span / 12);
+  std::ostringstream d;
+  d << "bit-rot data[" << victim << "] rot=" << rot_prob << " lse=" << lse_prob
+    << " wave_seed=" << wave_seed;
+  s.Add(hit, d.str(), [victim, rot_prob, lse_prob, wave_seed](core::Testbed& bed) {
+    sim::Machine& m = bed.data_machine(victim);
+    for (uint32_t di = 0; di < m.num_disks(); ++di) {
+      m.disk(di).InjectBitRot(rot_prob, wave_seed ^ di);
+      m.disk(di).InjectLatentSectorErrors(lse_prob, wave_seed ^ di);
+    }
+  });
+}
+
+// data[victim]'s disks silently corrupt a fraction of incoming writes from
+// `hit` for `held`.
+void AddCorruptWindow(NemesisSchedule& s, int victim, double corrupt, Nanos hit, Nanos held) {
+  std::ostringstream d;
+  d << "gray-corrupt data[" << victim << "] write_corrupt=" << corrupt;
+  s.Add(hit, d.str(), [victim, corrupt](core::Testbed& bed) {
+    sim::GrayFailure g;
+    g.write_corrupt_prob = corrupt;
+    bed.data_machine(victim).SetGrayFailure(g);
+  });
+  s.Add(hit + held, "restore data[" + std::to_string(victim) + "]",
+        [victim](core::Testbed& bed) { bed.data_machine(victim).ClearGrayFailure(); });
+}
+
 }  // namespace
 
 void NemesisSchedule::Install(core::Testbed& bed) const {
@@ -135,20 +168,7 @@ NemesisSchedule BitRot(uint64_t seed, int data_count, Nanos span) {
   const int waves = 2 + static_cast<int>(rng.Uniform(3));
   for (int w = 0; w < waves; ++w) {
     const int victim = static_cast<int>(rng.Uniform(static_cast<uint64_t>(data_count)));
-    const double rot_prob = 0.05 + 0.05 * static_cast<double>(rng.Uniform(4));
-    const double lse_prob = 0.02 + 0.02 * static_cast<double>(rng.Uniform(3));
-    const uint64_t wave_seed = rng.Next();
-    const Nanos hit = span / 6 + (w * span) / (2 * waves) + rng.Uniform(span / 12);
-    std::ostringstream d;
-    d << "bit-rot data[" << victim << "] rot=" << rot_prob << " lse=" << lse_prob
-      << " wave_seed=" << wave_seed;
-    s.Add(hit, d.str(), [victim, rot_prob, lse_prob, wave_seed](core::Testbed& bed) {
-      sim::Machine& m = bed.data_machine(victim);
-      for (uint32_t di = 0; di < m.num_disks(); ++di) {
-        m.disk(di).InjectBitRot(rot_prob, wave_seed ^ di);
-        m.disk(di).InjectLatentSectorErrors(lse_prob, wave_seed ^ di);
-      }
-    });
+    AddRotWave(s, rng, victim, w, waves, span);
   }
   return s;
 }
@@ -159,17 +179,7 @@ NemesisSchedule IntegrityChaos(uint64_t seed, int data_count, Nanos span) {
   Rng rng(seed ^ 0xfee1badull);
   const int victim = static_cast<int>(rng.Uniform(static_cast<uint64_t>(data_count)));
   const double corrupt = 0.1 + 0.1 * static_cast<double>(rng.Uniform(3));
-  const Nanos hit = span / 5 + rng.Uniform(span / 5);
-  const Nanos held = span / 4;
-  std::ostringstream d;
-  d << "gray-corrupt data[" << victim << "] write_corrupt=" << corrupt;
-  out.Add(hit, d.str(), [victim, corrupt](core::Testbed& bed) {
-    sim::GrayFailure g;
-    g.write_corrupt_prob = corrupt;
-    bed.data_machine(victim).SetGrayFailure(g);
-  });
-  out.Add(hit + held, "restore data[" + std::to_string(victim) + "]",
-          [victim](core::Testbed& bed) { bed.data_machine(victim).ClearGrayFailure(); });
+  AddCorruptWindow(out, victim, corrupt, span / 5 + rng.Uniform(span / 5), span / 4);
   return out;
 }
 
@@ -198,20 +208,7 @@ NemesisSchedule EcChunkChaos(uint64_t seed, int data_count, Nanos span) {
   const int rotted = static_cast<int>(rng.Uniform(static_cast<uint64_t>(data_count)));
   const int waves = 2 + static_cast<int>(rng.Uniform(3));
   for (int w = 0; w < waves; ++w) {
-    const double rot_prob = 0.05 + 0.05 * static_cast<double>(rng.Uniform(4));
-    const double lse_prob = 0.02 + 0.02 * static_cast<double>(rng.Uniform(3));
-    const uint64_t wave_seed = rng.Next();
-    const Nanos hit = span / 6 + (w * span) / (2 * waves) + rng.Uniform(span / 12);
-    std::ostringstream d;
-    d << "bit-rot data[" << rotted << "] rot=" << rot_prob << " lse=" << lse_prob
-      << " wave_seed=" << wave_seed;
-    out.Add(hit, d.str(), [rotted, rot_prob, lse_prob, wave_seed](core::Testbed& bed) {
-      sim::Machine& m = bed.data_machine(rotted);
-      for (uint32_t di = 0; di < m.num_disks(); ++di) {
-        m.disk(di).InjectBitRot(rot_prob, wave_seed ^ di);
-        m.disk(di).InjectLatentSectorErrors(lse_prob, wave_seed ^ di);
-      }
-    });
+    AddRotWave(out, rng, rotted, w, waves, span);
   }
   // Whole-machine chunk loss: crash a second domain. Chunks there are only
   // unavailable, not damaged — they come back intact on restart.
@@ -226,19 +223,7 @@ NemesisSchedule EcChunkChaos(uint64_t seed, int data_count, Nanos span) {
   // demotion read-back audit must catch these before a stripe goes live.
   const int corrupter = pick_outside({rotted, crashed});
   const double corrupt = 0.1 + 0.1 * static_cast<double>(rng.Uniform(3));
-  const Nanos ghit = span / 4 + rng.Uniform(span / 5);
-  const Nanos held = span / 5;
-  std::ostringstream d;
-  d << "gray-corrupt data[" << corrupter << "] write_corrupt=" << corrupt;
-  out.Add(ghit, d.str(), [corrupter, corrupt](core::Testbed& bed) {
-    sim::GrayFailure g;
-    g.write_corrupt_prob = corrupt;
-    bed.data_machine(corrupter).SetGrayFailure(g);
-  });
-  out.Add(ghit + held, "restore data[" + std::to_string(corrupter) + "]",
-          [corrupter](core::Testbed& bed) {
-            bed.data_machine(corrupter).ClearGrayFailure();
-          });
+  AddCorruptWindow(out, corrupter, corrupt, span / 4 + rng.Uniform(span / 5), span / 5);
   return out;
 }
 

@@ -49,6 +49,7 @@ class NemesisSchedule {
   // replay recipe printed on failure.
   std::string ToString() const;
 
+  const std::vector<NemesisEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }
 

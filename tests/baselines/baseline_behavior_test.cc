@@ -2,6 +2,11 @@
 // performance characteristics come from, asserted directly.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/baselines/ceph.h"
 #include "src/baselines/haystack.h"
 #include "src/baselines/tectonic.h"
@@ -76,6 +81,144 @@ TEST(HaystackBehaviorTest, CompactionRewritesOnlyLiveBytes) {
   }
   // 5 live objects x 10000 bytes x 3 replicas rewritten, not the 20 written.
   EXPECT_EQ(compacted, 5u * 10000u * 3u);
+}
+
+// Runs every op in `ops` concurrently, op i on client i mod clients, and
+// drives the loop until all of them return.
+void RunConcurrently(HaystackCluster& cluster,
+                     std::vector<std::function<sim::Task<>(workload::ObjectStore&)>> ops) {
+  auto done = std::make_shared<size_t>(0);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const int client = static_cast<int>(i) % cluster.num_clients();
+    cluster.client_actor(client).Spawn(
+        [](std::function<sim::Task<>(workload::ObjectStore&)> op, workload::ObjectStore* store,
+           std::shared_ptr<size_t> done) -> sim::Task<> {
+          co_await op(*store);
+          ++*done;
+        }(std::move(ops[i]), &cluster.client(client), done));
+  }
+  const size_t want = ops.size();
+  const Nanos deadline = cluster.loop().Now() + Seconds(30);
+  while (*done < want && cluster.loop().Now() < deadline && cluster.loop().RunOne()) {
+  }
+  ASSERT_EQ(*done, want);
+}
+
+std::string HaystackPayload(int i, size_t size) {
+  std::string out = "needle-" + std::to_string(i) + "|";
+  out.resize(size, static_cast<char>('a' + i % 26));
+  return out;
+}
+
+uint64_t Compactions(HaystackCluster& cluster) {
+  uint64_t total = 0;
+  for (int s = 0; s < cluster.num_stores(); ++s) {
+    total += cluster.store(s).stats().compactions.value();
+  }
+  return total;
+}
+
+HaystackConfig OneVolumePerStore() {
+  HaystackConfig config;
+  config.store_machines = 3;
+  config.client_machines = 1;
+  config.volumes_per_store = 1;
+  return config;
+}
+
+// Concurrent appends to one volume each get their own offset: eight clients
+// put 1 MiB needles at once into three volumes, so appends to each volume
+// overlap on its stores, and every needle reads back intact.
+TEST(HaystackBehaviorTest, ConcurrentWritesToOneVolumeAllReadBack) {
+  sim::EventLoop loop;
+  HaystackConfig config = OneVolumePerStore();
+  config.client_machines = 8;
+  HaystackCluster cluster(loop, config);
+  ASSERT_TRUE(cluster.Boot().ok());
+  std::vector<std::function<sim::Task<>(workload::ObjectStore&)>> puts;
+  for (int i = 0; i < 8; ++i) {
+    puts.push_back([i](workload::ObjectStore& store) -> sim::Task<> {
+      EXPECT_TRUE((co_await store.Put("c" + std::to_string(i), HaystackPayload(i, MiB(1)))).ok());
+    });
+  }
+  RunConcurrently(cluster, std::move(puts));
+  Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
+    for (int i = 0; i < 8; ++i) {
+      auto r = co_await store.Get("c" + std::to_string(i));
+      CO_ASSERT_TRUE(r.ok());
+      EXPECT_TRUE(*r == HaystackPayload(i, MiB(1))) << "needle " << i << " holds other bytes";
+    }
+  });
+}
+
+// Reads sent while every volume is being compacted all succeed with the
+// right bytes, whether they land before, during or after the index swap.
+TEST(HaystackBehaviorTest, ReadsRacingCompactionSucceed) {
+  sim::EventLoop loop;
+  HaystackCluster cluster(loop, OneVolumePerStore());
+  ASSERT_TRUE(cluster.Boot().ok());
+  constexpr int kObjects = 30;
+  Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
+    for (int i = 0; i < kObjects; ++i) {
+      EXPECT_TRUE((co_await store.Put("r" + std::to_string(i), HaystackPayload(i, KiB(32)))).ok());
+    }
+    for (int i = 0; i < kObjects; i += 3) {
+      EXPECT_TRUE((co_await store.Delete("r" + std::to_string(i))).ok());
+    }
+  });
+  cluster.TriggerCompactionAll();
+  int rounds = 0;
+  while (Compactions(cluster) < 9 && rounds < 50) {  // 3 stores x 3 volumes
+    ++rounds;
+    std::vector<std::function<sim::Task<>(workload::ObjectStore&)>> reads;
+    for (int i = 1; i < kObjects; i += 3) {
+      reads.push_back([i](workload::ObjectStore& store) -> sim::Task<> {
+        auto r = co_await store.Get("r" + std::to_string(i));
+        CO_ASSERT_TRUE(r.ok());
+        EXPECT_EQ(*r, HaystackPayload(i, KiB(32))) << i;
+      });
+    }
+    RunConcurrently(cluster, std::move(reads));
+  }
+  EXPECT_GT(rounds, 1) << "compaction finished before the first reads returned";
+  EXPECT_EQ(Compactions(cluster), 9u);
+}
+
+// A needle written while its volume is compacting is still indexed, and
+// readable, after the compaction swaps in the new volume file.
+TEST(HaystackBehaviorTest, WriteDuringCompactionSurvivesSwap) {
+  sim::EventLoop loop;
+  HaystackCluster cluster(loop, OneVolumePerStore());
+  ASSERT_TRUE(cluster.Boot().ok());
+  constexpr int kObjects = 60;
+  Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
+    for (int i = 0; i < kObjects; ++i) {
+      EXPECT_TRUE((co_await store.Put("w" + std::to_string(i), HaystackPayload(i, KiB(64)))).ok());
+    }
+  });
+  cluster.TriggerCompactionAll();
+  std::vector<std::function<sim::Task<>(workload::ObjectStore&)>> puts;
+  for (int i = 100; i < 106; ++i) {
+    puts.push_back([i](workload::ObjectStore& store) -> sim::Task<> {
+      EXPECT_TRUE((co_await store.Put("w" + std::to_string(i), HaystackPayload(i, KiB(4)))).ok());
+    });
+  }
+  RunConcurrently(cluster, std::move(puts));
+  EXPECT_EQ(Compactions(cluster), 0u) << "the puts did not overlap the compaction";
+  cluster.loop().RunFor(Seconds(3));
+  ASSERT_EQ(Compactions(cluster), 9u);  // 3 stores x 3 volumes
+  Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
+    for (int i = 100; i < 106; ++i) {
+      auto r = co_await store.Get("w" + std::to_string(i));
+      CO_ASSERT_TRUE(r.ok());
+      EXPECT_EQ(*r, HaystackPayload(i, KiB(4))) << i;
+    }
+    for (int i = 0; i < kObjects; ++i) {
+      auto r = co_await store.Get("w" + std::to_string(i));
+      CO_ASSERT_TRUE(r.ok());
+      EXPECT_EQ(*r, HaystackPayload(i, KiB(64))) << i;
+    }
+  });
 }
 
 TEST(CephBehaviorTest, SmallObjectsDoubleWriteThroughJournal) {

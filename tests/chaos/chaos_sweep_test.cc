@@ -3,24 +3,21 @@
 // linearizability afterwards. Any failure prints the seed + schedule, which
 // reproduce the run byte-for-byte (the whole simulator is deterministic).
 //
-// Seed policy: CHEETAH_CHAOS_SEEDS is a comma-separated list (default
+// Seed policy: CHEETAH_SWEEP_SEEDS is a comma-separated list (default
 // "1,2,3" — the fixed CI set; scripts/chaos.sh passes larger sets for local
 // hunts). The same seed drives the workload RNG, the network fault RNG, and
 // the schedule composition, so one integer pins the entire run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
+#include "src/common/random.h"
 #include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
+#include "src/sim/actor.h"
 
 namespace cheetah::chaos {
 namespace {
@@ -45,167 +42,37 @@ constexpr const char* kScheduleNames[] = {
     "GrayDataDisk",         "NetChaos",                "Combined",
 };
 
-std::vector<uint64_t> ChaosSeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_CHAOS_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2,3";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
+// Three workers over eight shared keys, mixed put/get/delete.
+const WorkloadSpec kWorkload;
 
 TestbedConfig ChaosConfig(Variant variant) {
-  TestbedConfig config;
-  config.meta_machines = 4;
-  config.data_machines = 4;
-  config.proxies = 3;
-  config.pg_count = 8;
-  config.disks_per_data_machine = 2;
-  config.pvs_per_disk = 3;
-  config.lv_capacity_bytes = MiB(128);
-  switch (variant) {
-    case Variant::kBase:
-      break;
-    case Variant::kOrderedWrites:
-      config.options.ordered_writes = true;
-      break;
-    case Variant::kFsBacked:
-      config.options.fs_backed_data = true;
-      break;
-  }
+  TestbedConfig config = SweepTestbed();
+  config.options.ordered_writes = variant == Variant::kOrderedWrites;
+  config.options.fs_backed_data = variant == Variant::kFsBacked;
   return config;
 }
 
-// Deterministic ~1KB payload, unique per (worker, op index).
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string tag = "v-w" + std::to_string(worker) + "-" + std::to_string(i);
-  std::string out = tag + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
-}
-
-struct SweepResult {
-  History history;
-  std::string schedule_str;
-  bool workers_done = false;
-  bool audit_healthy = true;
-};
-
 // One full chaos run. Everything inside is a pure function of
 // (variant, schedule_idx, seed) — the determinism test relies on it.
-SweepResult RunSweep(Variant variant, int schedule_idx, uint64_t seed,
-                     bool unsafe_skip_persist_wait = false) {
-  SweepResult result;
+SweepReport RunSweep(Variant variant, int schedule_idx, uint64_t seed) {
   TestbedConfig config = ChaosConfig(variant);
-  config.options.unsafe_skip_persist_wait = unsafe_skip_persist_wait;
   const int meta_count = config.meta_machines;
   const int data_count = config.data_machines;
   Testbed bed(std::move(config));
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
-    return result;
+    return {};
   }
-  const Nanos span = Seconds(4);
+  Sweep sweep(bed, seed);
   bed.network().SeedFaults(seed * 7919 + static_cast<uint64_t>(schedule_idx));
-  NemesisSchedule schedule =
-      StandardSchedules(seed, meta_count, data_count, span).at(schedule_idx);
-  result.schedule_str = schedule.ToString();
-  schedule.Install(bed);
-
-  // Workload: three workers over eight shared keys, mixed put/get/delete.
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 14;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
-
+  sweep.Install(StandardSchedules(seed, meta_count, data_count, Seconds(4)).at(schedule_idx));
+  sweep.RunWorkload(kWorkload);
   // Restore everything (schedules end restorative, this is belt-and-braces),
   // let recovery and the cleaner settle, then audit every key: the final
   // reads join the history like any other ops.
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (int i = 0; i < bed.num_data(); ++i) {
-    bed.data_machine(i).ClearGrayFailure();
-  }
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);  // no-op for alive nodes
-  }
-  bed.RunFor(Seconds(5));
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      result.audit_healthy = false;
-    }
-  }
-  result.history = *history;
-  return result;
+  RestoreAndSettle(bed, Seconds(5));
+  sweep.AuditReads(kWorkload.AllKeys());
+  return sweep.Report();
 }
 
 struct Param {
@@ -224,26 +91,20 @@ class ChaosSweep : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ChaosSweep, HistoriesAreLinearizable) {
   const Param p = GetParam();
-  SweepResult r = RunSweep(p.variant, p.schedule, p.seed);
+  SweepReport r = RunSweep(p.variant, p.schedule, p.seed);
   // ctest only knows the default-seed test names, so replay goes through the
   // binary: the filter name embeds the seed and the env re-registers it.
-  const std::string replay =
-      "replay: CHEETAH_CHAOS_SEEDS=" + std::to_string(p.seed) +
-      " ./build/tests/chaos_sweep_test --gtest_filter='*" + ParamName({p, 0}) +
-      "'";
-  EXPECT_TRUE(r.workers_done) << "workload hung under schedule:\n"
-                              << r.schedule_str << replay;
-  EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n"
-                               << r.schedule_str << replay;
+  const std::string replay = r.Replay("chaos_sweep_test", ParamName({p, 0}));
+  EXPECT_TRUE(r.workers_done) << "workload hung\n" << replay;
+  EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n" << replay;
+  EXPECT_GT(r.coverage.events_during_workload, 0) << "no fault hit the workload\n" << replay;
   auto violations = CheckLinearizable(r.history);
-  EXPECT_TRUE(violations.empty())
-      << FormatViolations(violations) << "schedule (seed " << p.seed << "):\n"
-      << r.schedule_str << replay;
+  EXPECT_TRUE(violations.empty()) << FormatViolations(violations) << replay;
 }
 
 std::vector<Param> MakeParams() {
   std::vector<Param> out;
-  for (uint64_t seed : ChaosSeeds()) {
+  for (uint64_t seed : SweepSeeds("1,2,3")) {
     // Base gets the full battery; the ablation variants get the heaviest
     // schedules (power-fail view change, combined) to bound suite runtime.
     for (int sched = 0; sched < 6; ++sched) {
@@ -260,22 +121,15 @@ std::vector<Param> MakeParams() {
 INSTANTIATE_TEST_SUITE_P(Matrix, ChaosSweep, ::testing::ValuesIn(MakeParams()),
                          ParamName);
 
-// Two runs of the same (variant, schedule, seed) must produce byte-identical
-// histories — this is what makes a printed seed+schedule a full reproduction.
+// Same (variant, schedule, seed), same schedule and history — twice on the
+// timer wheel and once on the reference heap engine. This is what makes a
+// printed seed+schedule a full reproduction.
 TEST(ChaosDeterminism, SameSeedSameHistory) {
-  SweepResult a = RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1);
-  SweepResult b = RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1);
-  EXPECT_EQ(a.schedule_str, b.schedule_str);
-  EXPECT_EQ(a.history.Serialize(), b.history.Serialize());
-  EXPECT_FALSE(a.history.Serialize().empty());
-  // Cross-engine guard: the reference heap engine must replay the identical
-  // run byte for byte — the timer wheel is only allowed to be faster, never
-  // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  SweepResult c = RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
-  EXPECT_EQ(a.schedule_str, c.schedule_str);
-  EXPECT_EQ(a.history.Serialize(), c.history.Serialize());
+  EXPECT_EQ(ReplayMismatch([] {
+              SweepReport r = RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1);
+              return r.schedule + r.history.Serialize();
+            }),
+            "");
 }
 
 // The checker must catch a real consistency bug: with the persist-ack wait
@@ -319,73 +173,41 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
                      b.Restart(b.meta_node(i));
                    }
                  });
-    schedule.Install(bed);
+    Sweep sweep(bed, seed);
+    sweep.Install(std::move(schedule));
 
-    auto history = std::make_shared<History>();
-    auto done_workers = std::make_shared<int>(0);
-    auto put_count = std::make_shared<int>(0);
-    constexpr int kWorkers = 3;
-    for (int w = 0; w < kWorkers; ++w) {
-      bed.RunOnProxy(w, [w, seed, history, done_workers, put_count,
-                         &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-        Rng rng(seed * 31 + static_cast<uint64_t>(w));
-        const Nanos start = loop.Now();
-        // No op-count cap below the time cutoff: the workers must still be
-        // putting when the scripted power failure lands, or the vulnerable
-        // ack-before-persist window is empty and the bug never manifests.
-        for (int i = 0; i < 100000; ++i) {
-          const std::string key =
-              "bug-w" + std::to_string(w) + "-" + std::to_string(i);
-          const std::string value = Payload(w, i, key);
-          const uint64_t id =
-              history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-            ++*put_count;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
+    // Every put goes to a fresh key. No op-count cap below the time cutoff:
+    // the workers must still be putting when the scripted power failure
+    // lands, or the vulnerable ack-before-persist window is empty and the
+    // bug never manifests.
+    const bool done = sweep.RunWorkers(
+        3, [seed](ClientProxy& proxy, int w, History& history) -> sim::Task<> {
+          Rng rng(seed * 31 + static_cast<uint64_t>(w));
+          sim::Actor* self = co_await sim::CurrentActor{};
+          const Nanos start = self->Now();
+          for (int i = 0; i < 100000; ++i) {
+            const std::string key = "bug-w" + std::to_string(w) + "-" + std::to_string(i);
+            (void)co_await RecordedPut(proxy, history, w, key, TaggedPayload(w, i, key));
+            if (self->Now() > start + Millis(800)) {
+              break;  // past the interesting window; stop early
+            }
+            co_await sim::SleepFor(Millis(2) + rng.Uniform(Millis(4)));
           }
-          history->Return(id, out, "", loop.Now());
-          if (loop.Now() > start + Millis(800)) {
-            break;  // past the interesting window; stop early
-          }
-          co_await sim::SleepFor(Millis(2) + rng.Uniform(Millis(4)));
-        }
-        ++*done_workers;
-      }, Nanos{0});
-    }
-    const Nanos deadline = bed.loop().Now() + Seconds(120);
-    while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-      if (!bed.loop().RunOne()) {
-        break;
-      }
-    }
-    EXPECT_EQ(*done_workers, kWorkers) << "bug workload hung";
-    EXPECT_GT(*put_count, 0) << "no put was ever acked";
+        });
+    EXPECT_TRUE(done) << "bug workload hung";
     bed.RunFor(Seconds(5));
     // Audit every key the workers touched.
     std::vector<std::string> keys;
-    for (const auto& op : history->ops()) {
+    int acked = 0;
+    for (const Op& op : sweep.history().ops()) {
       if (op.type == OpType::kPut) {
         keys.push_back(op.key);
+        acked += op.outcome == Outcome::kOk ? 1 : 0;
       }
     }
-    for (const std::string& key : keys) {
-      const uint64_t id =
-          history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-      auto r = bed.GetObject(0, key);
-      if (r.ok()) {
-        history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-      } else if (r.status().IsNotFound()) {
-        history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-      } else {
-        history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      }
-    }
-    return CheckLinearizable(*history);
+    EXPECT_GT(acked, 0) << "no put was ever acked";
+    sweep.AuditReads(keys);
+    return CheckLinearizable(sweep.history());
   };
 
   // The checker must flag the bug under at least one seed...

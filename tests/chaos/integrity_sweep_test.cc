@@ -10,71 +10,55 @@
 //      back byte-identical.
 //   3. The whole run is a pure function of the seed (replayable).
 //
-// Seed policy mirrors the chaos sweep: CHEETAH_INTEGRITY_SEEDS is a
+// Seed policy mirrors the chaos sweep: CHEETAH_SWEEP_SEEDS is a
 // comma-separated list (default "1,2" — the fixed CI set); the failure
 // message prints the seed + schedule, which reproduce the run byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/common/crc32c.h"
+#include "src/common/random.h"
 #include "src/core/scrubber.h"
 #include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
 
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
-using core::MetaServer;
 using core::Testbed;
 using core::TestbedConfig;
 
-constexpr int kObjects = 24;
-constexpr int kWorkers = 2;
-constexpr int kRounds = 30;
+constexpr Nanos kSpan = Seconds(3);
 
-std::vector<uint64_t> IntegritySeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_INTEGRITY_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
+// Two readers, 30 gets each over 24 objects, spread across the fault window.
+WorkloadSpec IntegrityWorkload() {
+  WorkloadSpec spec;
+  spec.workers = 2;
+  spec.key_prefix = "int-";
+  spec.keys = 24;
+  spec.rounds = 30;
+  spec.put_pct = 0;
+  spec.get_pct = 100;
+  spec.think_min = kSpan / spec.rounds / 2;
+  spec.think_jitter = kSpan / spec.rounds;
+  return spec;
 }
 
 TestbedConfig IntegrityConfig(bool scrub_on) {
-  TestbedConfig config;
+  TestbedConfig config = SweepTestbed();
   config.meta_machines = 3;
-  config.data_machines = 4;
-  config.proxies = kWorkers;
-  config.pg_count = 8;
-  config.disks_per_data_machine = 2;
-  config.pvs_per_disk = 3;
-  config.lv_capacity_bytes = MiB(128);
+  config.proxies = 2;
   config.options.qos.enabled = true;  // repair rides the maintenance class
   if (scrub_on) {
     config.options.scrub_interval = Millis(250);
   }
   return config;
 }
-
-std::string ObjName(int k) { return "int-" + std::to_string(k); }
 
 // Deterministic ~2KB payload, unique per (seed, object).
 std::string ExpectedPayload(uint64_t seed, int k) {
@@ -87,8 +71,7 @@ std::string ExpectedPayload(uint64_t seed, int k) {
 }
 
 struct IntegrityResult {
-  std::string schedule_str;
-  bool workers_done = false;
+  SweepReport report;
   uint64_t corrupt_acked = 0;     // gets that returned wrong bytes — must be 0
   uint64_t failed_gets = 0;       // gets that errored mid-chaos (allowed)
   uint64_t ok_gets = 0;
@@ -101,27 +84,6 @@ struct IntegrityResult {
   std::string fingerprint;        // determinism: stats + final payload CRCs
 };
 
-void ScrubAllOnce(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
-uint64_t TotalCorruptFound(Testbed& bed) {
-  uint64_t total = 0;
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found.value();
-  }
-  return total;
-}
-
 // One full integrity run; a pure function of (seed, with_nemesis, scrub_on).
 IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
   IntegrityResult result;
@@ -132,81 +94,50 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
     ADD_FAILURE() << "boot failed";
     return result;
   }
+  const WorkloadSpec spec = IntegrityWorkload();
+  Sweep sweep(bed, seed);
 
   // Phase 1: populate, and let the cleaner settle the puts so the scrubber
   // covers every object.
-  for (int k = 0; k < kObjects; ++k) {
-    Status s = bed.PutObject(0, ObjName(k), ExpectedPayload(seed, k));
-    if (!s.ok()) {
-      ADD_FAILURE() << "put failed: " << s.ToString();
-      return result;
-    }
+  if (!sweep.Populate(spec, [seed](int k) { return ExpectedPayload(seed, k); })) {
+    ADD_FAILURE() << "populate failed";
+    return result;
   }
   bed.RunFor(Seconds(2));
 
   // Phase 2: damage arrives while readers hammer the objects.
-  const Nanos span = Seconds(3);
   if (with_nemesis) {
     bed.network().SeedFaults(seed * 7919);
-    NemesisSchedule schedule = IntegrityChaos(seed, data_count, span);
-    result.schedule_str = schedule.ToString();
-    schedule.Install(bed);
+    sweep.Install(IntegrityChaos(seed, data_count, kSpan));
   }
-  auto shared = std::make_shared<IntegrityResult>();
-  auto done_workers = std::make_shared<int>(0);
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, shared, done_workers, span,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const int k = static_cast<int>(rng.Uniform(kObjects));
-        const Nanos begin = loop.Now();
-        auto r = co_await proxy.Get(ObjName(k));
-        if (r.ok()) {
-          ++shared->ok_gets;
-          shared->get_lat.push_back(loop.Now() - begin);
-          if (*r != ExpectedPayload(seed, k)) {
-            ++shared->corrupt_acked;  // silent corruption reached a client
-          }
-        } else {
-          ++shared->failed_gets;
-        }
-        co_await sim::SleepFor(span / kRounds / 2 + rng.Uniform(span / kRounds));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
+  sweep.RunWorkload(spec);
+  result.corrupt_acked = CorruptAcked(sweep.history());
+  for (const Op& op : sweep.history().ops()) {
+    if (op.type != OpType::kGet) {
+      continue;
     }
-  }
-  result = std::move(*shared);
-  result.workers_done = *done_workers == kWorkers;
-  if (with_nemesis) {
-    NemesisSchedule schedule = IntegrityChaos(seed, data_count, span);
-    result.schedule_str = schedule.ToString();
+    if (op.outcome == Outcome::kOk) {
+      ++result.ok_gets;
+      result.get_lat.push_back(op.ret - op.invoke);
+    } else {
+      ++result.failed_gets;
+    }
   }
 
   // Phase 3: the repair budget. The fault window is closed (IntegrityChaos
   // clears its own gray failure); the periodic scrubber gets a fixed slice
   // of virtual time, then one explicit pass mops up anything it missed.
-  for (int i = 0; i < bed.num_data(); ++i) {
-    bed.data_machine(i).ClearGrayFailure();
-  }
-  bed.RunFor(Seconds(3));
+  RestoreAndSettle(bed, Seconds(3), Restore::kDisksOnly);
   ScrubAllOnce(bed);
   bed.RunFor(Millis(500));
 
   // Audit pass: a fresh scrub must find nothing left to repair, and every
   // object must read back byte-identical.
-  const uint64_t corrupt_before_audit = TotalCorruptFound(bed);
-  ScrubAllOnce(bed);
-  result.residual_corrupt = TotalCorruptFound(bed) - corrupt_before_audit;
+  result.residual_corrupt = ScrubAudit(bed);
   std::ostringstream fp;
-  for (int k = 0; k < kObjects; ++k) {
-    auto r = bed.GetObject(0, ObjName(k));
+  const auto reads = sweep.AuditReads(spec.AllKeys());
+  for (int k = 0; k < spec.keys; ++k) {
+    const auto& r = reads[k];
     if (!r.ok() || *r != ExpectedPayload(seed, k)) {
       ++result.final_mismatches;
       fp << "k" << k << "=BAD ";
@@ -214,6 +145,7 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
       fp << "k" << k << "=" << Crc32c(*r) << " ";
     }
   }
+  result.report = sweep.Report();
 
   for (int i = 0; i < bed.num_data(); ++i) {
     auto& m = bed.data_machine(i);
@@ -225,7 +157,7 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
   for (int i = 0; i < bed.num_meta(); ++i) {
     result.scrub_repairs += bed.meta(i).scrubber().stats().repairs.value();
   }
-  for (int w = 0; w < kWorkers; ++w) {
+  for (int w = 0; w < spec.workers; ++w) {
     result.read_repairs += bed.proxy(w).stats().read_repairs.value();
   }
   fp << "| injected=" << result.injected << " scrub_repairs=" << result.scrub_repairs
@@ -250,10 +182,10 @@ TEST_P(IntegritySweep, NoCorruptionAckedAndAllDamageRepaired) {
   const uint64_t seed = GetParam();
   IntegrityResult r = RunIntegrity(seed, /*with_nemesis=*/true, /*scrub_on=*/true);
   const std::string replay =
-      "replay: CHEETAH_INTEGRITY_SEEDS=" + std::to_string(seed) +
-      " ./build/tests/integrity_sweep_test --gtest_filter='*Seed" +
-      std::to_string(seed) + "'\nschedule:\n" + r.schedule_str;
-  EXPECT_TRUE(r.workers_done) << "reader workload hung\n" << replay;
+      r.report.Replay("integrity_sweep_test", "Seed" + std::to_string(seed));
+  EXPECT_TRUE(r.report.workers_done) << "reader workload hung\n" << replay;
+  EXPECT_GT(r.report.coverage.events_during_workload, 0)
+      << "no fault hit the workload\n" << replay;
   EXPECT_GT(r.injected, 0u) << "nemesis injected no damage\n" << replay;
   EXPECT_GT(r.ok_gets, 0u) << "no get ever succeeded\n" << replay;
   // Invariant 1: never wrong bytes, no matter what rotted underneath.
@@ -271,25 +203,17 @@ std::string SeedName(const ::testing::TestParamInfo<uint64_t>& info) {
   return "Seed" + std::to_string(info.param);
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, IntegritySweep,
-                         ::testing::ValuesIn(IntegritySeeds()), SeedName);
+INSTANTIATE_TEST_SUITE_P(Matrix, IntegritySweep, ::testing::ValuesIn(SweepSeeds("1,2")),
+                         SeedName);
 
-// Invariant 3: replayability. Two runs of the same seed produce identical
-// schedules, stats, and final payload checksums.
+// Invariant 3: replayability. Runs of the same seed produce identical
+// schedules, stats, and final payload checksums on both engines.
 TEST(IntegrityDeterminism, SameSeedSameRun) {
-  IntegrityResult a = RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true);
-  IntegrityResult b = RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true);
-  EXPECT_EQ(a.schedule_str, b.schedule_str);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_FALSE(a.fingerprint.empty());
-  // Cross-engine guard: the reference heap engine must replay the identical
-  // run byte for byte — the timer wheel is only allowed to be faster, never
-  // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  IntegrityResult c = RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
-  EXPECT_EQ(a.schedule_str, c.schedule_str);
-  EXPECT_EQ(a.fingerprint, c.fingerprint);
+  EXPECT_EQ(ReplayMismatch([] {
+              IntegrityResult r = RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true);
+              return r.report.schedule + r.fingerprint;
+            }),
+            "");
 }
 
 // Scrub overhead: with no faults at all, foreground get p99 with the
@@ -298,8 +222,8 @@ TEST(IntegrityDeterminism, SameSeedSameRun) {
 TEST(IntegrityScrubOverhead, ForegroundP99Bounded) {
   IntegrityResult off = RunIntegrity(1, /*with_nemesis=*/false, /*scrub_on=*/false);
   IntegrityResult on = RunIntegrity(1, /*with_nemesis=*/false, /*scrub_on=*/true);
-  ASSERT_TRUE(off.workers_done);
-  ASSERT_TRUE(on.workers_done);
+  ASSERT_TRUE(off.report.workers_done);
+  ASSERT_TRUE(on.report.workers_done);
   EXPECT_EQ(off.corrupt_acked, 0u);
   EXPECT_EQ(on.corrupt_acked, 0u);
   EXPECT_EQ(off.failed_gets, 0u);

@@ -6,163 +6,58 @@
 // proves no lost or ghost objects. Any failure prints the seed + schedule,
 // which reproduce the run byte-for-byte.
 //
-// Seed policy mirrors the chaos sweep: CHEETAH_MIGRATE_SEEDS is a
+// Seed policy mirrors the chaos sweep: CHEETAH_SWEEP_SEEDS is a
 // comma-separated list (default "1,2,3" — the fixed CI set; pass larger sets
 // for local hunts, scripts/chaos.sh style).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
 
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
 using core::Testbed;
 using core::TestbedConfig;
 
 constexpr const char* kFaultNames[] = {"CrashSource", "CrashDestination",
                                        "PartitionLeader"};
 
-std::vector<uint64_t> MigrateSeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_MIGRATE_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2,3";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
+// Three workers over eight shared keys, mixed put/get/delete.
+const WorkloadSpec kWorkload;
 
-// Four meta machines: a drained node needs a destination among the survivors
-// (replication 3 of the remaining 3).
-TestbedConfig MigrateChaosConfig() {
-  TestbedConfig config;
-  config.meta_machines = 4;
-  config.data_machines = 4;
-  config.proxies = 3;
-  config.pg_count = 8;
-  config.disks_per_data_machine = 2;
-  config.pvs_per_disk = 3;
-  config.lv_capacity_bytes = MiB(128);
-  return config;
-}
-
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string tag = "v-w" + std::to_string(worker) + "-" + std::to_string(i);
-  std::string out = tag + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
-}
-
-struct SweepResult {
-  History history;
-  std::string schedule_str;
-  bool workers_done = false;
-  bool audit_healthy = true;
+struct MigrationResult {
+  SweepReport report;
   bool migrations_settled = false;  // no in-flight migration after the run
 };
 
 // One full run: pure function of (fault_idx, seed) — the determinism test
 // relies on it.
-SweepResult RunSweep(int fault_idx, uint64_t seed) {
-  SweepResult result;
-  TestbedConfig config = MigrateChaosConfig();
+MigrationResult RunSweep(int fault_idx, uint64_t seed) {
+  MigrationResult result;
+  // Four meta machines: a drained node needs a destination among the
+  // survivors (replication 3 of the remaining 3).
+  TestbedConfig config = SweepTestbed();
   const int meta_count = config.meta_machines;
   Testbed bed(std::move(config));
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
   }
-  const Nanos span = Seconds(4);
+  Sweep sweep(bed, seed);
   bed.network().SeedFaults(seed * 7919 + static_cast<uint64_t>(fault_idx));
-  NemesisSchedule schedule = MigrationSchedules(seed, meta_count, span).at(fault_idx);
-  result.schedule_str = schedule.ToString();
-  schedule.Install(bed);
-
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 14;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
+  sweep.Install(MigrationSchedules(seed, meta_count, Seconds(4)).at(fault_idx));
+  sweep.RunWorkload(kWorkload);
 
   // Heal, restart, settle. A drain may legitimately still be running (the
   // schedules re-issue one late); give it room to finish, then require that
   // no migration entry is stuck in the topology.
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);  // no-op for alive nodes
-  }
-  bed.RunFor(Seconds(5));
+  RestoreAndSettle(bed, Seconds(5));
   const Nanos settle_deadline = bed.loop().Now() + Seconds(30);
   while (bed.loop().Now() < settle_deadline) {
     const int leader = bed.LeaderManager();
@@ -175,20 +70,8 @@ SweepResult RunSweep(int fault_idx, uint64_t seed) {
   }
 
   // Audit every key: the final reads join the history like any other ops.
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      result.audit_healthy = false;
-    }
-  }
-  result.history = *history;
+  sweep.AuditReads(kWorkload.AllKeys());
+  result.report = sweep.Report();
   return result;
 }
 
@@ -206,27 +89,21 @@ class MigrationSweep : public ::testing::TestWithParam<Param> {};
 
 TEST_P(MigrationSweep, HistoriesAreLinearizable) {
   const Param p = GetParam();
-  SweepResult r = RunSweep(p.fault, p.seed);
-  const std::string replay =
-      "replay: CHEETAH_MIGRATE_SEEDS=" + std::to_string(p.seed) +
-      " ./build/tests/migration_sweep_test --gtest_filter='*" +
-      ParamName({p, 0}) + "'";
-  EXPECT_TRUE(r.workers_done) << "workload hung under schedule:\n"
-                              << r.schedule_str << replay;
-  EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n"
-                               << r.schedule_str << replay;
-  EXPECT_TRUE(r.migrations_settled)
-      << "migration state stuck in the topology after the run\n"
-      << r.schedule_str << replay;
+  MigrationResult m = RunSweep(p.fault, p.seed);
+  const SweepReport& r = m.report;
+  const std::string replay = r.Replay("migration_sweep_test", ParamName({p, 0}));
+  EXPECT_TRUE(r.workers_done) << "workload hung\n" << replay;
+  EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n" << replay;
+  EXPECT_TRUE(m.migrations_settled)
+      << "migration state stuck in the topology after the run\n" << replay;
+  EXPECT_GT(r.coverage.events_during_workload, 0) << "no fault hit the workload\n" << replay;
   auto violations = CheckLinearizable(r.history);
-  EXPECT_TRUE(violations.empty())
-      << FormatViolations(violations) << "schedule (seed " << p.seed << "):\n"
-      << r.schedule_str << replay;
+  EXPECT_TRUE(violations.empty()) << FormatViolations(violations) << replay;
 }
 
 std::vector<Param> MakeParams() {
   std::vector<Param> out;
-  for (uint64_t seed : MigrateSeeds()) {
+  for (uint64_t seed : SweepSeeds("1,2,3")) {
     for (int fault = 0; fault < 3; ++fault) {
       out.push_back({fault, seed});
     }
@@ -237,22 +114,14 @@ std::vector<Param> MakeParams() {
 INSTANTIATE_TEST_SUITE_P(Matrix, MigrationSweep, ::testing::ValuesIn(MakeParams()),
                          ParamName);
 
-// Two runs of the same (fault, seed) must produce byte-identical histories —
-// this is what makes a printed seed+schedule a full reproduction.
+// Same (fault, seed), same schedule and history on both engines — this is
+// what makes a printed seed+schedule a full reproduction.
 TEST(MigrationDeterminism, SameSeedSameHistory) {
-  SweepResult a = RunSweep(/*fault_idx=*/0, /*seed=*/1);
-  SweepResult b = RunSweep(/*fault_idx=*/0, /*seed=*/1);
-  EXPECT_EQ(a.schedule_str, b.schedule_str);
-  EXPECT_EQ(a.history.Serialize(), b.history.Serialize());
-  EXPECT_FALSE(a.history.Serialize().empty());
-  // Cross-engine guard: the reference heap engine must replay the identical
-  // run byte for byte — the timer wheel is only allowed to be faster, never
-  // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  SweepResult c = RunSweep(/*fault_idx=*/0, /*seed=*/1);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
-  EXPECT_EQ(a.schedule_str, c.schedule_str);
-  EXPECT_EQ(a.history.Serialize(), c.history.Serialize());
+  EXPECT_EQ(ReplayMismatch([] {
+              SweepReport r = RunSweep(/*fault_idx=*/0, /*seed=*/1).report;
+              return r.schedule + r.history.Serialize();
+            }),
+            "");
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   (2) no foreground request was shed anywhere while background classes
 //       were actively dispatched — the shed ladder stops above foreground,
 //   (3) the whole run replays byte-for-byte (history serialization equality
-//       across two identical runs).
+//       across identical runs on the timer wheel and the heap engine).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +15,7 @@
 
 #include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/core/messages.h"
 #include "src/core/testbed.h"
 #include "src/obs/metrics.h"
@@ -23,7 +24,6 @@
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
 using core::Testbed;
 using core::TestbedConfig;
 
@@ -47,13 +47,6 @@ uint64_t SumQosCounters(const std::string& field) {
   return total;
 }
 
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string out =
-      "v-w" + std::to_string(worker) + "-" + std::to_string(i) + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
-}
-
 // Keeps the background class busy for the whole run: pull PGs from the meta
 // servers in a loop, honoring retry-after pushback like a polite scrubber.
 sim::Task<> BgPuller(rpc::Node* rpc, Testbed* bed, std::shared_ptr<bool> stop,
@@ -73,11 +66,7 @@ sim::Task<> BgPuller(rpc::Node* rpc, Testbed* bed, std::shared_ptr<bool> stop,
 }
 
 struct QosChaosResult {
-  std::string history;      // serialized, for the determinism comparison
-  std::string schedule_str;
-  bool workers_done = false;
-  bool linearizable = false;
-  std::string violations;
+  SweepReport report;
   uint64_t fg_sheds = 0;
   uint64_t bg_dispatched = 0;
 };
@@ -86,14 +75,7 @@ struct QosChaosResult {
 // comparison deliberately ignores).
 QosChaosResult RunQosChaos(uint64_t seed) {
   QosChaosResult result;
-  TestbedConfig config;
-  config.meta_machines = 4;
-  config.data_machines = 4;
-  config.proxies = 3;
-  config.pg_count = 8;
-  config.disks_per_data_machine = 2;
-  config.pvs_per_disk = 3;
-  config.lv_capacity_bytes = MiB(128);
+  TestbedConfig config = SweepTestbed();
   config.options.qos.enabled = true;
   const int meta_count = config.meta_machines;
   const int data_count = config.data_machines;
@@ -106,12 +88,9 @@ QosChaosResult RunQosChaos(uint64_t seed) {
   const uint64_t fg_sheds_before = SumQosCounters("shed.foreground");
   const uint64_t bg_dispatched_before = SumQosCounters("dispatched.background");
 
-  const Nanos span = Seconds(4);
+  Sweep sweep(bed, seed);
   bed.network().SeedFaults(seed * 7919 + 42);
-  NemesisSchedule schedule =
-      StandardSchedules(seed, meta_count, data_count, span).back();  // Combined
-  result.schedule_str = schedule.ToString();
-  schedule.Install(bed);
+  sweep.Install(StandardSchedules(seed, meta_count, data_count, Seconds(4)).back());  // Combined
 
   auto stop_pullers = std::make_shared<bool>(false);
   for (int i = 0; i < 2; ++i) {
@@ -119,120 +98,50 @@ QosChaosResult RunQosChaos(uint64_t seed) {
         BgPuller(&bed.proxy_rpc(2), &bed, stop_pullers, i));
   }
 
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 12;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
+  // Three workers over eight shared keys, mixed put/get/delete.
+  WorkloadSpec spec;
+  spec.rounds = 12;
+  sweep.RunWorkload(spec);
 
   // Restore, settle, audit every key into the same history.
   *stop_pullers = true;
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (int i = 0; i < bed.num_data(); ++i) {
-    bed.data_machine(i).ClearGrayFailure();
-  }
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);
-  }
-  bed.RunFor(Seconds(5));
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-    }
-  }
+  RestoreAndSettle(bed, Seconds(5));
+  sweep.AuditReads(spec.AllKeys());
+  result.report = sweep.Report();
 
   result.fg_sheds = SumQosCounters("shed.foreground") - fg_sheds_before;
   result.bg_dispatched =
       SumQosCounters("dispatched.background") - bg_dispatched_before;
-  auto violations = CheckLinearizable(*history);
-  result.linearizable = violations.empty();
-  result.violations = FormatViolations(violations);
-  result.history = history->Serialize();
   return result;
 }
 
 TEST(QosChaosTest, CombinedNemesisWithQosStaysLinearizableAndNeverShedsForeground) {
-  const uint64_t seed = 1;
-  QosChaosResult r = RunQosChaos(seed);
-  EXPECT_TRUE(r.workers_done) << "workload hung under schedule:\n" << r.schedule_str;
-  EXPECT_TRUE(r.linearizable) << r.violations << "schedule (seed " << seed << "):\n"
-                              << r.schedule_str;
+  QosChaosResult r = RunQosChaos(1);
+  const std::string replay = r.report.Replay(
+      "qos_chaos_test", "CombinedNemesisWithQosStaysLinearizableAndNeverShedsForeground");
+  EXPECT_TRUE(r.report.workers_done) << "workload hung\n" << replay;
+  EXPECT_GT(r.report.coverage.events_during_workload, 0)
+      << "no fault hit the workload\n" << replay;
+  auto violations = CheckLinearizable(r.report.history);
+  EXPECT_TRUE(violations.empty()) << FormatViolations(violations) << replay;
   // Background traffic (explicit pullers + crash-recovery PG pulls) must
   // actually have flowed through the schedulers...
-  EXPECT_GT(r.bg_dispatched, 0u);
+  EXPECT_GT(r.bg_dispatched, 0u) << replay;
   // ...while foreground was never shed: the ladder stops above it, and the
   // chaos workload is far below any foreground queue bound.
-  EXPECT_EQ(r.fg_sheds, 0u);
+  EXPECT_EQ(r.fg_sheds, 0u) << replay;
 }
 
 TEST(QosChaosTest, QosChaosRunIsDeterministic) {
-  QosChaosResult a = RunQosChaos(2);
-  QosChaosResult b = RunQosChaos(2);
-  ASSERT_TRUE(a.workers_done);
-  ASSERT_TRUE(b.workers_done);
-  EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.schedule_str, b.schedule_str);
-  EXPECT_EQ(a.fg_sheds, b.fg_sheds);
+  bool all_done = true;
+  EXPECT_EQ(ReplayMismatch([&all_done] {
+              QosChaosResult r = RunQosChaos(2);
+              all_done = all_done && r.report.workers_done;
+              return r.report.schedule + r.report.history.Serialize() +
+                     "fg_sheds=" + std::to_string(r.fg_sheds);
+            }),
+            "");
+  EXPECT_TRUE(all_done);
 }
 
 }  // namespace
