@@ -71,7 +71,7 @@ void BM_WriteBatchEncode(benchmark::State& state) {
   batch.Put(core::PgLogKey(7, 12345), std::string(48, 'l'));
   batch.Put(core::PxLogKey(3, 999), std::string(48, 'p'));
   for (auto _ : state) {
-    auto decoded = kv::WriteBatch::Decode(batch.Encode());
+    auto decoded = kv::WriteBatch::Decode(batch.payload());
     benchmark::DoNotOptimize(decoded);
   }
 }

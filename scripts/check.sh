@@ -21,14 +21,20 @@ ctest --preset "$preset" -j "$(nproc)"
 # under the reference heap engine and requires a byte-identical schedule and
 # history versus the default timer wheel.
 CHEETAH_SWEEP_SEEDS=1,2,3 ctest --preset "$preset" -L chaos -j "$(nproc)"
+builddir=build
+[[ "$preset" == "sanitize" ]] && builddir=build-sanitize
+# Pinned regression seeds from the RE-META resume path: BaseNetChaos seed 27
+# died of a use-after-free (its pending put revoked during the resume's
+# MetaX persist), and OWCombined seed 16 read back an object whose revoked
+# record a racing resume had written again.
+CHEETAH_SWEEP_SEEDS=16,27 "$builddir/tests/chaos_sweep_test" \
+  --gtest_filter='*BaseNetChaosSeed27:*OWCombinedSeed16'
 
 # QoS tier: the scheduler/admission unit tests plus the chaos-with-QoS run
 # (ctest label `qos`), then the overload figure at reduced scale — the fig21
 # binary asserts its own acceptance criteria (foreground p99 isolation,
 # background completion after load drops) and exits non-zero on regression.
 ctest --preset "$preset" -L qos -j "$(nproc)"
-builddir=build
-[[ "$preset" == "sanitize" ]] && builddir=build-sanitize
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/fig21_overload"
 
 # Integrity tier: the bit-rot/LSE/gray-corruption sweep (ctest label

@@ -36,6 +36,16 @@ inline uint64_t DecodeFixed64(const char* p) {
          (static_cast<uint64_t>(DecodeFixed32(p + 4)) << 32);
 }
 
+// Bytes PutVarint64 appends for `v`.
+inline size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 inline void PutVarint64(std::string* dst, uint64_t v) {
   while (v >= 0x80) {
     dst->push_back(static_cast<char>(v | 0x80));

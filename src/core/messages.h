@@ -16,6 +16,7 @@
 #include "src/common/bytes.h"
 #include "src/cluster/topology.h"
 #include "src/core/metax.h"
+#include "src/kv/write_batch.h"
 
 namespace cheetah::core {
 
@@ -129,18 +130,11 @@ struct ReplicateMetaXRequest {
   ReplicateMetaXRequest() = default;
   uint64_t view = 0;
   cluster::PgId pg = 0;
-  // Atomic batch mirrored from the primary: puts then deletes.
-  std::vector<std::pair<std::string, std::string>> puts;
-  std::vector<std::string> deletes;
+  // The primary's atomic batch: every backup's request shares its buffer.
+  kv::WriteBatch batch;
+  // 32 + (key + value + 8) per put + (key + 4) per delete.
   size_t wire_size() const {
-    size_t n = 32;
-    for (const auto& [k, v] : puts) {
-      n += k.size() + v.size() + 8;
-    }
-    for (const auto& k : deletes) {
-      n += k.size() + 4;
-    }
-    return n;
+    return 32 + batch.key_value_bytes() + 8 * batch.put_count() + 4 * batch.delete_count();
   }
 };
 

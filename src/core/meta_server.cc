@@ -253,53 +253,72 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   }
 
   // Resume path (§5.3 RE-META): the put already allocated — return the same
-  // allocation and re-replicate MetaX so the backups converge.
+  // allocation and re-replicate MetaX so the backups converge. A concurrent
+  // verification may revoke (erase) the pending entry during any wait here,
+  // so the entry is looked up again after each one and the attempt fails if
+  // it is gone or being revoked.
   if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
-    PendingPut& p = pending_[it->second];
-    if (p.reqid == req.reqid) {
-      if (req.re_data && p.meta.storage_class != StorageClass::kInline) {
-        // §5.3 RE-DATA: atomically pick a new volume and revoke the old
-        // allocation on the problematic one. Allocate before freeing: if no
-        // volume can fit the object the put must be revoked outright —
-        // leaving the pending entry (and its replicated MetaX) behind would
-        // let the cleaner complete a put the proxy was told failed.
-        auto alloc = AllocateSpace(pg, req.size);
-        if (!alloc.ok()) {
-          PendingPut doomed = p;
-          co_await RevokePut(std::move(doomed));
-          co_return alloc.status();
-        }
-        if (alloc::BitmapAllocator* a = AllocatorFor(p.meta.lvid)) {
-          a->Free(p.meta.extents);
-        }
-        co_await DiscardData(p.meta);
-        p.meta.lvid = alloc->first;
-        p.meta.extents = std::move(alloc->second);
-      }
-      std::vector<std::pair<std::string, std::string>> puts;
-      puts.emplace_back(ObMetaKey(pg, req.name), p.meta.Encode());
-      PgLog pglog;
-      pglog.name = req.name;
-      pglog.pxlogkey = PxLogKey(p.proxy_id, p.reqid);
-      puts.emplace_back(PgLogKey(pg, p.opseq), pglog.Encode());
-      PxLog pxlog;
-      pxlog.name = req.name;
-      pxlog.pglogkey = PgLogKey(pg, p.opseq);
-      puts.emplace_back(PxLogKey(p.proxy_id, p.reqid), pxlog.Encode());
-      Status ps = co_await PersistAndReplicate(pg, std::move(puts), {});
-      PutAllocReply reply;
-      reply.lvid = p.meta.lvid;
-      reply.extents = p.meta.extents;
-      reply.opseq = p.opseq;
-      reply.persisted = true;
-      reply.inline_stored = p.meta.storage_class == StorageClass::kInline;
-      if (!ps.ok()) {
-        co_return ps;
-      }
-      p.persisted = true;
-      co_return reply;
+    auto pit = pending_.find(it->second);
+    if (pit == pending_.end() || pit->second.reqid != req.reqid) {
+      co_return Status::AlreadyExists("object has an in-flight put");
     }
-    co_return Status::AlreadyExists("object has an in-flight put");
+    if (pit->second.revoking) {
+      co_return Status::Unavailable("put is being revoked");
+    }
+    if (req.re_data && pit->second.meta.storage_class != StorageClass::kInline) {
+      // §5.3 RE-DATA: atomically pick a new volume and revoke the old
+      // allocation on the problematic one. Allocate before freeing: if no
+      // volume can fit the object the put must be revoked outright —
+      // leaving the pending entry (and its replicated MetaX) behind would
+      // let the cleaner complete a put the proxy was told failed.
+      auto alloc = AllocateSpace(pg, req.size);
+      if (!alloc.ok()) {
+        PendingPut doomed = pit->second;
+        co_await RevokePut(std::move(doomed));
+        co_return alloc.status();
+      }
+      const ObMeta old_meta = pit->second.meta;
+      if (alloc::BitmapAllocator* a = AllocatorFor(old_meta.lvid)) {
+        a->Free(old_meta.extents);
+      }
+      co_await DiscardData(old_meta);
+      pit = pending_.find(req.reqid);
+      if (pit == pending_.end() || pit->second.revoking) {
+        if (alloc::BitmapAllocator* a = AllocatorFor(alloc->first)) {
+          a->Free(alloc->second);
+        }
+        co_return Status::Unavailable("put revoked during its resume");
+      }
+      pit->second.meta.lvid = alloc->first;
+      pit->second.meta.extents = std::move(alloc->second);
+    }
+    const PendingPut p = pit->second;
+    kv::WriteBatch batch;
+    batch.Put(ObMetaKey(pg, req.name), p.meta.Encode());
+    PgLog pglog;
+    pglog.name = req.name;
+    pglog.pxlogkey = PxLogKey(p.proxy_id, p.reqid);
+    batch.Put(PgLogKey(pg, p.opseq), pglog.Encode());
+    PxLog pxlog;
+    pxlog.name = req.name;
+    pxlog.pglogkey = PgLogKey(pg, p.opseq);
+    batch.Put(PxLogKey(p.proxy_id, p.reqid), pxlog.Encode());
+    Status ps = co_await PersistAndReplicate(pg, std::move(batch));
+    if (!ps.ok()) {
+      co_return ps;
+    }
+    pit = pending_.find(req.reqid);
+    if (pit == pending_.end() || pit->second.revoking) {
+      co_return Status::Unavailable("put revoked during its resume");
+    }
+    pit->second.persisted = true;
+    PutAllocReply reply;
+    reply.lvid = p.meta.lvid;
+    reply.extents = p.meta.extents;
+    reply.opseq = p.opseq;
+    reply.persisted = true;
+    reply.inline_stored = p.meta.storage_class == StorageClass::kInline;
+    co_return reply;
   }
 
   // Immutability: an existing (visible) object cannot be overwritten. A
@@ -365,17 +384,17 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   p.meta.born_ns = static_cast<uint64_t>(rpc_.machine().loop().Now());
   p.born = rpc_.machine().loop().Now();
 
-  std::vector<std::pair<std::string, std::string>> puts;
-  puts.emplace_back(ObMetaKey(pg, req.name), p.meta.Encode());
+  kv::WriteBatch batch;
+  batch.Put(ObMetaKey(pg, req.name), p.meta.Encode());
   if (!options_.thin_directory_mode) {
     PgLog pglog;
     pglog.name = req.name;
     pglog.pxlogkey = PxLogKey(req.proxy_id, req.reqid);
-    puts.emplace_back(PgLogKey(pg, opseq), pglog.Encode());
+    batch.Put(PgLogKey(pg, opseq), pglog.Encode());
     PxLog pxlog;
     pxlog.name = req.name;
     pxlog.pglogkey = PgLogKey(pg, opseq);
-    puts.emplace_back(PxLogKey(req.proxy_id, req.reqid), pxlog.Encode());
+    batch.Put(PxLogKey(req.proxy_id, req.reqid), pxlog.Encode());
   }
 
   PutAllocReply reply;
@@ -390,10 +409,12 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   if (options_.ordered_writes) {
     // Cheetah-OW (Fig. 9): restore the ordering constraint — do not reply
     // until MetaX is persisted everywhere.
-    Status ps = co_await PersistAndReplicate(pg, std::move(puts), {});
+    Status ps = co_await PersistAndReplicate(pg, std::move(batch));
     if (!ps.ok()) {
-      PendingPut doomed = pending_[req.reqid];
-      co_await RevokePut(std::move(doomed));
+      if (auto it = pending_.find(req.reqid); it != pending_.end()) {
+        PendingPut doomed = it->second;
+        co_await RevokePut(std::move(doomed));
+      }
       co_return ps;
     }
     if (auto it = pending_.find(req.reqid); it != pending_.end()) {
@@ -407,8 +428,8 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   // proxy when done (Fig. 4 steps (2)(3)).
   rpc_.machine().actor().Spawn(
       [](MetaServer* self, cluster::PgId pg, ReqId reqid, sim::NodeId proxy_node,
-         std::vector<std::pair<std::string, std::string>> puts) -> sim::Task<> {
-        Status ps = co_await self->PersistAndReplicate(pg, std::move(puts), {});
+         kv::WriteBatch batch) -> sim::Task<> {
+        Status ps = co_await self->PersistAndReplicate(pg, std::move(batch));
         if (auto it = self->pending_.find(reqid); it != self->pending_.end()) {
           it->second.persisted = ps.ok();
         }
@@ -416,22 +437,13 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
         note.reqid = reqid;
         note.ok = ps.ok();
         self->rpc_.Notify(proxy_node, std::move(note));
-      }(this, pg, req.reqid, req.proxy_node, std::move(puts)));
+      }(this, pg, req.reqid, req.proxy_node, std::move(batch)));
   co_return reply;
 }
 
-sim::Task<Status> MetaServer::PersistAndReplicate(
-    cluster::PgId pg, std::vector<std::pair<std::string, std::string>> puts,
-    std::vector<std::string> deletes) {
-  kv::WriteBatch batch;
-  for (auto& [k, v] : puts) {
-    batch.Put(k, v);
-  }
-  for (auto& k : deletes) {
-    batch.Delete(k);
-  }
+sim::Task<Status> MetaServer::PersistAndReplicate(cluster::PgId pg, kv::WriteBatch batch) {
   std::vector<sim::Task<Status>> tasks;
-  tasks.push_back(db_->Write(std::move(batch)));
+  tasks.push_back(db_->Write(batch));
   std::vector<sim::NodeId> targets = topo_.MetaServersOf(pg);
   // Live migration double-write: from the DoubleWrite phase on, every batch
   // also lands on the migration destination, so anything written after the
@@ -447,16 +459,14 @@ sim::Task<Status> MetaServer::PersistAndReplicate(
       continue;
     }
     tasks.push_back([](MetaServer* self, sim::NodeId backup, cluster::PgId pg,
-                       std::vector<std::pair<std::string, std::string>> puts,
-                       std::vector<std::string> deletes) -> sim::Task<Status> {
+                       kv::WriteBatch batch) -> sim::Task<Status> {
       ReplicateMetaXRequest rep;
       rep.view = self->topo_.view;
       rep.pg = pg;
-      rep.puts = std::move(puts);
-      rep.deletes = std::move(deletes);
+      rep.batch = std::move(batch);
       auto r = co_await self->rpc_.Call(backup, std::move(rep), self->options_.rpc_timeout);
       co_return r.ok() ? Status::Ok() : r.status();
-    }(this, backup, pg, puts, deletes));
+    }(this, backup, pg, batch));
   }
   auto results = co_await sim::WhenAll(std::move(tasks));
   for (const Status& s : results) {
@@ -475,14 +485,7 @@ sim::Task<Result<ReplicateMetaXReply>> MetaServer::HandleReplicate(
   if (req.view < topo_.view) {
     co_return Status::StaleView("replica at newer view");
   }
-  kv::WriteBatch batch;
-  for (auto& [k, v] : req.puts) {
-    batch.Put(k, v);
-  }
-  for (auto& k : req.deletes) {
-    batch.Delete(k);
-  }
-  Status s = co_await db_->Write(std::move(batch));
+  Status s = co_await db_->Write(std::move(req.batch));
   if (!s.ok()) {
     co_return s;
   }
@@ -679,15 +682,17 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
 }
 
 sim::Task<> MetaServer::RevokePut(PendingPut p) {
+  if (auto it = pending_.find(p.reqid); it != pending_.end()) {
+    it->second.revoking = true;
+  }
   // The ObMeta slot gets a tombstone (a revoked put must not resurrect via a
   // PG pull merge); the per-op log entries are plain removals — a merged-back
   // log entry is harmless, the cleaner re-resolves it against the tombstone.
-  std::vector<std::pair<std::string, std::string>> puts;
-  puts.emplace_back(ObMetaKey(p.pg, p.name), ObMetaTombstone());
-  std::vector<std::string> deletes;
-  deletes.push_back(PgLogKey(p.pg, p.opseq));
-  deletes.push_back(PxLogKey(p.proxy_id, p.reqid));
-  (void)co_await PersistAndReplicate(p.pg, std::move(puts), std::move(deletes));
+  kv::WriteBatch batch;
+  batch.Put(ObMetaKey(p.pg, p.name), ObMetaTombstone());
+  batch.Delete(PgLogKey(p.pg, p.opseq));
+  batch.Delete(PxLogKey(p.proxy_id, p.reqid));
+  (void)co_await PersistAndReplicate(p.pg, std::move(batch));
   if (alloc::BitmapAllocator* a = AllocatorFor(p.meta.lvid)) {
     a->Free(p.meta.extents);
   }
@@ -770,17 +775,17 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
   // (the extents are dropped lazily via a discard notification). The record
   // is replaced by a tombstone, not removed: PG pulls merge records, so the
   // delete must survive as a positive fact (see ObMetaTombstone()).
-  std::vector<std::pair<std::string, std::string>> puts;
-  puts.emplace_back(ObMetaKey(pg, req.name), ObMetaTombstone());
+  kv::WriteBatch batch;
+  batch.Put(ObMetaKey(pg, req.name), ObMetaTombstone());
   if (req.reqid != 0) {
-    puts.emplace_back(OpDoneKey(pg, req.proxy_id, req.reqid), req.name);
+    batch.Put(OpDoneKey(pg, req.proxy_id, req.reqid), req.name);
   }
   // The consumed object's creating put is settled too: a late resend of that
   // put must not resurrect what this delete was acked for removing.
   if (meta->reqid != 0) {
-    puts.emplace_back(OpDoneKey(pg, meta->proxy_id, meta->reqid), req.name);
+    batch.Put(OpDoneKey(pg, meta->proxy_id, meta->reqid), req.name);
   }
-  Status s = co_await PersistAndReplicate(pg, std::move(puts), {});
+  Status s = co_await PersistAndReplicate(pg, std::move(batch));
   if (!s.ok()) {
     co_return s;
   }
@@ -1283,9 +1288,9 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     const ObMeta old_meta = *meta;
     updated.lvid = alloc->first;
     updated.extents = std::move(alloc->second);
-    std::vector<std::pair<std::string, std::string>> puts;
-    puts.emplace_back(key, updated.Encode());
-    (void)co_await PersistAndReplicate(pg, std::move(puts), {});
+    kv::WriteBatch batch;
+    batch.Put(key, updated.Encode());
+    (void)co_await PersistAndReplicate(pg, std::move(batch));
     co_await DiscardData(old_meta);
     counters_.migrated_objects.Add();
   }
@@ -1369,7 +1374,7 @@ sim::Task<> MetaServer::CleanLogs() {
     co_return;
   }
   // Clean the logs of committed puts in one batch; sync bitmaps (§5.2).
-  std::map<cluster::PgId, std::vector<std::string>> deletes_by_pg;
+  std::map<cluster::PgId, kv::WriteBatch> deletes_by_pg;
   std::set<cluster::LvId> touched;
   for (ReqId reqid : committed) {
     auto it = pending_.find(reqid);
@@ -1377,15 +1382,15 @@ sim::Task<> MetaServer::CleanLogs() {
       continue;
     }
     const PendingPut& p = it->second;
-    deletes_by_pg[p.pg].push_back(PgLogKey(p.pg, p.opseq));
-    deletes_by_pg[p.pg].push_back(PxLogKey(p.proxy_id, p.reqid));
+    deletes_by_pg[p.pg].Delete(PgLogKey(p.pg, p.opseq));
+    deletes_by_pg[p.pg].Delete(PxLogKey(p.proxy_id, p.reqid));
     touched.insert(p.meta.lvid);
     pending_names_.erase(p.name);
     pending_.erase(it);
     counters_.logs_cleaned.Add();
   }
   for (auto& [pg, deletes] : deletes_by_pg) {
-    (void)co_await PersistAndReplicate(pg, {}, std::move(deletes));
+    (void)co_await PersistAndReplicate(pg, std::move(deletes));
   }
   for (cluster::LvId lv : dirty_bitmaps_) {
     touched.insert(lv);

@@ -108,6 +108,9 @@ class MetaServer {
     // record at put time, so none is coming here — readers should verify
     // immediately instead of waiting for one.
     bool recovered = false;
+    // A RevokePut is tombstoning this put: a RE-META resume must not persist
+    // its MetaX again, which would land after the tombstone.
+    bool revoking = false;
     Nanos born = 0;
   };
 
@@ -136,10 +139,9 @@ class MetaServer {
       cluster::PgId pg, uint64_t chunk_bytes);
 
   // Persists the batch locally and on all backups in parallel; returns OK
-  // only if every replica persisted.
-  sim::Task<Status> PersistAndReplicate(cluster::PgId pg,
-                                        std::vector<std::pair<std::string, std::string>> puts,
-                                        std::vector<std::string> deletes);
+  // only if every replica persisted. Every replica's write shares the
+  // batch's one buffer.
+  sim::Task<Status> PersistAndReplicate(cluster::PgId pg, kv::WriteBatch batch);
   // Waits briefly for an in-flight put's commit notification to land.
   sim::Task<> WaitPendingResolved(const std::string& name, Nanos budget);
   // Verifies a pending put against the data servers; completes or revokes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
@@ -14,12 +15,12 @@ namespace cheetah::kv {
 namespace {
 
 // WAL record framing: crc32(payload) | fixed64 length | payload.
-std::string FrameWalRecord(const std::string& payload) {
-  std::string out;
-  PutFixed32(&out, Crc32c(payload));
-  PutFixed64(&out, payload.size());
-  out += payload;
-  return out;
+constexpr size_t kWalHeaderBytes = 12;
+
+void AppendWalRecord(std::string* out, std::string_view payload) {
+  PutFixed32(out, Crc32c(payload));
+  PutFixed64(out, payload.size());
+  out->append(payload);
 }
 
 }  // namespace
@@ -107,13 +108,13 @@ sim::Task<Result<std::unique_ptr<DB>>> DB::Open(Options options, sim::Storage* s
     // missing rows surface as NotFound, which MetaX's verification and
     // re-pull paths treat like any other lost replica state; refusing to
     // open the whole store would turn one flipped bit into a dead server.
-    Table::DecodeResult r = Table::DecodeBlocks(*file);
-    if (r.bad_blocks > 0) {
-      LOG_WARN << "kv " << name << ": salvaged " << (r.blocks - r.bad_blocks)
-               << "/" << r.blocks << " blocks";
-      db->counters_.sst_blocks_bad.Add(r.bad_blocks);
+    TablePtr t = Table::Load(name, std::move(*file));
+    if (t->bad_blocks() > 0) {
+      LOG_WARN << "kv " << name << ": salvaged " << (t->blocks() - t->bad_blocks())
+               << "/" << t->blocks() << " blocks";
+      db->counters_.sst_blocks_bad.Add(t->bad_blocks());
     }
-    co_return TablePtr(std::make_shared<Table>(name, std::move(r.entries)));
+    co_return t;
   };
   for (const auto& name : db->manifest_l0_) {
     auto t = co_await load(name);
@@ -203,10 +204,45 @@ sim::Task<Result<std::unique_ptr<DB>>> DB::Open(Options options, sim::Storage* s
 }
 
 void DB::ApplyToMem(const WriteBatch& batch) {
-  for (const auto& op : batch.ops()) {
-    mem_bytes_ += op.key.size() + (op.value ? op.value->size() : 0) + 24;
-    mem_[op.key] = op.value;
+  mem_.Apply(batch);
+  mem_bytes_ += batch.ByteSize();
+}
+
+void DB::MemTable::Apply(const WriteBatch& batch) {
+  const size_t pin = pins_.size();
+  pins_.push_back(Pin{batch, 0});
+  for (const WriteBatch::Op& op : batch) {
+    ++pins_[pin].live;
+    auto [it, fresh] = map_.try_emplace(op.key, Slot{op.value, pin});
+    if (fresh) {
+      continue;
+    }
+    // Overwrite: view the new batch for the key too, since the old one may
+    // be released now. Re-keying a node to an equal key keeps its place.
+    const size_t old = it->second.pin;
+    auto next = std::next(it);
+    auto node = map_.extract(it);
+    node.key() = op.key;
+    node.mapped() = Slot{op.value, pin};
+    map_.insert(next, std::move(node));
+    if (--pins_[old].live == 0) {
+      pins_[old].batch = WriteBatch();
+    }
   }
+}
+
+const std::optional<std::string_view>* DB::MemTable::Find(std::string_view key) const {
+  auto it = map_.find(key);
+  return it == map_.end() ? nullptr : &it->second.value;
+}
+
+std::vector<Entry> DB::MemTable::Run(std::string_view prefix) const {
+  std::vector<Entry> out;
+  for (auto it = map_.lower_bound(prefix); it != map_.end() && it->first.starts_with(prefix);
+       ++it) {
+    out.push_back(Entry{it->first, it->second.value});
+  }
+  return out;
 }
 
 sim::Task<Status> DB::Write(WriteBatch batch) {
@@ -227,8 +263,7 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
   ++in_flight_writes_;
   Writer self;
   self.batch = &batch;
-  self.record = FrameWalRecord(batch.Encode());
-  counters_.wal_bytes.Add(self.record.size());
+  counters_.wal_bytes.Add(kWalHeaderBytes + batch.payload().size());
   if (commits_in_flight_ < storage_->params().channels) {
     ++commits_in_flight_;
   } else {
@@ -241,9 +276,14 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
     std::vector<Writer*> group{&self};
     group.insert(group.end(), writers_.begin(), writers_.end());
     writers_.clear();
-    std::string data = std::move(self.record);
-    for (size_t i = 1; i < group.size(); ++i) {
-      data += group[i]->record;
+    size_t bytes = 0;
+    for (const Writer* w : group) {
+      bytes += kWalHeaderBytes + w->batch->payload().size();
+    }
+    std::string data;
+    data.reserve(bytes);
+    for (const Writer* w : group) {
+      AppendWalRecord(&data, w->batch->payload());
     }
     const Status s =
         co_await storage_->Append(WalName(mem_wal_seq_), std::move(data), options_.sync_wal);
@@ -272,15 +312,15 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
   co_return self.status;
 }
 
-sim::Task<Status> DB::Put(std::string key, std::string value) {
+sim::Task<Status> DB::Put(std::string_view key, std::string_view value) {
   WriteBatch batch;
-  batch.Put(std::move(key), std::move(value));
+  batch.Put(key, value);
   return Write(std::move(batch));
 }
 
-sim::Task<Status> DB::Delete(std::string key) {
+sim::Task<Status> DB::Delete(std::string_view key) {
   WriteBatch batch;
-  batch.Delete(std::move(key));
+  batch.Delete(key);
   return Write(std::move(batch));
 }
 
@@ -305,23 +345,18 @@ sim::Task<> DB::FlushTask() {
   while (in_flight_writes_ > 0) {
     co_await sim::SleepFor(Micros(5));
   }
-  imm_ = std::move(mem_);
-  mem_.clear();
+  imm_ = std::exchange(mem_, MemTable());
   mem_bytes_ = 0;
   has_imm_ = true;
   imm_wal_seq_ = mem_wal_seq_;
   ++mem_wal_seq_;
   freeze_pending_ = false;
 
-  // Build and persist the level-0 table.
-  std::vector<Table::Entry> entries;
-  entries.reserve(imm_.size());
-  for (auto& [key, value] : imm_) {
-    entries.push_back(Table::Entry{key, value});
-  }
+  // Build and persist the level-0 table: the frozen memtable is already one
+  // sorted run.
   const std::string file_name = SstName(next_file_no_++);
-  auto table = std::make_shared<Table>(file_name, std::move(entries));
-  Status s = co_await storage_->WriteFile(file_name, table->Encode(), /*sync=*/true);
+  TablePtr table = Table::Build(file_name, imm_.Run(""));
+  Status s = co_await storage_->WriteFile(file_name, table->file(), /*sync=*/true);
   if (s.ok()) {
     l0_.insert(l0_.begin(), table);  // newest first
     s = co_await PersistManifest();
@@ -329,7 +364,7 @@ sim::Task<> DB::FlushTask() {
   if (s.ok()) {
     (void)storage_->DeleteFile(WalName(imm_wal_seq_));
     has_imm_ = false;
-    imm_.clear();
+    imm_ = MemTable();
     counters_.flushes.Add();
   } else {
     LOG_WARN << "kv flush failed: " << s.ToString();
@@ -363,32 +398,26 @@ sim::Task<> DB::CompactTask() {
     input_l1 = l1_;
   }
 
-  // Merge newest-to-oldest so the first writer of a key wins.
-  std::map<std::string, std::optional<std::string>> merged;
-  auto absorb = [&merged](const TablePtr& t) {
-    for (const auto& e : t->entries()) {
-      merged.emplace(e.key, e.value);  // emplace keeps the newest
-    }
-  };
+  // Both lists are newest first, so the merge keeps each key's newest entry.
+  std::vector<std::span<const Entry>> runs;
   for (const auto& t : input_l0) {
-    absorb(t);
+    runs.push_back(t->entries());
   }
   for (const auto& t : input_l1) {
-    absorb(t);
+    runs.push_back(t->entries());
   }
-  std::vector<Table::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [key, value] : merged) {
-    if (value || !fold_l1) {
-      entries.push_back(Table::Entry{key, value});
-    }
+  std::vector<Entry> merged;
+  MergeRuns(runs, [&merged, fold_l1](const Entry& e) {
     // When folding the whole L1 (fold_l1), this run becomes the bottom level
     // and tombstones can finally be dropped.
-  }
+    if (e.value || !fold_l1) {
+      merged.push_back(e);
+    }
+  });
 
   const std::string file_name = SstName(next_file_no_++);
-  auto table = std::make_shared<Table>(file_name, std::move(entries));
-  Status s = co_await storage_->WriteFile(file_name, table->Encode(), /*sync=*/true);
+  TablePtr table = Table::Build(file_name, merged);
+  Status s = co_await storage_->WriteFile(file_name, table->file(), /*sync=*/true);
   if (s.ok()) {
     // Remove exactly the consumed inputs (new flushes may have prepended).
     auto consumed_l0 = [&](const TablePtr& t) {
@@ -420,35 +449,26 @@ sim::Task<Status> DB::PersistManifest() {
   return storage_->WriteFile(ManifestName(), EncodeManifest(), /*sync=*/true);
 }
 
-std::optional<std::optional<std::string>> DB::LookupInMemory(std::string_view key,
-                                                             uint64_t* charged_bytes) const {
-  std::string k(key);
-  if (auto it = mem_.find(k); it != mem_.end()) {
-    return it->second;
+std::optional<std::optional<std::string_view>> DB::LookupInMemory(
+    std::string_view key, uint64_t* charged_bytes) const {
+  if (const auto* value = mem_.Find(key)) {
+    return *value;
   }
   if (has_imm_) {
-    if (auto it = imm_.find(k); it != imm_.end()) {
-      return it->second;
+    if (const auto* value = imm_.Find(key)) {
+      return *value;
     }
   }
-  for (const auto& t : l0_) {
-    if (!t->MayContain(key)) {
-      continue;
-    }
-    *charged_bytes += 4096;
-    if (const Table::Entry* e = t->Find(key)) {
-      *charged_bytes += e->value ? e->value->size() : 0;
-      return e->value;
-    }
-  }
-  for (const auto& t : l1_) {
-    if (!t->MayContain(key)) {
-      continue;
-    }
-    *charged_bytes += 4096;
-    if (const Table::Entry* e = t->Find(key)) {
-      *charged_bytes += e->value ? e->value->size() : 0;
-      return e->value;
+  for (const auto* level : {&l0_, &l1_}) {
+    for (const auto& t : *level) {
+      if (!t->MayContain(key)) {
+        continue;
+      }
+      *charged_bytes += 4096;
+      if (const Entry* e = t->Find(key)) {
+        *charged_bytes += e->value ? e->value->size() : 0;
+        return e->value;
+      }
     }
   }
   return std::nullopt;
@@ -457,82 +477,60 @@ std::optional<std::optional<std::string>> DB::LookupInMemory(std::string_view ke
 sim::Task<Result<std::string>> DB::Get(std::string key) {
   counters_.gets.Add();
   uint64_t charged = 0;
-  auto found = LookupInMemory(key, &charged);
+  // Copied before the read is charged: a flush or compaction finishing
+  // during that wait may drop the buffer the lookup viewed.
+  std::optional<std::string> value;
+  if (auto found = LookupInMemory(key, &charged); found && *found) {
+    value.emplace(**found);
+  }
   if (charged > 0) {
     co_await storage_->ChargeRead(charged);
   }
-  if (!found || !*found) {
+  if (!value) {
     co_return Status::NotFound("kv: " + key);
   }
-  co_return **found;
+  co_return std::move(*value);
+}
+
+DB::Runs DB::Collect(std::string_view prefix) const {
+  Runs runs;
+  runs.mem = mem_.Run(prefix);
+  runs.newest_first.push_back(runs.mem);
+  if (has_imm_) {
+    runs.imm = imm_.Run(prefix);
+    runs.newest_first.push_back(runs.imm);
+  }
+  for (const auto* level : {&l0_, &l1_}) {
+    for (const auto& t : *level) {
+      std::span<const Entry> range = t->PrefixRange(prefix);
+      for (const Entry& e : range) {
+        runs.table_bytes += e.key.size() + (e.value ? e.value->size() : 0);
+      }
+      runs.newest_first.push_back(range);
+    }
+  }
+  return runs;
 }
 
 sim::Task<Result<std::vector<std::pair<std::string, std::string>>>> DB::Scan(std::string prefix,
                                                                              size_t limit) {
-  // Build the merged view oldest-to-newest so later levels override.
-  std::map<std::string, std::optional<std::string>> merged;
-  uint64_t charged = 0;
-  for (auto it = l1_.rbegin(); it != l1_.rend(); ++it) {
-    for (const Table::Entry* e : (*it)->PrefixRange(prefix)) {
-      charged += e->key.size() + (e->value ? e->value->size() : 0);
-      merged[e->key] = e->value;
-    }
-  }
-  for (auto it = l0_.rbegin(); it != l0_.rend(); ++it) {  // oldest L0 first
-    for (const Table::Entry* e : (*it)->PrefixRange(prefix)) {
-      charged += e->key.size() + (e->value ? e->value->size() : 0);
-      merged[e->key] = e->value;
-    }
-  }
-  auto absorb_mem = [&merged, &prefix](const MemTable& m) {
-    for (auto it = m.lower_bound(prefix);
-         it != m.end() && std::string_view(it->first).starts_with(prefix); ++it) {
-      merged[it->first] = it->second;
-    }
-  };
-  if (has_imm_) {
-    absorb_mem(imm_);
-  }
-  absorb_mem(mem_);
-  if (charged > 0) {
-    co_await storage_->ChargeRead(charged);
-  }
+  // Copied out before the read is charged (see Get).
+  Runs runs = Collect(prefix);
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [key, value] : merged) {
-    if (value) {
-      out.emplace_back(key, *value);
-      if (limit != 0 && out.size() >= limit) {
-        break;
-      }
+  MergeRuns(runs.newest_first, [&out, limit](const Entry& e) {
+    if (e.value && (limit == 0 || out.size() < limit)) {
+      out.emplace_back(e.key, *e.value);
     }
+  });
+  if (runs.table_bytes > 0) {
+    co_await storage_->ChargeRead(runs.table_bytes);
   }
   co_return out;
 }
 
 uint64_t DB::CountLiveEntries() const {
-  std::map<std::string, std::optional<std::string>> merged;
-  for (auto it = l1_.rbegin(); it != l1_.rend(); ++it) {
-    for (const auto& e : (*it)->entries()) {
-      merged[e.key] = e.value;
-    }
-  }
-  for (auto it = l0_.rbegin(); it != l0_.rend(); ++it) {
-    for (const auto& e : (*it)->entries()) {
-      merged[e.key] = e.value;
-    }
-  }
-  if (has_imm_) {
-    for (const auto& [k, v] : imm_) {
-      merged[k] = v;
-    }
-  }
-  for (const auto& [k, v] : mem_) {
-    merged[k] = v;
-  }
   uint64_t count = 0;
-  for (const auto& [k, v] : merged) {
-    count += v.has_value();
-  }
+  MergeRuns(Collect("").newest_first, [&count](const Entry& e) { count += e.value.has_value(); });
   return count;
 }
 

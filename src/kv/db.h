@@ -24,7 +24,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,8 +88,8 @@ class DB {
   // queue order and every member returns the group's status.
   sim::Task<Status> Write(WriteBatch batch);
 
-  sim::Task<Status> Put(std::string key, std::string value);
-  sim::Task<Status> Delete(std::string key);
+  sim::Task<Status> Put(std::string_view key, std::string_view value);
+  sim::Task<Status> Delete(std::string_view key);
 
   // Point lookup. NotFound if absent or deleted.
   sim::Task<Result<std::string>> Get(std::string key);
@@ -111,13 +113,45 @@ class DB {
         storage_(storage),
         counters_{obs::Scope("kv." + options_.name)} {}
 
-  // Node allocations come from the process-wide pool: the memtable churns one
-  // tree node per applied key, and pooling them keeps the write path off
-  // malloc (behavior is unchanged — an allocator affects neither ordering nor
-  // contents).
-  using MemTable =
-      std::map<std::string, std::optional<std::string>, std::less<std::string>,
-               PoolAllocator<std::pair<const std::string, std::optional<std::string>>>>;
+  // The memtable maps views into the batch buffers it pins, so applying a
+  // batch copies no key or value. An overwrite re-points the key at the
+  // newer batch, and a batch none of whose keys are still viewed is
+  // unpinned, so the memtable holds about the bytes of its live entries.
+  // Tree nodes come from the process-wide pool (src/common/arena.h): the
+  // memtable churns one node per new key.
+  class MemTable {
+   public:
+    void Apply(const WriteBatch& batch);
+    // The key's entry (nullopt value = tombstone), or nullptr if absent.
+    const std::optional<std::string_view>* Find(std::string_view key) const;
+    // The entries whose key starts with `prefix`, as a sorted run.
+    std::vector<Entry> Run(std::string_view prefix) const;
+
+   private:
+    struct Slot {
+      std::optional<std::string_view> value;
+      size_t pin = 0;  // index in pins_ of the batch the key and value view
+    };
+    struct Pin {
+      WriteBatch batch;
+      size_t live = 0;  // entries viewing `batch`; released at zero
+    };
+    std::map<std::string_view, Slot, std::less<>,
+             PoolAllocator<std::pair<const std::string_view, Slot>>>
+        map_;
+    std::vector<Pin> pins_;  // every batch applied, in order
+  };
+
+  // The tree's entries under `prefix` as sorted runs, newest first: the
+  // memtables' snapshots, then each table's range. Views stay valid until
+  // the next suspension.
+  struct Runs {
+    std::vector<Entry> mem;  // memtable snapshots that newest_first views
+    std::vector<Entry> imm;
+    std::vector<std::span<const Entry>> newest_first;
+    uint64_t table_bytes = 0;  // key + value bytes of the tables' entries
+  };
+  Runs Collect(std::string_view prefix) const;
 
   std::string WalName(uint64_t seq) const;
   std::string SstName(uint64_t file_no) const;
@@ -134,8 +168,9 @@ class DB {
 
   // Merged lookup across memtables and tables without charging the disk;
   // returns nullopt if the key is nowhere, or the entry (maybe tombstone).
-  std::optional<std::optional<std::string>> LookupInMemory(std::string_view key,
-                                                           uint64_t* charged_bytes) const;
+  // The views stay valid until the next suspension.
+  std::optional<std::optional<std::string_view>> LookupInMemory(std::string_view key,
+                                                                uint64_t* charged_bytes) const;
 
   Options options_;
   sim::Storage* storage_;
@@ -155,7 +190,6 @@ class DB {
   // A write queued for a group commit. Lives in the writer's frame.
   struct Writer {
     const WriteBatch* batch = nullptr;
-    std::string record;  // framed WAL record
     Status status;
     bool done = false;  // a group committed (or failed) it
     sim::Event wake;    // set when done, or when handed a commit slot

@@ -1,155 +1,158 @@
 #include "src/kv/sstable.h"
 
-#include <algorithm>
+#include <cassert>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
 
 namespace cheetah::kv {
 
-Table::Table(std::string file_name, std::vector<Entry> entries)
-    : file_name_(std::move(file_name)), entries_(std::move(entries)) {
-  if (!entries_.empty()) {
-    min_key_ = entries_.front().key;
-    max_key_ = entries_.back().key;
-  }
-  for (const auto& e : entries_) {
-    data_bytes_ += e.key.size() + (e.value ? e.value->size() : 0);
-  }
-}
-
-const Table::Entry* Table::Find(std::string_view key) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, std::string_view k) { return e.key < k; });
-  if (it == entries_.end() || it->key != key) {
-    return nullptr;
-  }
-  return &*it;
-}
-
-std::vector<const Table::Entry*> Table::PrefixRange(std::string_view prefix) const {
-  std::vector<const Entry*> out;
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), prefix,
-      [](const Entry& e, std::string_view k) { return e.key < k; });
-  for (; it != entries_.end() && std::string_view(it->key).starts_with(prefix); ++it) {
-    out.push_back(&*it);
-  }
-  return out;
-}
-
 namespace {
 
-// Appends one crc32 | fixed64 len | body block built from [first, last).
-void EncodeBlock(std::string* out, const Table::Entry* first, const Table::Entry* last) {
-  std::string body;
-  PutVarint64(&body, static_cast<uint64_t>(last - first));
-  for (const Table::Entry* e = first; e != last; ++e) {
-    body.push_back(e->value ? 'P' : 'D');
-    PutLengthPrefixed(&body, e->key);
-    if (e->value) {
-      PutLengthPrefixed(&body, *e->value);
-    }
+auto KeyLess = [](const Entry& e, std::string_view k) { return e.key < k; };
+
+size_t EncodedSize(const Entry& e) {
+  size_t n = 1 + VarintLength(e.key.size()) + e.key.size();
+  if (e.value) {
+    n += VarintLength(e.value->size()) + e.value->size();
   }
-  PutFixed32(out, Crc32c(body));
-  PutFixed64(out, body.size());
-  *out += body;
+  return n;
 }
 
-// Parses one CRC-verified block body into `entries`. Returns false (leaving
-// any partially-appended entries removed) if the body is malformed.
-bool DecodeBlockBody(std::string_view body, std::vector<Table::Entry>* entries) {
-  const size_t restore = entries->size();
+// Parses one CRC-verified block body, appending views into it to `index`.
+// Returns false (leaving any partially-appended entries removed) if the body
+// is malformed.
+bool IndexBlockBody(std::string_view body, std::vector<Entry>* index) {
+  const size_t restore = index->size();
   uint64_t count = 0;
   if (!GetVarint64(&body, &count)) {
     return false;
   }
   for (uint64_t i = 0; i < count; ++i) {
     if (body.empty()) {
-      entries->resize(restore);
+      index->resize(restore);
       return false;
     }
     const char tag = body.front();
     body.remove_prefix(1);
-    std::string_view key;
-    if (!GetLengthPrefixed(&body, &key)) {
-      entries->resize(restore);
+    Entry e;
+    if (!GetLengthPrefixed(&body, &e.key)) {
+      index->resize(restore);
       return false;
     }
-    Table::Entry e;
-    e.key = std::string(key);
     if (tag == 'P') {
       std::string_view value;
       if (!GetLengthPrefixed(&body, &value)) {
-        entries->resize(restore);
+        index->resize(restore);
         return false;
       }
-      e.value = std::string(value);
+      e.value = value;
     } else if (tag != 'D') {
-      entries->resize(restore);
+      index->resize(restore);
       return false;
     }
-    entries->push_back(std::move(e));
+    index->push_back(e);
   }
   return true;
 }
 
 }  // namespace
 
-std::string Table::Encode() const {
-  std::string out;
-  if (entries_.empty()) {
-    EncodeBlock(&out, nullptr, nullptr);
-    return out;
-  }
-  // Cut a new block whenever the accumulated entry payload passes
-  // kBlockBytes; every block stays independently decodable.
+TablePtr Table::Build(std::string file_name, std::span<const Entry> entries) {
+  std::shared_ptr<Table> t(new Table(std::move(file_name)));
+  // A new block starts whenever the accumulated entry payload passes
+  // kBlockBytes; every block stays independently decodable. The first pass
+  // finds the blocks and the exact file size, so the second writes into a
+  // buffer that never moves and can index it as it goes.
+  std::vector<size_t> block_ends;  // one past each block's last entry
+  size_t total = 0;
   size_t begin = 0;
+  size_t body = 0;
   size_t acc = 0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    acc += entries_[i].key.size() + (entries_[i].value ? entries_[i].value->size() : 0) + 8;
-    if (acc >= kBlockBytes) {
-      EncodeBlock(&out, entries_.data() + begin, entries_.data() + i + 1);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    body += EncodedSize(entries[i]);
+    acc += entries[i].key.size() + (entries[i].value ? entries[i].value->size() : 0) + 8;
+    if (acc >= kBlockBytes || i + 1 == entries.size()) {
+      total += 12 + VarintLength(i + 1 - begin) + body;
+      block_ends.push_back(i + 1);
       begin = i + 1;
+      body = 0;
       acc = 0;
     }
   }
-  if (begin < entries_.size()) {
-    EncodeBlock(&out, entries_.data() + begin, entries_.data() + entries_.size());
+  if (entries.empty()) {
+    total = 12 + VarintLength(0);
+    block_ends.push_back(0);  // one empty block
   }
-  return out;
+
+  std::string& out = t->file_;
+  out.reserve(total);
+  t->index_.reserve(entries.size());
+  begin = 0;
+  for (size_t end : block_ends) {
+    const size_t header_at = out.size();
+    out.append(12, '\0');  // crc | len, filled in once the body is written
+    const size_t body_at = out.size();
+    PutVarint64(&out, end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      const Entry& e = entries[i];
+      out.push_back(e.value ? 'P' : 'D');
+      PutLengthPrefixed(&out, e.key);
+      Entry indexed{std::string_view(out).substr(out.size() - e.key.size()), std::nullopt};
+      if (e.value) {
+        PutLengthPrefixed(&out, *e.value);
+        indexed.value = std::string_view(out).substr(out.size() - e.value->size());
+      }
+      t->index_.push_back(indexed);
+    }
+    std::string header;
+    PutFixed32(&header, Crc32c(std::string_view(out).substr(body_at)));
+    PutFixed64(&header, out.size() - body_at);
+    out.replace(header_at, header.size(), header);
+    begin = end;
+  }
+  assert(out.size() == total);
+  t->blocks_ = block_ends.size();
+  return t;
 }
 
-Table::DecodeResult Table::DecodeBlocks(std::string_view file) {
-  DecodeResult out;
-  std::string_view input = file;
+TablePtr Table::Load(std::string file_name, std::string file) {
+  std::shared_ptr<Table> t(new Table(std::move(file_name)));
+  t->file_ = std::move(file);
+  std::string_view input = t->file_;
   while (!input.empty()) {
     uint32_t crc = 0;
     uint64_t len = 0;
+    ++t->blocks_;
     if (!GetFixed32(&input, &crc) || !GetFixed64(&input, &len) || input.size() < len) {
       // Header too mangled to even skip past: the rest of the file is lost.
-      ++out.blocks;
-      ++out.bad_blocks;
+      ++t->bad_blocks_;
       break;
     }
     std::string_view body = input.substr(0, len);
     input.remove_prefix(len);
-    ++out.blocks;
-    if (Crc32c(body) != crc || !DecodeBlockBody(body, &out.entries)) {
-      ++out.bad_blocks;  // skip this block, keep salvaging the next ones
+    if (Crc32c(body) != crc || !IndexBlockBody(body, &t->index_)) {
+      ++t->bad_blocks_;  // skip this block, keep salvaging the next ones
     }
   }
-  return out;
+  return t;
 }
 
-Result<std::vector<Table::Entry>> Table::DecodeEntries(std::string_view file) {
-  DecodeResult r = DecodeBlocks(file);
-  if (r.bad_blocks > 0) {
-    return Status::Corruption("sstable: " + std::to_string(r.bad_blocks) + "/" +
-                              std::to_string(r.blocks) + " blocks corrupt");
+const Entry* Table::Find(std::string_view key) const {
+  auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyLess);
+  if (it == index_.end() || it->key != key) {
+    return nullptr;
   }
-  return std::move(r.entries);
+  return &*it;
+}
+
+std::span<const Entry> Table::PrefixRange(std::string_view prefix) const {
+  auto first = std::lower_bound(index_.begin(), index_.end(), prefix, KeyLess);
+  auto last = first;
+  while (last != index_.end() && last->key.starts_with(prefix)) {
+    ++last;
+  }
+  return {first, last};
 }
 
 }  // namespace cheetah::kv

@@ -1,28 +1,76 @@
 #include "src/kv/write_batch.h"
 
+#include <cstring>
+
+#include "src/common/arena.h"
 #include "src/common/coding.h"
 
 namespace cheetah::kv {
 
-uint64_t WriteBatch::ByteSize() const {
-  uint64_t total = 0;
-  for (const auto& op : ops_) {
-    total += op.key.size() + (op.value ? op.value->size() : 0) + 24;
+WriteBatch::Rep& WriteBatch::Mutable() {
+  if (rep_ == nullptr) {
+    rep_ = std::allocate_shared<Rep>(PoolAllocator<Rep>());
+    rep_->buf.assign(kCountRoom, '\0');
+  } else if (rep_.use_count() > 1) {
+    rep_ = std::allocate_shared<Rep>(PoolAllocator<Rep>(), *rep_);
   }
-  return total;
+  return *rep_;
 }
 
-std::string WriteBatch::Encode() const {
-  std::string out;
-  PutVarint64(&out, ops_.size());
-  for (const auto& op : ops_) {
-    out.push_back(op.value ? 'P' : 'D');
-    PutLengthPrefixed(&out, op.key);
-    if (op.value) {
-      PutLengthPrefixed(&out, *op.value);
-    }
+void WriteBatch::Added(Rep& rep) {
+  ++rep.count;
+  std::string count;
+  PutVarint64(&count, rep.count);
+  rep.start = kCountRoom - count.size();
+  std::memcpy(rep.buf.data() + rep.start, count.data(), count.size());
+}
+
+void WriteBatch::Put(std::string_view key, std::string_view value) {
+  Rep& rep = Mutable();
+  rep.buf.push_back('P');
+  PutLengthPrefixed(&rep.buf, key);
+  PutLengthPrefixed(&rep.buf, value);
+  ++rep.puts;
+  rep.key_value_bytes += key.size() + value.size();
+  Added(rep);
+}
+
+void WriteBatch::Delete(std::string_view key) {
+  Rep& rep = Mutable();
+  rep.buf.push_back('D');
+  PutLengthPrefixed(&rep.buf, key);
+  rep.key_value_bytes += key.size();
+  Added(rep);
+}
+
+std::string_view WriteBatch::payload() const {
+  if (rep_ == nullptr) {
+    return std::string_view("\0", 1);  // varint 0
   }
-  return out;
+  return std::string_view(rep_->buf).substr(rep_->start);
+}
+
+WriteBatch::Iterator WriteBatch::begin() const {
+  std::string_view rest = payload();
+  uint64_t count = 0;
+  GetVarint64(&rest, &count);
+  return Iterator(rest);
+}
+
+void WriteBatch::Iterator::Parse() {
+  if (rest_.empty()) {
+    op_ = Op();
+    return;
+  }
+  const char tag = rest_.front();
+  rest_.remove_prefix(1);
+  GetLengthPrefixed(&rest_, &op_.key);
+  op_.value.reset();
+  if (tag == 'P') {
+    std::string_view value;
+    GetLengthPrefixed(&rest_, &value);
+    op_.value = value;
+  }
 }
 
 Result<WriteBatch> WriteBatch::Decode(std::string_view payload) {
@@ -46,9 +94,9 @@ Result<WriteBatch> WriteBatch::Decode(std::string_view payload) {
       if (!GetLengthPrefixed(&payload, &value)) {
         return Status::Corruption("batch value");
       }
-      batch.Put(std::string(key), std::string(value));
+      batch.Put(key, value);
     } else if (tag == 'D') {
-      batch.Delete(std::string(key));
+      batch.Delete(key);
     } else {
       return Status::Corruption("batch tag");
     }

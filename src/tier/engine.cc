@@ -249,9 +249,9 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     ec.chunk_crcs = crcs;
     ec.born_ns = static_cast<uint64_t>(rpc_.machine().loop().Now());
     const std::string encoded = ec.Encode();
-    std::vector<std::pair<std::string, std::string>> puts;
-    puts.emplace_back(obkey, encoded);
-    Status ps = co_await ms_.PersistAndReplicate(pg, std::move(puts), {});
+    kv::WriteBatch batch;
+    batch.Put(obkey, encoded);
+    Status ps = co_await ms_.PersistAndReplicate(pg, std::move(batch));
     if (!ps.ok()) {
       persist_error = true;
       break;

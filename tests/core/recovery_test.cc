@@ -6,11 +6,14 @@
 //    (crash during view change) must still converge to a view where every
 //    acknowledged object is readable;
 //  * a PG rebuild on view adoption must keep the extents of a put whose
-//    MetaX write has not reached the memtable yet.
+//    MetaX write has not reached the memtable yet;
+//  * a RE-META resume whose pending put is revoked while its MetaX persist
+//    is in flight must fail cleanly instead of touching the erased entry.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -250,6 +253,96 @@ TEST(Recovery, PgRebuildKeepsExtentsOfPutsStillPersisting) {
   auto got_second = bed.GetObject(1, second);
   ASSERT_TRUE(got_second.ok()) << got_second.status().ToString();
   EXPECT_EQ(*got_second, std::string(8192, 'b'));
+}
+
+// A put allocates and persists its MetaX but its data never lands; then a
+// get verifies it (no data anywhere) and revokes it while the put's RE-META
+// resend resumes it, with the primary's fsyncs held so both MetaX persists
+// are in flight at once. `revoke_first` orders the two persists.
+void ResumeRacesRevoke(bool revoke_first) {
+  Testbed bed(SmallConfig());
+  ASSERT_TRUE(bed.Boot().ok());
+  const std::string name = "revoked-mid-resume";
+  const cluster::TopologyMap topo = bed.meta(0).topology();
+  const sim::NodeId primary_node = topo.PrimaryOf(topo.PgOf(name));
+  int primary = -1;
+  for (int m = 0; m < bed.num_meta(); ++m) {
+    if (bed.meta_node(m) == primary_node) {
+      primary = m;
+    }
+  }
+  ASSERT_GE(primary, 0);
+  auto alloc = [&](bool re_meta) {
+    PutAllocRequest req;
+    req.view = topo.view;
+    req.name = name;
+    req.size = 8192;
+    req.checksum = 0x5eed;
+    req.reqid = (77ull << 32) | 1;
+    req.proxy_id = 77;
+    req.proxy_node = bed.proxy_node(0);
+    req.re_meta = re_meta;
+    return req;
+  };
+  auto get = [&] {
+    GetMetaRequest req;
+    req.view = topo.view;
+    req.name = name;
+    return req;
+  };
+  // Sends `req` from proxy 0's node to the primary, storing the reply.
+  auto send = [&](auto req, auto reply) {
+    bed.proxy_machine(0).actor().Spawn(
+        [](rpc::Node* node, sim::NodeId to, decltype(req) req, decltype(reply) reply)
+            -> sim::Task<> {
+          reply->emplace(co_await node->Call(to, std::move(req), Millis(1000)));
+        }(&bed.proxy_rpc(0), primary_node, std::move(req), reply));
+  };
+
+  auto first = std::make_shared<std::optional<Result<PutAllocReply>>>();
+  send(alloc(false), first);
+  bed.RunFor(Millis(50));
+  ASSERT_TRUE(first->has_value() && (*first)->ok());
+  ASSERT_EQ(bed.meta(primary).pending_puts(), 1u);
+
+  bed.meta_machine(primary).SetGrayFailure(sim::GrayFailure{.fsync_stuck_for = Millis(300)});
+  auto got = std::make_shared<std::optional<Result<GetMetaReply>>>();
+  auto resumed = std::make_shared<std::optional<Result<PutAllocReply>>>();
+  // The get waits 5 ms for a commit, then verifies and revokes.
+  if (revoke_first) {
+    send(get(), got);
+    bed.RunFor(Millis(20));
+    send(alloc(true), resumed);
+  } else {
+    send(alloc(true), resumed);
+    bed.RunFor(Millis(1));
+    send(get(), got);
+  }
+  bed.RunFor(Millis(20));
+  ASSERT_FALSE(got->has_value());
+  ASSERT_EQ(bed.meta(primary).pending_puts(), 1u);
+  bed.RunFor(Millis(400));
+  bed.meta_machine(primary).ClearGrayFailure();
+
+  // The resume fails and the put stays revoked: its record is a tombstone,
+  // not the resume's MetaX written over it.
+  ASSERT_TRUE(resumed->has_value());
+  EXPECT_EQ((*resumed)->status().code(), ErrorCode::kUnavailable)
+      << (*resumed)->status().ToString();
+  ASSERT_TRUE(got->has_value());
+  EXPECT_TRUE((*got)->status().IsNotFound()) << (*got)->status().ToString();
+  EXPECT_EQ(bed.meta(primary).pending_puts(), 0u);
+  auto after = std::make_shared<std::optional<Result<GetMetaReply>>>();
+  send(get(), after);
+  bed.RunFor(Millis(50));
+  ASSERT_TRUE(after->has_value());
+  EXPECT_TRUE((*after)->status().IsNotFound()) << (*after)->status().ToString();
+}
+
+TEST(Recovery, ReMetaResumeFailsWhenItsPutIsRevokedMidPersist) { ResumeRacesRevoke(true); }
+
+TEST(Recovery, ReMetaResumeFailsWhenARevokeStartsDuringItsPersist) {
+  ResumeRacesRevoke(false);
 }
 
 }  // namespace

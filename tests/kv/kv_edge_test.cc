@@ -247,20 +247,27 @@ TEST_F(KvEdgeTest, CorruptWalRecordIsSkippedAndLaterRecordsSalvaged) {
 
 TEST_F(KvEdgeTest, SstableBlockSalvageSkipsDamagedBlockOnly) {
   // Enough entries to span several ~4KB blocks.
-  std::vector<Table::Entry> entries;
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof key, "key-%03d", i);
-    entries.push_back({key, std::string(200, static_cast<char>('a' + i % 26))});
+    keys.emplace_back(key);
+    values.emplace_back(200, static_cast<char>('a' + i % 26));
   }
-  Table table("t", entries);
-  std::string enc = table.Encode();
+  std::vector<Entry> entries;
+  for (int i = 0; i < 100; ++i) {
+    entries.push_back({keys[i], values[i]});
+  }
+  TablePtr table = Table::Build("t", entries);
+  const std::string& enc = table->file();
 
   // Pristine file: every block verifies, nothing lost.
-  Table::DecodeResult clean = Table::DecodeBlocks(enc);
-  EXPECT_GE(clean.blocks, 3u) << "test needs a multi-block table";
-  EXPECT_EQ(clean.bad_blocks, 0u);
-  EXPECT_EQ(clean.entries.size(), entries.size());
+  TablePtr clean = Table::Load("t", enc);
+  EXPECT_GE(clean->blocks(), 3u) << "test needs a multi-block table";
+  EXPECT_EQ(clean->blocks(), table->blocks());
+  EXPECT_EQ(clean->bad_blocks(), 0u);
+  EXPECT_EQ(clean->entries().size(), entries.size());
 
   // Rot one byte inside the second block's body: that block's key range is
   // lost, every other block decodes.
@@ -273,16 +280,19 @@ TEST_F(KvEdgeTest, SstableBlockSalvageSkipsDamagedBlockOnly) {
   std::string bad = enc;
   bad[enc.size() - cursor.size() + len / 2] ^= 0x01;
 
-  Table::DecodeResult salvaged = Table::DecodeBlocks(bad);
-  EXPECT_EQ(salvaged.blocks, clean.blocks);
-  EXPECT_EQ(salvaged.bad_blocks, 1u);
-  EXPECT_LT(salvaged.entries.size(), entries.size());
-  EXPECT_GT(salvaged.entries.size(), 0u);
-  // The strict decode refuses the damaged file outright.
-  auto strict = Table::DecodeEntries(bad);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), ErrorCode::kCorruption);
-  EXPECT_TRUE(Table::DecodeEntries(enc).ok());
+  TablePtr salvaged = Table::Load("t", bad);
+  EXPECT_EQ(salvaged->blocks(), clean->blocks());
+  EXPECT_EQ(salvaged->bad_blocks(), 1u);
+  EXPECT_LT(salvaged->entries().size(), entries.size());
+  EXPECT_GT(salvaged->entries().size(), 0u);
+  // Every salvaged entry is intact and still in key order.
+  for (size_t i = 0; i < salvaged->entries().size(); ++i) {
+    const Entry& e = salvaged->entries()[i];
+    EXPECT_EQ(e.value->size(), 200u) << e.key;
+    if (i > 0) {
+      EXPECT_LT(salvaged->entries()[i - 1].key, e.key);
+    }
+  }
 }
 
 TEST_F(KvEdgeTest, CountLiveEntriesTracksMutations) {

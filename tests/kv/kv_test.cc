@@ -2,8 +2,10 @@
 
 #include "tests/test_util.h"
 
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/random.h"
@@ -376,14 +378,43 @@ TEST_F(WriteBatchTest, EncodeDecodeRoundTrip) {
   batch.Put("key1", "value1");
   batch.Delete("key2");
   batch.Put("key3", std::string(1000, 'z'));
-  auto decoded = WriteBatch::Decode(batch.Encode());
+  auto decoded = WriteBatch::Decode(batch.payload());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ(decoded->ops()[0].key, "key1");
-  EXPECT_EQ(*decoded->ops()[0].value, "value1");
-  EXPECT_EQ(decoded->ops()[1].key, "key2");
-  EXPECT_FALSE(decoded->ops()[1].value.has_value());
-  EXPECT_EQ(decoded->ops()[2].value->size(), 1000u);
+  EXPECT_EQ(decoded->payload(), batch.payload());
+  std::vector<WriteBatch::Op> ops(decoded->begin(), decoded->end());
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].key, "key1");
+  EXPECT_EQ(*ops[0].value, "value1");
+  EXPECT_EQ(ops[1].key, "key2");
+  EXPECT_FALSE(ops[1].value.has_value());
+  EXPECT_EQ(ops[2].value->size(), 1000u);
+  EXPECT_EQ(decoded->put_count(), 2u);
+  EXPECT_EQ(decoded->delete_count(), 1u);
+}
+
+TEST_F(WriteBatchTest, CopiesShareOneBufferUntilWritten) {
+  WriteBatch a;
+  a.Put("k", "v");
+  WriteBatch b = a;
+  EXPECT_EQ(a.payload().data(), b.payload().data());
+  b.Delete("gone");  // b gets its own buffer; a is unchanged
+  EXPECT_NE(a.payload().data(), b.payload().data());
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(WriteBatch::Decode(a.payload())->size(), 1u);
+}
+
+TEST_F(WriteBatchTest, CountHeaderGrowsPastOneVarintByte) {
+  WriteBatch batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.Put("k" + std::to_string(i), "v");
+  }
+  auto decoded = WriteBatch::Decode(batch.payload());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->size(), 200u);
+  EXPECT_EQ(std::distance(decoded->begin(), decoded->end()), 200);
+  EXPECT_EQ(WriteBatch().payload(), std::string_view("\0", 1));
 }
 
 TEST_F(WriteBatchTest, DecodeRejectsGarbage) {
@@ -393,7 +424,7 @@ TEST_F(WriteBatchTest, DecodeRejectsGarbage) {
 TEST_F(WriteBatchTest, DecodeRejectsTruncation) {
   WriteBatch batch;
   batch.Put("key", "value");
-  std::string enc = batch.Encode();
+  std::string enc(batch.payload());
   enc.resize(enc.size() - 3);
   EXPECT_FALSE(WriteBatch::Decode(enc).ok());
 }
@@ -408,36 +439,36 @@ TEST_F(WriteBatchTest, ByteSizeGrowsWithContent) {
 class TableTest : public ::testing::Test {};
 
 TEST_F(TableTest, EncodeDecodeRoundTrip) {
-  std::vector<Table::Entry> entries;
+  std::vector<Entry> entries;
   entries.push_back({"alpha", "1"});
   entries.push_back({"beta", std::nullopt});
   entries.push_back({"gamma", "3"});
-  Table t("sst_test", entries);
-  auto decoded = Table::DecodeEntries(t.Encode());
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ((*decoded)[1].key, "beta");
-  EXPECT_FALSE((*decoded)[1].value.has_value());
+  TablePtr t = Table::Build("sst_test", entries);
+  TablePtr decoded = Table::Load("sst_test", t->file());
+  EXPECT_EQ(decoded->bad_blocks(), 0u);
+  ASSERT_EQ(decoded->entries().size(), 3u);
+  EXPECT_EQ(decoded->entries()[1].key, "beta");
+  EXPECT_FALSE(decoded->entries()[1].value.has_value());
+  EXPECT_EQ(*decoded->entries()[2].value, "3");
 }
 
 TEST_F(TableTest, DecodeRejectsCorruption) {
-  std::vector<Table::Entry> entries = {{"k", "v"}};
-  Table t("sst", entries);
-  std::string enc = t.Encode();
+  std::vector<Entry> entries = {{"k", "v"}};
+  std::string enc = Table::Build("sst", entries)->file();
   enc[enc.size() / 2] ^= 0x40;
-  EXPECT_FALSE(Table::DecodeEntries(enc).ok());
+  EXPECT_EQ(Table::Load("sst", enc)->bad_blocks(), 1u);
 }
 
 TEST_F(TableTest, FindAndRange) {
-  std::vector<Table::Entry> entries = {
+  std::vector<Entry> entries = {
       {"a_1", "1"}, {"a_2", "2"}, {"b_1", "3"}, {"b_2", "4"}};
-  Table t("sst", entries);
-  EXPECT_NE(t.Find("a_2"), nullptr);
-  EXPECT_EQ(t.Find("a_3"), nullptr);
-  EXPECT_TRUE(t.MayContain("a_5"));
-  EXPECT_FALSE(t.MayContain("zz"));
-  EXPECT_EQ(t.PrefixRange("b_").size(), 2u);
-  EXPECT_EQ(t.PrefixRange("c_").size(), 0u);
+  TablePtr t = Table::Build("sst", entries);
+  EXPECT_NE(t->Find("a_2"), nullptr);
+  EXPECT_EQ(t->Find("a_3"), nullptr);
+  EXPECT_TRUE(t->MayContain("a_5"));
+  EXPECT_FALSE(t->MayContain("zz"));
+  EXPECT_EQ(t->PrefixRange("b_").size(), 2u);
+  EXPECT_EQ(t->PrefixRange("c_").size(), 0u);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // it across a grid of configurations and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "src/alloc/bitmap_allocator.h"
 #include "src/common/random.h"
@@ -232,6 +235,127 @@ INSTANTIATE_TEST_SUITE_P(
                       KvParam{2048, 2, Millis(7), 3}, KvParam{16384, 4, Millis(5), 4},
                       KvParam{MiB(64), 4, Millis(9), 5}, KvParam{1024, 1, Millis(13), 6},
                       KvParam{8192, 2, Millis(2), 7}, KvParam{4096, 3, Millis(40), 8}));
+
+// ---- KV store: matches a std::map model through flush, compaction, crash ----
+
+struct KvModelParam {
+  uint64_t memtable_bytes;
+  int trigger;
+  uint64_t seed;
+};
+
+class KvModelProperty : public ::testing::TestWithParam<KvModelParam> {};
+
+using KvModel = std::map<std::string, std::string>;
+
+// Every Get, Scan and CountLiveEntries answer of `db` agrees with `model`.
+sim::Task<> CheckAgainstModel(kv::DB* db, const KvModel* model, int keys) {
+  for (int k = 0; k < keys; ++k) {
+    for (const char* prefix : {"a/", "b/"}) {
+      const std::string key = prefix + std::to_string(k);
+      auto got = co_await db->Get(key);
+      auto want = model->find(key);
+      if (want == model->end()) {
+        EXPECT_TRUE(got.status().IsNotFound()) << key << " resurrected";
+      } else {
+        EXPECT_EQ(got.value_or("<missing>"), want->second) << key;
+      }
+    }
+  }
+  for (const std::string prefix : {"", "a/", "b/1"}) {
+    auto scan = co_await db->Scan(prefix, 0);
+    CO_ASSERT_OK(scan);
+    KvModel want;
+    for (const auto& [k, v] : *model) {
+      if (k.starts_with(prefix)) {
+        want.emplace(k, v);
+      }
+    }
+    EXPECT_EQ(KvModel(scan->begin(), scan->end()), want) << "scan '" << prefix << "'";
+    EXPECT_TRUE(std::is_sorted(scan->begin(), scan->end()));
+  }
+  auto limited = co_await db->Scan("a/", 3);
+  CO_ASSERT_OK(limited);
+  EXPECT_EQ(limited->size(), std::min<size_t>(3, std::count_if(model->begin(), model->end(),
+                                                               [](const auto& kv) {
+                                                                 return kv.first.starts_with("a/");
+                                                               })));
+  EXPECT_EQ(db->CountLiveEntries(), model->size());
+}
+
+TEST_P(KvModelProperty, GetScanAndCountMatchAMapModel) {
+  const KvModelParam p = GetParam();
+  constexpr int kKeys = 24;  // per prefix: overwrites and deletes are common
+  constexpr int kRounds = 4;
+  constexpr int kStepsPerRound = 120;
+  sim::EventLoop loop;
+  sim::Actor actor(loop);
+  sim::Storage storage(loop, sim::DiskParams{});
+  kv::Options options;
+  options.memtable_bytes = p.memtable_bytes;
+  options.l0_compaction_trigger = p.trigger;
+  KvModel model;
+  Rng rng(p.seed);
+  uint64_t compactions = 0;
+  std::unique_ptr<kv::DB> db;
+
+  for (int round = 0; round < kRounds; ++round) {
+    bool done = false;
+    actor.Spawn([](sim::Storage* storage, kv::Options options, std::unique_ptr<kv::DB>* db,
+                   KvModel* model, Rng* rng, uint64_t* compactions, bool* done) -> sim::Task<> {
+      auto opened = co_await kv::DB::Open(options, storage);
+      CO_ASSERT_OK(opened);
+      *db = std::move(*opened);
+      // Everything acked before the power loss is back.
+      co_await CheckAgainstModel(db->get(), model, kKeys);
+      auto key = [rng] {
+        return (rng->Bernoulli(0.5) ? "a/" : "b/") + std::to_string(rng->Uniform(kKeys));
+      };
+      auto value = [rng](int step) {
+        const uint64_t len = rng->Bernoulli(0.1) ? 0 : rng->UniformRange(1, 300);
+        return std::to_string(step) + std::string(len, static_cast<char>('a' + step % 26));
+      };
+      for (int step = 0; step < kStepsPerRound; ++step) {
+        kv::WriteBatch batch;
+        KvModel next = *model;
+        const int ops = rng->Bernoulli(0.3) ? static_cast<int>(rng->UniformRange(2, 5)) : 1;
+        for (int op = 0; op < ops; ++op) {
+          // A batch may touch one key twice; its last op wins.
+          const std::string k = key();
+          if (rng->Bernoulli(0.7)) {
+            const std::string v = value(step);
+            batch.Put(k, v);
+            next[k] = v;
+          } else {
+            batch.Delete(k);
+            next.erase(k);
+          }
+        }
+        EXPECT_TRUE((co_await (*db)->Write(std::move(batch))).ok());
+        *model = std::move(next);
+        co_await CheckAgainstModel(db->get(), model, kKeys);
+      }
+      *compactions += (*db)->stats().compactions.value();
+      *done = true;
+    }(&storage, options, &db, &model, &rng, &compactions, &done));
+    while (!done && loop.RunOne()) {
+    }
+    ASSERT_TRUE(done);
+    // Power fails, maybe mid-flush or mid-compaction.
+    db.reset();
+    actor.Kill();
+    storage.PowerLoss();
+    actor.Revive();
+  }
+  // Tiny memtables: flushes, compactions and the L1 fold (which drops
+  // tombstones) all ran.
+  EXPECT_GE(compactions, 9u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, KvModelProperty,
+                         ::testing::Values(KvModelParam{512, 2, 1}, KvModelParam{1024, 1, 2},
+                                           KvModelParam{768, 3, 3}, KvModelParam{2048, 2, 4},
+                                           KvModelParam{512, 1, 5}, KvModelParam{1024, 2, 6}));
 
 // ---- Deterministic RNG and zipf-free distributions ----
 
