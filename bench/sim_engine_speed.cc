@@ -12,10 +12,19 @@
 // All three drive the identical self-rescheduling timer workload (a seeded
 // Rng; mixed near/far delays shaped like RPC + timeout traffic) and must
 // produce bit-identical firing-order fingerprints — the wheel is only allowed
-// to be faster, never different. The binary asserts the fingerprints and a
-// conservative speedup floor, so it doubles as a regression test; the `perf`
-// tier of scripts/check.sh runs it with CHEETAH_BENCH_SMOKE=1 for a
-// reduced event count.
+// to be faster, never different.
+//
+// A second, RPC-shaped workload runs on heap and wheel only (the legacy
+// engine cannot cancel): every call arms a far-future timeout and schedules
+// its reply, and the reply cancels the timeout — the pattern of every
+// simulated RPC. A small share of replies is lost, so those calls end on
+// their timeout. Both engines must fire it with identical fingerprints.
+//
+// The binary asserts the fingerprints, that the RPC workload both cancelled
+// and fired timeouts, and a conservative speedup floor, so it doubles as a
+// regression test; the `perf` tier of scripts/check.sh runs it with
+// CHEETAH_BENCH_SMOKE=1 for a reduced event count that still covers both
+// workloads.
 //
 // Emits BENCH_sim_engine.json with the measured rates.
 
@@ -44,6 +53,7 @@ using cheetah::sim::EventLoop;
 struct Params {
   uint64_t total_events = 4'000'000;
   int actors = 8192;
+  int callers = 1024;  // RPC workload: concurrent callers, one call each
   uint64_t seed = 0x5eedc4a7;
 };
 
@@ -64,6 +74,8 @@ Nanos NextDelay(Rng& rng) {
 struct RunResult {
   uint64_t fingerprint = 0;
   double events_per_sec = 0;
+  uint64_t timeouts_fired = 0;      // RPC workload only
+  uint64_t timeouts_cancelled = 0;  // RPC workload only
 };
 
 // ---- legacy engine: the event loop as it was before this change ----------
@@ -159,6 +171,78 @@ RunResult Drive(Loop& loop, const Params& p) {
   return RunResult{st.fingerprint, static_cast<double>(st.fired) / secs};
 }
 
+// ---- RPC-shaped workload: every call arms a timeout its reply cancels ----
+
+constexpr Nanos kRpcTimeout = 30'000'000;  // beyond the wheel horizon
+
+// Reply latency: mostly one network hop plus service, sometimes a disk or a
+// queue; always well inside the timeout.
+Nanos ReplyDelay(Rng& rng) {
+  if (rng.Uniform(100) < 80) {
+    return rng.UniformRange(2'000, 30'000);
+  }
+  return rng.UniformRange(30'000, 3'000'000);
+}
+
+// `callers` callers each keep one call outstanding until `total_events`
+// calls have completed. One reply in 100 is lost and its call ends on the
+// timeout. The fingerprint chains (virtual time, caller, outcome) in
+// completion order.
+RunResult DriveRpc(EventLoop& loop, const Params& p) {
+  struct State {
+    EventLoop* loop;
+    Rng rng;
+    uint64_t total;
+    uint64_t completed = 0;
+    RunResult result;
+    std::vector<EventLoop::Handle> timeouts;  // by caller
+    State(EventLoop* l, const Params& params)
+        : loop(l),
+          rng(params.seed),
+          total(params.total_events),
+          timeouts(static_cast<size_t>(params.callers)) {}
+  };
+  struct Call {
+    State* st;
+    uint32_t id;
+
+    void Issue() const {
+      State& s = *st;
+      s.timeouts[id] = s.loop->ScheduleAfter(kRpcTimeout, [c = *this] { c.Complete(2); });
+      if (s.rng.Uniform(100) != 0) {
+        s.loop->ScheduleAfter(ReplyDelay(s.rng), [c = *this] {
+          c.st->loop->Cancel(c.st->timeouts[c.id]);
+          ++c.st->result.timeouts_cancelled;
+          c.Complete(1);
+        });
+      }
+    }
+    void Complete(uint64_t outcome) const {
+      State& s = *st;
+      if (outcome == 2) {
+        ++s.result.timeouts_fired;
+      }
+      s.result.fingerprint =
+          Mix64(s.result.fingerprint ^
+                ((static_cast<uint64_t>(s.loop->Now()) << 2) + (uint64_t{id} << 40) + outcome));
+      if (++s.completed < s.total) {
+        Issue();
+      }
+    }
+  };
+  State st(&loop, p);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < p.callers; ++i) {
+    Call{&st, static_cast<uint32_t>(i)}.Issue();
+  }
+  loop.Run();
+  const auto t1 = std::chrono::steady_clock::now();
+  const double secs = std::chrono::duration<double>(t1 - t0).count();
+  st.result.events_per_sec = static_cast<double>(st.completed) / secs;
+  return st.result;
+}
+
 }  // namespace
 
 int main() {
@@ -177,6 +261,12 @@ int main() {
   EventLoop wheel_loop(EventLoop::Engine::kWheel);
   const RunResult wheel = Drive(wheel_loop, p);
 
+  EventLoop rpc_heap_loop(EventLoop::Engine::kHeap);
+  const RunResult rpc_heap = DriveRpc(rpc_heap_loop, p);
+
+  EventLoop rpc_wheel_loop(EventLoop::Engine::kWheel);
+  const RunResult rpc_wheel = DriveRpc(rpc_wheel_loop, p);
+
   const double wheel_vs_legacy = wheel.events_per_sec / before.events_per_sec;
   const double heap_vs_legacy = heap.events_per_sec / before.events_per_sec;
 
@@ -190,6 +280,17 @@ int main() {
   std::printf("%-22s %12.0f events/sec   fingerprint %016llx   (%.2fx)\n", "wheel (default)",
               wheel.events_per_sec, static_cast<unsigned long long>(wheel.fingerprint),
               wheel_vs_legacy);
+  std::printf("=== rpc-shaped: %llu calls, %d callers, timeout cancelled on reply ===\n",
+              static_cast<unsigned long long>(p.total_events), p.callers);
+  std::printf("%-22s %12.0f events/sec   fingerprint %016llx\n", "heap (reference)",
+              rpc_heap.events_per_sec, static_cast<unsigned long long>(rpc_heap.fingerprint));
+  std::printf("%-22s %12.0f events/sec   fingerprint %016llx   (%.2fx heap)\n",
+              "wheel (default)", rpc_wheel.events_per_sec,
+              static_cast<unsigned long long>(rpc_wheel.fingerprint),
+              rpc_wheel.events_per_sec / rpc_heap.events_per_sec);
+  std::printf("%-22s %llu cancelled, %llu fired\n", "timeouts",
+              static_cast<unsigned long long>(rpc_wheel.timeouts_cancelled),
+              static_cast<unsigned long long>(rpc_wheel.timeouts_fired));
 
   {
     std::ofstream out("BENCH_sim_engine.json");
@@ -202,6 +303,11 @@ int main() {
         << "  \"wheel_events_per_sec\": " << static_cast<uint64_t>(wheel.events_per_sec)
         << ",\n"
         << "  \"wheel_vs_legacy\": " << wheel_vs_legacy << ",\n"
+        << "  \"rpc_callers\": " << p.callers << ",\n"
+        << "  \"rpc_heap_events_per_sec\": " << static_cast<uint64_t>(rpc_heap.events_per_sec)
+        << ",\n"
+        << "  \"rpc_wheel_events_per_sec\": " << static_cast<uint64_t>(rpc_wheel.events_per_sec)
+        << ",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << "\n"
         << "}\n";
   }
@@ -217,6 +323,16 @@ int main() {
                  static_cast<unsigned long long>(before.fingerprint),
                  static_cast<unsigned long long>(heap.fingerprint),
                  static_cast<unsigned long long>(wheel.fingerprint));
+    return 1;
+  }
+  if (rpc_heap.fingerprint != rpc_wheel.fingerprint) {
+    std::fprintf(stderr, "FAIL: rpc-shaped fingerprints diverge (heap %016llx wheel %016llx)\n",
+                 static_cast<unsigned long long>(rpc_heap.fingerprint),
+                 static_cast<unsigned long long>(rpc_wheel.fingerprint));
+    return 1;
+  }
+  if (rpc_wheel.timeouts_cancelled == 0 || rpc_wheel.timeouts_fired == 0) {
+    std::fprintf(stderr, "FAIL: rpc-shaped run must both cancel and fire timeouts\n");
     return 1;
   }
   const double floor = smoke ? 0.8 : 1.0;

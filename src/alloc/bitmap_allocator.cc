@@ -143,11 +143,18 @@ double BitmapAllocator::Fragmentation() const {
 }
 
 std::string BitmapAllocator::Serialize() const {
+  // Sized once, then every word encoded in place: the file plane keeps this
+  // string as written, so spare capacity would sit in memory with it.
+  const size_t header = VarintLength(total_blocks_) + VarintLength(block_size_);
   std::string out;
+  out.reserve(header + bits_.size() * 8);
   PutVarint64(&out, total_blocks_);
   PutVarint64(&out, block_size_);
+  out.resize(header + bits_.size() * 8);
+  char* p = out.data() + header;
   for (uint64_t word : bits_) {
-    PutFixed64(&out, word);
+    EncodeFixed64(p, word);
+    p += 8;
   }
   return out;
 }
@@ -158,15 +165,15 @@ Result<BitmapAllocator> BitmapAllocator::Deserialize(std::string_view data) {
     return Status::Corruption("bitmap header");
   }
   BitmapAllocator alloc(total, static_cast<uint32_t>(bs));
-  const uint64_t words = (total + kWordBits - 1) / kWordBits;
+  const uint64_t words = alloc.bits_.size();
   if (data.size() < words * 8) {
     return Status::Corruption("bitmap truncated");
   }
   uint64_t used = 0;
-  for (uint64_t i = 0; i < words; ++i) {
-    uint64_t word = 0;
-    GetFixed64(&data, &word);
-    alloc.bits_[i] = word;
+  const char* p = data.data();
+  for (uint64_t& word : alloc.bits_) {
+    word = DecodeFixed64(p);
+    p += 8;
     used += static_cast<uint64_t>(__builtin_popcountll(word));
   }
   alloc.free_blocks_ = total - used;

@@ -10,12 +10,21 @@
 
 namespace cheetah {
 
+inline void EncodeFixed32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v);
+  p[1] = static_cast<char>(v >> 8);
+  p[2] = static_cast<char>(v >> 16);
+  p[3] = static_cast<char>(v >> 24);
+}
+
+inline void EncodeFixed64(char* p, uint64_t v) {
+  EncodeFixed32(p, static_cast<uint32_t>(v));
+  EncodeFixed32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v);
-  buf[1] = static_cast<char>(v >> 8);
-  buf[2] = static_cast<char>(v >> 16);
-  buf[3] = static_cast<char>(v >> 24);
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 

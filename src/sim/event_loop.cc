@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -46,34 +47,68 @@ EventLoop::EventLoop(Engine engine)
   }
 }
 
-void EventLoop::ScheduleAt(Nanos time, Callback fn) {
+EventLoop::Handle EventLoop::ScheduleAt(Nanos time, Callback fn) {
   assert(time >= now_ && "cannot schedule in the past");
+  assert(next_seq_ <= kMaxSeq && "event sequence numbers exhausted");
   if (fn.heap_allocated()) {
     callbacks_heap_->Add();
   } else {
     callbacks_inline_->Add();
   }
-  Event ev{time, next_seq_++, std::move(fn)};
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    if (fns_.size() > kSlotTagMask) {
+      // Checked in every build: a wrapped slot index would alias two events.
+      std::fprintf(stderr, "EventLoop: more than %llu pending events\n",
+                   static_cast<unsigned long long>(kSlotTagMask + 1));
+      std::abort();
+    }
+    slot = static_cast<uint32_t>(fns_.size());
+    fns_.push_back(std::move(fn));
+    tags_.push_back(kFreeTag);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  }
+  const Key key{time, (next_seq_++ << kSlotTagBits) | slot};
+  tags_[slot] = key.tag;
   if (engine_ == Engine::kHeap) {
-    heap_.push_back(std::move(ev));
+    heap_.push_back(key);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return;
+    return Handle(key.tag);
   }
   const uint64_t tick = TickOf(time);
   if (tick <= active_tick_) {
     // The tick currently being drained (or one that became reachable after a
     // RunUntil fast-forward): must participate in ordered dispatch now.
-    active_.push_back(std::move(ev));
+    active_.push_back(key);
     std::push_heap(active_.begin(), active_.end(), Later{});
   } else if (tick - active_tick_ < kSlots) {
-    auto& slot = slots_[tick & kSlotMask];
-    slot.push_back(std::move(ev));
+    slots_[tick & kSlotMask].push_back(key);
     occupied_[(tick & kSlotMask) >> 6] |= uint64_t{1} << (tick & 63);
     ++wheel_count_;
   } else {
-    overflow_.push_back(std::move(ev));
+    overflow_.push_back(key);
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
+  return Handle(key.tag);
+}
+
+void EventLoop::Cancel(Handle handle) {
+  const uint32_t slot = SlotOf(handle.tag_);
+  if (handle.tag_ == kFreeTag || slot >= tags_.size() || tags_[slot] != handle.tag_) {
+    return;  // already fired or cancelled (the slot may hold a newer event)
+  }
+  // Free the slot before the capture's destructor runs, so a destructor that
+  // schedules or cancels sees a consistent slab.
+  Callback fn = std::move(fns_[slot]);
+  FreeSlot(slot);
+}
+
+void EventLoop::FreeSlot(uint32_t slot) {
+  tags_[slot] = kFreeTag;
+  free_slots_.push_back(slot);
 }
 
 uint64_t EventLoop::NextOccupiedTick() const {
@@ -98,52 +133,71 @@ uint64_t EventLoop::NextOccupiedTick() const {
 }
 
 bool EventLoop::Advance() {
-  if (!active_.empty()) {
-    return true;
+  // Ticks whose keys were all cancelled stage nothing; move on past them.
+  while (active_.empty()) {
+    const uint64_t wheel_tick = NextOccupiedTick();
+    const uint64_t over_tick = overflow_.empty() ? kNoTick : TickOf(overflow_.front().time);
+    const uint64_t next = std::min(wheel_tick, over_tick);
+    if (next == kNoTick) {
+      return false;
+    }
+    active_tick_ = next;
+    if (wheel_tick == next) {
+      auto& slot = slots_[next & kSlotMask];
+      wheel_count_ -= slot.size();
+      occupied_[(next & kSlotMask) >> 6] &= ~(uint64_t{1} << (next & 63));
+      active_.swap(slot);  // recycles both vectors' capacity
+      std::erase_if(active_, [this](const Key& key) { return !Live(key); });
+    }
+    while (!overflow_.empty() && TickOf(overflow_.front().time) == next) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+      if (Live(overflow_.back())) {
+        active_.push_back(overflow_.back());
+        overflow_promotions_->Add();
+      }
+      overflow_.pop_back();
+    }
+    std::make_heap(active_.begin(), active_.end(), Later{});
   }
-  const uint64_t wheel_tick = NextOccupiedTick();
-  const uint64_t over_tick = overflow_.empty() ? kNoTick : TickOf(overflow_.front().time);
-  const uint64_t next = std::min(wheel_tick, over_tick);
-  if (next == kNoTick) {
-    return false;
-  }
-  active_tick_ = next;
-  if (wheel_tick == next) {
-    auto& slot = slots_[next & kSlotMask];
-    wheel_count_ -= slot.size();
-    occupied_[(next & kSlotMask) >> 6] &= ~(uint64_t{1} << (next & 63));
-    active_.swap(slot);  // recycles both vectors' capacity
-  }
-  while (!overflow_.empty() && TickOf(overflow_.front().time) == next) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    active_.push_back(std::move(overflow_.back()));
-    overflow_.pop_back();
-    overflow_promotions_->Add();
-  }
-  std::make_heap(active_.begin(), active_.end(), Later{});
   return true;
 }
 
-EventLoop::Event EventLoop::PopStaged() {
+std::vector<EventLoop::Key>* EventLoop::Staged() {
   if (engine_ == Engine::kHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
+    return heap_.empty() ? nullptr : &heap_;
   }
-  std::pop_heap(active_.begin(), active_.end(), Later{});
-  Event ev = std::move(active_.back());
-  active_.pop_back();
-  return ev;
+  return Advance() ? &active_ : nullptr;
 }
 
-void EventLoop::FireEvent(Event& ev) {
-  now_ = ev.time;
+const EventLoop::Key* EventLoop::NextLive() {
+  for (std::vector<Key>* queue = Staged(); queue != nullptr; queue = Staged()) {
+    if (Live(queue->front())) {
+      return &queue->front();
+    }
+    std::pop_heap(queue->begin(), queue->end(), Later{});
+    queue->pop_back();
+  }
+  return nullptr;
+}
+
+void EventLoop::FireNext() {
+  std::vector<Key>& queue = engine_ == Engine::kHeap ? heap_ : active_;
+  std::pop_heap(queue.begin(), queue.end(), Later{});
+  const Key key = queue.back();
+  queue.pop_back();
+  // Move the callback out before calling it: a reschedule from inside may
+  // grow the slab, and the freed slot may be reused at once.
+  const uint32_t slot = SlotOf(key.tag);
+  Callback fn = std::move(fns_[slot]);
+  FreeSlot(slot);
+  now_ = key.time;
   events_fired_->Add();
   // Each event starts with a clean op context; events that resume a
   // coroutine on behalf of an operation install its context themselves.
   obs::SetContext({});
-  ev.fn();
+  fn();
+  // `fn` is destroyed here, before the caller's quiesce check: it may hold
+  // the last live arena object (e.g. an ArenaPtr).
 }
 
 void EventLoop::MaybeQuiesce() {
@@ -160,14 +214,10 @@ void EventLoop::PublishArenaStats() {
 }
 
 bool EventLoop::RunOne() {
-  if (engine_ == Engine::kHeap ? heap_.empty() : !Advance()) {
+  if (NextLive() == nullptr) {
     return false;
   }
-  Event ev = PopStaged();
-  FireEvent(ev);
-  // Release the capture before the quiesce check: it may hold the last live
-  // arena object (e.g. an ArenaPtr), which would otherwise block the reset.
-  ev.fn = nullptr;
+  FireNext();
   MaybeQuiesce();
   return true;
 }
@@ -179,19 +229,9 @@ void EventLoop::Run() {
 }
 
 void EventLoop::RunUntil(Nanos deadline) {
-  while (true) {
-    if (engine_ == Engine::kHeap) {
-      if (heap_.empty() || heap_.front().time > deadline) {
-        break;
-      }
-    } else {
-      if (!Advance() || active_.front().time > deadline) {
-        break;
-      }
-    }
-    Event ev = PopStaged();
-    FireEvent(ev);
-    ev.fn = nullptr;  // as in RunOne: drop the capture before the quiesce check
+  for (const Key* next = NextLive(); next != nullptr && next->time <= deadline;
+       next = NextLive()) {
+    FireNext();
     MaybeQuiesce();
   }
   now_ = std::max(now_, deadline);

@@ -5,24 +5,36 @@
 // order (a global sequence number), so a given seed always produces the
 // identical execution.
 //
+// Callbacks live in a slab: ScheduleAt moves the InlineFn once into a slot
+// taken from a free list, and every queue below orders only 16-byte keys
+// {time, tag}, where tag packs the event's sequence number (high 40 bits)
+// above its slot index (low 24 bits). Sifts therefore move keys, never
+// captures. Tags order like sequence numbers because each seq is unique.
+//
 // Two interchangeable engines produce the exact same (time, seq) firing
 // order:
 //
-//  * kWheel (default): a hierarchical timer wheel. Near-future events land in
+//  * kWheel (default): a hierarchical timer wheel. Near-future keys land in
 //    one of 4096 slots of 4.096us each (~16.8ms horizon) with O(1) insertion;
-//    far-future events (RPC timeouts, heartbeats, scrub intervals) go to an
+//    far-future keys (RPC timeouts, heartbeats, scrub intervals) go to an
 //    overflow heap and are promoted when their slot comes up. Only the slot
 //    currently being drained is kept heap-ordered, so the common
 //    schedule-then-fire pair costs O(1) + O(log k) for tiny k instead of the
 //    global O(log n) of a single priority queue.
-//  * kHeap: the reference single binary heap, kept as the determinism oracle
-//    — tests and the sim_engine_speed bench run both engines and require
-//    byte-identical schedules.
+//  * kHeap: the reference single binary heap of the same keys, kept as the
+//    determinism oracle — tests and the sim_engine_speed bench run both
+//    engines and require byte-identical schedules.
+//
+// Cancel(handle) destroys a pending callback at once and frees its slot; the
+// key stays queued and is dropped when it surfaces (a slot whose tag no
+// longer matches). A dropped key is not fired or counted and does not move
+// the clock. This is what lets a timed wait retire its timeout the moment
+// the awaited event fires, instead of leaving it queued for its full delay.
 //
 // Callbacks are InlineFn (48-byte small-buffer captures, no malloc on the
 // common path) and the loop owns a bump-pointer Arena that network/RPC layers
 // use for envelopes and delivery records; the arena resets at quiescent
-// points (queue drained, nothing live).
+// points (no live event, nothing live in the arena).
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
@@ -62,10 +74,28 @@ class EventLoop {
   // records). Reset automatically when the loop quiesces.
   Arena& arena() { return arena_; }
 
-  void ScheduleAt(Nanos time, Callback fn);
-  void ScheduleAfter(Nanos delay, Callback fn) { ScheduleAt(now_ + delay, std::move(fn)); }
+  // Identifies one scheduled event for Cancel. A default handle, or one
+  // whose event already fired or was cancelled, names nothing.
+  class Handle {
+   public:
+    Handle() = default;
 
-  // Runs a single event; returns false if the queue is empty.
+   private:
+    friend class EventLoop;
+    explicit Handle(uint64_t tag) : tag_(tag) {}
+    uint64_t tag_ = 0;
+  };
+
+  Handle ScheduleAt(Nanos time, Callback fn);
+  Handle ScheduleAfter(Nanos delay, Callback fn) {
+    return ScheduleAt(now_ + delay, std::move(fn));
+  }
+
+  // Destroys the event's callback now and frees its slot, so it never fires.
+  // Ignored for a handle whose event already fired or was cancelled.
+  void Cancel(Handle handle);
+
+  // Runs a single event; returns false if no live event remains.
   bool RunOne();
 
   // Runs until no events remain.
@@ -76,9 +106,8 @@ class EventLoop {
   void RunUntil(Nanos deadline);
   void RunFor(Nanos duration) { RunUntil(now_ + duration); }
 
-  size_t pending_events() const {
-    return active_.size() + wheel_count_ + overflow_.size() + heap_.size();
-  }
+  // Scheduled events that will still fire (cancelled ones excluded).
+  size_t pending_events() const { return fns_.size() - free_slots_.size(); }
 
   uint64_t events_fired() const { return events_fired_->value(); }
 
@@ -93,53 +122,75 @@ class EventLoop {
   static constexpr uint64_t kSlotMask = kSlots - 1;
   static constexpr uint64_t kNoTick = ~uint64_t{0};
 
-  struct Event {
+  // Tag layout: seq << kSlotTagBits | slot. Seqs start at 1, so no live tag
+  // equals kFreeTag, the marker of an unused slab slot.
+  static constexpr int kSlotTagBits = 24;
+  static constexpr uint64_t kSlotTagMask = (uint64_t{1} << kSlotTagBits) - 1;
+  static constexpr uint64_t kMaxSeq = (uint64_t{1} << (64 - kSlotTagBits)) - 1;
+  static constexpr uint64_t kFreeTag = 0;
+
+  struct Key {
     Nanos time;
-    uint64_t seq;
-    Callback fn;
+    uint64_t tag;
   };
+  static_assert(sizeof(Key) == 16);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
-      return a.seq > b.seq;
+      return a.tag > b.tag;
     }
   };
 
   static uint64_t TickOf(Nanos time) { return static_cast<uint64_t>(time) >> kSlotBits; }
 
+  static uint32_t SlotOf(uint64_t tag) { return static_cast<uint32_t>(tag & kSlotTagMask); }
+  bool Live(const Key& key) const { return tags_[SlotOf(key.tag)] == key.tag; }
+  void FreeSlot(uint32_t slot);
+
   // Stages the next non-empty tick into active_; returns false if drained.
   bool Advance();
   // Next occupied wheel tick strictly after active_tick_, or kNoTick.
   uint64_t NextOccupiedTick() const;
-  Event PopStaged();
-  void FireEvent(Event& ev);
+  // The queue the next key pops from: heap_, or active_ after Advance().
+  std::vector<Key>* Staged();
+  // Earliest key of a live event, dropping the cancelled keys that surface
+  // ahead of it; null when no live event remains.
+  const Key* NextLive();
+  // Pops the key NextLive() returned and runs its callback.
+  void FireNext();
   void MaybeQuiesce();
   void PublishArenaStats();
 
   Engine engine_;
   Nanos now_ = 0;
-  uint64_t next_seq_ = 0;
+  uint64_t next_seq_ = 1;
 
-  // Declared before all event storage so arena-backed captures (network
+  // Declared before the callback slab so arena-backed captures (network
   // deliveries, RPC envelopes) are destroyed before the arena itself when a
   // loop is torn down with events still queued.
   Arena arena_;
 
-  // kWheel state. active_ is a binary heap (Later) holding every pending
-  // event with tick == active_tick_; slots hold later in-horizon ticks
-  // unsorted; overflow_ is a binary heap of beyond-horizon events.
+  // The callback slab. fns_[i] holds a pending callback while tags_[i] is
+  // its event's tag, and is empty while tags_[i] == kFreeTag; free slot
+  // indices are recycled LIFO from free_slots_.
+  std::vector<Callback> fns_;
+  std::vector<uint64_t> tags_;
+  std::vector<uint32_t> free_slots_;
+
+  // kWheel state. active_ is a binary heap (Later) holding every queued key
+  // with tick == active_tick_; slots hold later in-horizon ticks unsorted;
+  // overflow_ is a binary heap of beyond-horizon keys.
   uint64_t active_tick_ = 0;
-  std::vector<Event> active_;
-  std::vector<std::vector<Event>> slots_;
+  std::vector<Key> active_;
+  std::vector<std::vector<Key>> slots_;
   std::array<uint64_t, kSlots / 64> occupied_{};
   size_t wheel_count_ = 0;
-  std::vector<Event> overflow_;
+  std::vector<Key> overflow_;
 
-  // kHeap state: one global binary heap (no priority_queue, so events are
-  // legally movable out of the top slot).
-  std::vector<Event> heap_;
+  // kHeap state: one global binary heap of keys.
+  std::vector<Key> heap_;
 
   obs::Scope scope_;
   obs::Counter* events_fired_;

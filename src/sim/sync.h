@@ -17,7 +17,8 @@
 namespace cheetah::sim {
 
 // One-shot event. Waiters suspended before Set() resume when it fires; waits
-// after Set() complete immediately. TimedWait resolves to false on timeout.
+// after Set() complete immediately. TimedWait resolves to false on timeout;
+// when the event fires first, Set() cancels the wait's timer.
 class Event {
  public:
   bool is_set() const { return set_; }
@@ -36,6 +37,7 @@ class Event {
       if (w.state) {
         w.state->settled = true;
         w.state->event_fired = true;
+        w.actor->loop().Cancel(w.timer);
       }
       // Resume in the waiter's op context (captured at suspension), not the
       // setter's: the setter may be working on an unrelated operation.
@@ -58,7 +60,7 @@ class Event {
     bool await_ready() const noexcept { return event.set_; }
     void await_suspend(std::coroutine_handle<> h) {
       assert(actor && "Event::Wait outside an actor coroutine");
-      event.waiters_.push_back({actor, actor->epoch(), h, nullptr, obs::ThisContext()});
+      event.waiters_.push_back({actor, actor->epoch(), h, nullptr, obs::ThisContext(), {}});
     }
     void await_resume() const noexcept {}
   };
@@ -75,8 +77,8 @@ class Event {
       assert(actor && "Event::TimedWait outside an actor coroutine");
       state = std::allocate_shared<TimedState>(PoolAllocator<TimedState>());
       state->ctx = obs::ThisContext();
-      event.waiters_.push_back({actor, actor->epoch(), h, state, state->ctx});
-      actor->loop().ScheduleAfter(timeout, [a = actor, e = actor->epoch(), h, s = state] {
+      const EventLoop::Handle timer =
+          actor->loop().ScheduleAfter(timeout, [a = actor, e = actor->epoch(), h, s = state] {
         if (s->settled) {
           return;
         }
@@ -87,6 +89,7 @@ class Event {
           h.resume();
         }
       });
+      event.waiters_.push_back({actor, actor->epoch(), h, state, state->ctx, timer});
     }
     bool await_resume() const noexcept { return state ? state->event_fired : true; }
   };
@@ -105,6 +108,7 @@ class Event {
     std::coroutine_handle<> handle;
     std::shared_ptr<TimedState> state;  // null for untimed waits
     obs::OpContext ctx;                 // waiter's op context at suspension
+    EventLoop::Handle timer;            // the timed wait's timeout event
   };
 
   bool set_ = false;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/alloc/bitmap_allocator.h"
+#include "src/common/crc32c.h"
 #include "src/common/random.h"
 
 namespace cheetah::alloc {
@@ -124,6 +126,27 @@ TEST(BitmapAllocatorTest, SerializeRoundTrip) {
   for (uint64_t b = 0; b < 128; ++b) {
     EXPECT_EQ(restored->IsAllocated(b), alloc.IsAllocated(b)) << "block " << b;
   }
+}
+
+// The persisted bitmap format is frozen: meta servers reload files written
+// by earlier builds. Size and CRC32C were recorded from the word-at-a-time
+// encoder this one replaced.
+TEST(BitmapAllocatorTest, SerializedBytesAreGolden) {
+  BitmapAllocator alloc(100'003, kBlock);
+  for (uint64_t i = 1; i <= 40; ++i) {
+    ASSERT_TRUE(alloc.Allocate(i * 37 * kBlock + i).ok());
+  }
+  alloc.Free({Extent(5, 300), Extent(9'000, 1'234), Extent(50'000, 77)});
+  alloc.MarkAllocated({Extent(99'990, 13), Extent(64, 64)});
+  ASSERT_EQ(alloc.used_blocks(), 28'923u);
+  const std::string bytes = alloc.Serialize();
+  EXPECT_EQ(bytes.size(), 12'509u);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+  EXPECT_EQ(Crc32c(bytes), 529'792'594u);
+  auto restored = BitmapAllocator::Deserialize(bytes);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->used_blocks(), alloc.used_blocks());
+  EXPECT_EQ(restored->Serialize(), bytes);
 }
 
 TEST(BitmapAllocatorTest, DeserializeRejectsGarbage) {

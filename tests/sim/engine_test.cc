@@ -1,8 +1,9 @@
 // Simulator engine internals: the hierarchical timer wheel vs the reference
-// heap engine, InlineFn small-buffer callbacks, the bump-pointer Arena, and
+// heap engine, event cancellation, InlineFn small-buffer callbacks, the bump-pointer Arena, and
 // the AnyMsg arena-backed message box.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -100,6 +101,190 @@ TEST(TimerWheel, RandomizedScheduleMatchesReferenceHeap) {
   EXPECT_GT(wheel.size(), 200u);
 }
 
+// Random schedules with cancels interleaved must fire the identical
+// (time, id) sequence on both engines. Delays are drawn so cancels land in
+// the tick being drained, in wheel slots and in the overflow heap, and half
+// of the cancels are issued from inside callbacks. Ids are assigned in
+// schedule order, so they stand in for sequence numbers.
+TEST(TimerWheel, RandomizedCancelsMatchReferenceHeap) {
+  struct Run {
+    std::vector<std::pair<Nanos, int>> fired;
+    std::vector<size_t> pending;  // pending_events() at each checkpoint
+    int cancels_hit = 0;
+  };
+  auto drive = [](EventLoop::Engine engine) {
+    EventLoop loop(engine);
+    const uint64_t fired_base = loop.events_fired();
+    Run run;
+    Rng rng(0xc0ffeeu);
+    std::vector<EventLoop::Handle> handles;
+    std::vector<bool> live;
+    struct Ctx {
+      EventLoop* loop;
+      Run* run;
+      Rng* rng;
+      std::vector<EventLoop::Handle>* handles;
+      std::vector<bool>* live;
+
+      Nanos Delay() {
+        const uint64_t pick = rng->Uniform(4);
+        if (pick == 0) {
+          return static_cast<Nanos>(rng->Uniform(4096));  // the active tick
+        }
+        if (pick == 3) {
+          return static_cast<Nanos>(rng->UniformRange(20'000'000, 200'000'000));  // overflow
+        }
+        return static_cast<Nanos>(rng->UniformRange(5'000, 16'000'000));  // a wheel slot
+      }
+      void Schedule() {
+        const int id = static_cast<int>(handles->size());
+        live->push_back(true);
+        handles->push_back(loop->ScheduleAfter(Delay(), [this, id] {
+          run->fired.emplace_back(loop->Now(), id);
+          (*live)[static_cast<size_t>(id)] = false;
+          if (rng->Uniform(3) != 0) {
+            Schedule();
+          }
+          CancelOne();
+        }));
+      }
+      // Cancels a random recent event; it may already have fired or been
+      // cancelled, which must be a no-op.
+      void CancelOne() {
+        const size_t n = handles->size();
+        const size_t id = n - 1 - rng->Uniform(std::min<size_t>(n, 64));
+        if ((*live)[id]) {
+          (*live)[id] = false;
+          ++run->cancels_hit;
+        }
+        loop->Cancel((*handles)[id]);
+      }
+    } ctx{&loop, &run, &rng, &handles, &live};
+
+    for (int i = 0; i < 300; ++i) {
+      ctx.Schedule();
+    }
+    for (Nanos deadline = 0; deadline < 400'000'000; deadline += 7'654'321) {
+      loop.RunUntil(deadline);
+      for (int i = 0; i < 4; ++i) {
+        ctx.Schedule();
+      }
+      ctx.CancelOne();
+      ctx.CancelOne();
+      const auto live_count = static_cast<size_t>(std::count(live.begin(), live.end(), true));
+      EXPECT_EQ(loop.pending_events(), live_count);
+      run.pending.push_back(loop.pending_events());
+    }
+    loop.Run();
+    EXPECT_EQ(loop.pending_events(), 0u);
+    EXPECT_EQ(loop.events_fired() - fired_base, run.fired.size());
+    EXPECT_EQ(std::count(live.begin(), live.end(), true), 0);
+    return run;
+  };
+  const Run wheel = drive(EventLoop::Engine::kWheel);
+  const Run heap = drive(EventLoop::Engine::kHeap);
+  EXPECT_EQ(wheel.fired, heap.fired);
+  EXPECT_EQ(wheel.pending, heap.pending);
+  EXPECT_EQ(wheel.cancels_hit, heap.cancels_hit);
+  EXPECT_GT(wheel.cancels_hit, 100);
+  EXPECT_GT(wheel.fired.size(), 300u);
+}
+
+// A cancelled event never fires and its key, dropped when it surfaces, does
+// not move the clock — whether it sat in the tick being drained, a wheel
+// slot or the overflow heap, and whether the cancel came from outside the
+// loop or from a callback.
+TEST(TimerWheel, CancelInEveryQueue) {
+  for (const auto engine : {EventLoop::Engine::kWheel, EventLoop::Engine::kHeap}) {
+    EventLoop loop(engine);
+    std::vector<int> order;
+    const Nanos horizon = 4096 * 4096;
+    const auto in_active = loop.ScheduleAt(10, [&] { order.push_back(-1); });
+    const auto in_slot = loop.ScheduleAt(50'000, [&] { order.push_back(-2); });
+    const auto in_overflow = loop.ScheduleAt(3 * horizon, [&] { order.push_back(-3); });
+    EventLoop::Handle from_callback;
+    loop.ScheduleAt(20, [&] {
+      order.push_back(1);
+      loop.Cancel(from_callback);  // same tick, already staged
+    });
+    from_callback = loop.ScheduleAt(30, [&] { order.push_back(-4); });
+    loop.ScheduleAt(60'000, [&] { order.push_back(2); });
+    const auto late = loop.ScheduleAt(4 * horizon, [&] { order.push_back(-5); });
+    loop.ScheduleAt(2 * horizon, [&] {
+      order.push_back(3);
+      loop.Cancel(late);  // in the overflow heap
+    });
+    loop.Cancel(in_active);
+    loop.Cancel(in_slot);
+    loop.Cancel(in_overflow);
+    EXPECT_EQ(loop.pending_events(), 5u);
+    loop.Run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(loop.Now(), 2 * horizon);
+    EXPECT_EQ(loop.pending_events(), 0u);
+  }
+}
+
+// A handle names one event only: cancelling after it fired, after it was
+// cancelled, or after its slot went to a newer event is ignored.
+TEST(TimerWheel, StaleCancelIsIgnored) {
+  EventLoop loop;
+  int fired = 0;
+  const auto first = loop.ScheduleAfter(5, [&] { ++fired; });
+  loop.Run();
+  ASSERT_EQ(fired, 1);
+  // The freed slot is reused by the next schedule.
+  loop.ScheduleAfter(5, [&] { fired += 10; });
+  loop.Cancel(first);
+  loop.Cancel(EventLoop::Handle{});
+  EXPECT_EQ(loop.pending_events(), 1u);
+  const auto twice = loop.ScheduleAfter(7, [&] { fired += 100; });
+  loop.Cancel(twice);
+  loop.Cancel(twice);
+  loop.ScheduleAfter(9, [&] { fired += 1000; });
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.Run();
+  EXPECT_EQ(fired, 1011);
+}
+
+// A default handle names no event, even while slot 0 is free: freeing that
+// slot a second time would hand it to two later events and lose one.
+TEST(TimerWheel, DefaultHandleCancelsNothing) {
+  EventLoop loop;
+  int fired = 0;
+  loop.ScheduleAfter(1, [&] { ++fired; });
+  loop.Run();
+  loop.Cancel(EventLoop::Handle{});
+  loop.ScheduleAfter(1, [&] { fired += 10; });
+  loop.ScheduleAfter(2, [&] { fired += 100; });
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.Run();
+  EXPECT_EQ(fired, 111);
+}
+
+// Cancelled events leave the live counts at once, and once only cancelled
+// keys remain the loop quiesces: the arena resets.
+TEST(TimerWheel, CancelledEventsAreNotCountedAndArenaQuiesces) {
+  EventLoop loop;
+  const uint64_t fired_base = loop.events_fired();
+  const uint64_t resets_base = loop.arena().resets();
+  EventLoop::Handle timeout =
+      loop.ScheduleAfter(Millis(500), [] { ADD_FAILURE() << "cancelled timeout fired"; });
+  auto rec = MakeArenaPtr<std::string>(loop.arena(), "reply");
+  loop.ScheduleAfter(Micros(3), [&loop, &timeout, r = std::move(rec)] {
+    (void)*r;
+    loop.Cancel(timeout);
+  });
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.RunUntil(Micros(5));
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_EQ(loop.arena().live(), 0u);
+  EXPECT_EQ(loop.arena().resets(), resets_base + 1);
+  loop.Run();
+  EXPECT_EQ(loop.events_fired() - fired_base, 1u);
+  EXPECT_EQ(loop.Now(), Micros(5));
+}
+
 TEST(TimerWheel, RunUntilAdvancesClockOnEmptyQueue) {
   EventLoop loop;
   loop.RunUntil(Millis(5));
@@ -166,6 +351,20 @@ TEST(CallbackLifecycle, UnfiredCallbackDestroyedAtTeardown) {
     loop.ScheduleAfter(10, [p = LifecycleProbe(&copies, &destroys)] { (void)p; });
     // Never run: teardown must destroy the pending callback exactly once.
   }
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(destroys, 1);
+}
+
+TEST(CallbackLifecycle, CancelledCaptureDestroyedAtCancel) {
+  int copies = 0;
+  int destroys = 0;
+  EventLoop loop;
+  const auto handle =
+      loop.ScheduleAfter(10, [p = LifecycleProbe(&copies, &destroys)] { (void)p; });
+  EXPECT_EQ(destroys, 0);
+  loop.Cancel(handle);
+  EXPECT_EQ(destroys, 1);  // at Cancel, not when the key surfaces or at teardown
+  loop.Run();
   EXPECT_EQ(copies, 0);
   EXPECT_EQ(destroys, 1);
 }

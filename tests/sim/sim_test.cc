@@ -227,6 +227,29 @@ TEST(SyncTest, TimedWaitSeesEvent) {
   EXPECT_LT(woke, Millis(10));  // woke on the event, not the timeout
 }
 
+// Set() cancels the waiter's timeout: nothing stays queued behind the wake,
+// and the clock stops at the last live event instead of the dead timer.
+TEST(SyncTest, TimedWaitSatisfiedByEventCancelsItsTimeout) {
+  EventLoop loop;
+  Actor actor(loop);
+  Event event;
+  bool fired = false;
+  actor.Spawn([](Event* e, bool* f) -> Task<> {
+    *f = co_await e->TimedWait(Millis(500));
+  }(&event, &fired));
+  loop.RunUntil(Millis(1));
+  ASSERT_EQ(loop.pending_events(), 1u);  // the timeout
+  const uint64_t fired_before = loop.events_fired();
+  loop.ScheduleAt(Millis(2), [&] { event.Set(); });
+  loop.RunUntil(Millis(3));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_EQ(loop.events_fired(), fired_before + 2);  // Set, then the resume
+  loop.Run();
+  EXPECT_EQ(loop.events_fired(), fired_before + 2);
+  EXPECT_EQ(loop.Now(), Millis(3));
+}
+
 TEST(SyncTest, LatchCountsDown) {
   EventLoop loop;
   Actor actor(loop);
