@@ -28,6 +28,26 @@ std::vector<PgId> TopologyMap::PrimaryPgsOf(sim::NodeId node) const {
   return out;
 }
 
+std::optional<LvTargets> TopologyMap::TargetsOf(LvId lv_id, PvFilter filter) const {
+  const LogicalVolume* lv = FindLv(lv_id);
+  if (lv == nullptr) {
+    return std::nullopt;
+  }
+  LvTargets out;
+  out.block_size = lv->block_size;
+  for (PvId pv_id : lv->replicas) {
+    const PhysicalVolume* pv = FindPv(pv_id);
+    if (pv == nullptr && filter == PvFilter::kRequireAll) {
+      return std::nullopt;
+    }
+    if (pv == nullptr || (filter == PvFilter::kSkipUnhealthy && !pv->healthy)) {
+      continue;
+    }
+    out.targets.push_back({pv->DeviceName(), pv->disk_index, pv->data_server});
+  }
+  return out;
+}
+
 std::string TopologyMap::Serialize() const {
   std::string body;
   PutVarint64(&body, view);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,30 @@ struct LogicalVolume {
   bool ec_stripe = false;
 
   uint64_t TotalBlocks() const { return capacity_bytes / block_size; }
+};
+
+// One PV of a logical volume as a data-plane request addresses it, copied out
+// of the map: a topology push move-assigns the map while a coroutine is
+// suspended, so no LogicalVolume/PhysicalVolume pointer may be held across a
+// co_await.
+struct ReplicaTarget {
+  std::string device;
+  uint32_t disk_index = 0;
+  sim::NodeId node = sim::kInvalidNode;
+};
+
+// A logical volume's block size and its replica (or EC chunk) targets, in
+// `replicas` order.
+struct LvTargets {
+  uint32_t block_size = 4096;
+  std::vector<ReplicaTarget> targets;
+};
+
+// Which PVs TopologyMap::TargetsOf keeps.
+enum class PvFilter : uint8_t {
+  kSkipMissing,    // drop PVs absent from the map
+  kSkipUnhealthy,  // also drop PVs marked unhealthy
+  kRequireAll,     // any absent PV fails the lookup (EC stripes: j-th PV = chunk j)
 };
 
 // Live PG migration phases for a planned drain (Prepare -> DoubleWrite ->
@@ -118,6 +143,9 @@ struct TopologyMap {
     auto it = pvs.find(id);
     return it == pvs.end() ? nullptr : &it->second;
   }
+  // Snapshots `lv`'s block size and targets; nullopt if the LV is unknown or,
+  // under kRequireAll, one of its PVs is.
+  std::optional<LvTargets> TargetsOf(LvId lv, PvFilter filter) const;
   const PgMigration* MigrationOf(PgId pg) const {
     auto it = migrations.find(pg);
     return it == migrations.end() ? nullptr : &it->second;

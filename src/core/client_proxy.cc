@@ -259,8 +259,8 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& 
     co_return Status::Ok();
   }
   if (!reply->inline_stored) {
-    const cluster::LogicalVolume* lv = topo_.FindLv(reply->lvid);
-    if (lv == nullptr) {
+    auto lv = topo_.TargetsOf(reply->lvid, cluster::PvFilter::kRequireAll);
+    if (!lv.has_value()) {
       persist_waits_.erase(reqid);
       co_return Status::StaleView("allocated volume unknown to this proxy");
     }
@@ -315,36 +315,31 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& 
   co_return Status::Ok();
 }
 
-sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LogicalVolume& lv,
+sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LvTargets& lv,
                                                  const std::vector<alloc::Extent>& extents,
                                                  const Bytes& data, uint32_t checksum) {
   std::vector<sim::Task<Status>> tasks;
-  for (cluster::PvId pv_id : lv.replicas) {
-    const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-    if (pv == nullptr) {
-      co_return Status::StaleView("physical volume unknown");
-    }
-    tasks.push_back([](ClientProxy* self, const cluster::PhysicalVolume* pv,
-                       uint32_t block_size, std::vector<alloc::Extent> extents,
-                       Bytes data, uint32_t checksum) -> sim::Task<Status> {
+  for (const cluster::ReplicaTarget& t : lv.targets) {
+    tasks.push_back([](ClientProxy* self, cluster::ReplicaTarget t, uint32_t block_size,
+                       std::vector<alloc::Extent> extents, Bytes data,
+                       uint32_t checksum) -> sim::Task<Status> {
       DataWriteRequest write;
       write.view = self->topo_.view;
-      write.device = pv->DeviceName();
-      write.disk_index = pv->disk_index;
+      write.device = t.device;
+      write.disk_index = t.disk_index;
       write.block_size = block_size;
       write.extents = std::move(extents);
       write.data = std::move(data);
       write.checksum = checksum;
-      const sim::NodeId target = pv->data_server;
-      auto r = co_await self->rpc_.Call(target, std::move(write), self->options_.rpc_timeout);
+      auto r = co_await self->rpc_.Call(t.node, std::move(write), self->options_.rpc_timeout);
       if (!r.ok()) {
         if (r.status().IsTimeout()) {
-          self->ReportSuspect(target);
+          self->ReportSuspect(t.node);
         }
         co_return r.status();
       }
       co_return Status::Ok();
-    }(this, pv, lv.block_size, extents, data, checksum));
+    }(this, t, lv.block_size, extents, data, checksum));
   }
   auto results = co_await sim::WhenAll(std::move(tasks));
   for (const Status& s : results) {
@@ -485,7 +480,7 @@ sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) 
   // pointer held across an await).
   const std::vector<cluster::PvId> order = lv->replicas;
   const uint32_t block_size = lv->block_size;
-  std::vector<DamagedReplica> damaged;
+  std::vector<cluster::ReplicaTarget> damaged;
   // The lease lets a get read from any one of the n data servers (§5.1).
   const size_t start = rng_.Uniform(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
@@ -502,7 +497,7 @@ sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) 
     read.verify = verify;
     read.expected_checksum = meta.checksum;
     const sim::NodeId target = pv->data_server;
-    const DamagedReplica as_damaged{pv->DeviceName(), pv->disk_index, target};
+    const cluster::ReplicaTarget as_damaged{pv->DeviceName(), pv->disk_index, target};
     auto r = co_await rpc_.Call(target, std::move(read), options_.rpc_timeout);
     if (!r.ok()) {
       if (r.status().IsTimeout()) {
@@ -546,37 +541,18 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   const uint32_t m = meta.ec_m;
   // Everything the chunk I/O needs, copied out of the topology before the
   // first co_await (same dangling-pointer hazard as ReadData).
-  struct ChunkTarget {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId node = sim::kInvalidNode;
-  };
-  std::vector<ChunkTarget> targets;
-  uint32_t block_size = 4096;
-  {
-    const cluster::LogicalVolume* lv = topo_.FindLv(meta.lvid);
-    if (lv == nullptr) {
-      co_return Status::StaleView("stripe volume unknown");
-    }
-    if (k == 0 || lv->replicas.size() != static_cast<size_t>(k) + m ||
-        meta.chunk_crcs.size() != lv->replicas.size()) {
-      co_return Status::Corruption("inconsistent EC stripe metadata");
-    }
-    block_size = lv->block_size;
-    for (cluster::PvId pv_id : lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        co_return Status::StaleView("stripe member volume unknown");
-      }
-      targets.push_back(ChunkTarget{pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
+  auto lv = topo_.TargetsOf(meta.lvid, cluster::PvFilter::kRequireAll);
+  if (!lv.has_value()) {
+    co_return Status::StaleView("stripe volume unknown");
   }
+  if (k == 0 || lv->targets.size() != static_cast<size_t>(k) + m ||
+      meta.chunk_crcs.size() != lv->targets.size()) {
+    co_return Status::Corruption("inconsistent EC stripe metadata");
+  }
+  std::vector<cluster::ReplicaTarget> targets = std::move(lv->targets);
+  const uint32_t block_size = lv->block_size;
   const uint64_t shard_bytes = tier::ShardBytes(meta.size, k);
 
-  struct StripeState {
-    std::vector<std::optional<Bytes>> chunks;  // verified survivors
-    std::vector<char> damaged;  // positive evidence of damage, per chunk
-  };
   auto st = std::make_shared<StripeState>();
   st->chunks.resize(targets.size());
   st->damaged.assign(targets.size(), 0);
@@ -585,39 +561,8 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   // their concatenation (minus padding) is the object — no decode needed.
   std::vector<sim::Task<>> reads;
   for (uint32_t j = 0; j < k; ++j) {
-    reads.push_back([](ClientProxy* self, ChunkTarget t, size_t j,
-                       uint32_t block_size, std::vector<alloc::Extent> extents,
-                       uint64_t shard_bytes, uint32_t crc,
-                       std::shared_ptr<StripeState> st) -> sim::Task<> {
-      DataReadRequest read;
-      read.device = t.device;
-      read.disk_index = t.disk_index;
-      read.block_size = block_size;
-      read.extents = std::move(extents);
-      read.length = shard_bytes;
-      read.verify = true;
-      read.expected_checksum = crc;
-      auto r = co_await self->rpc_.Call(t.node, std::move(read), self->options_.rpc_timeout);
-      if (!r.ok()) {
-        if (r.status().IsTimeout()) {
-          self->ReportSuspect(t.node);
-        }
-        if (r.status().code() == ErrorCode::kCorruption ||
-            r.status().code() == ErrorCode::kIoError) {
-          self->counters_.corrupt_replica_reads.Add();
-          st->damaged[j] = 1;
-        }
-        co_return;
-      }
-      const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
-      if (r->data.size() != shard_bytes || got != crc) {
-        self->counters_.corrupt_replica_reads.Add();
-        st->damaged[j] = 1;
-        co_return;
-      }
-      st->chunks[j] = std::move(r->data);
-    }(this, targets[j], j, block_size, meta.extents, shard_bytes,
-      meta.chunk_crcs[j], st));
+    reads.push_back(ReadChunk(targets[j], j, block_size, meta.extents, shard_bytes,
+                              meta.chunk_crcs[j], st));
   }
   co_await sim::WhenAllVoid(std::move(reads));
 
@@ -639,34 +584,9 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   // fetched one at a time — the fast path already has most of the stripe, and
   // the sequential tail keeps parity traffic off healthy gets entirely.
   for (size_t j = k; j < targets.size() && have < k; ++j) {
-    DataReadRequest read;
-    read.device = targets[j].device;
-    read.disk_index = targets[j].disk_index;
-    read.block_size = block_size;
-    read.extents = meta.extents;
-    read.length = shard_bytes;
-    read.verify = true;
-    read.expected_checksum = meta.chunk_crcs[j];
-    auto r = co_await rpc_.Call(targets[j].node, std::move(read), options_.rpc_timeout);
-    if (!r.ok()) {
-      if (r.status().IsTimeout()) {
-        ReportSuspect(targets[j].node);
-      }
-      if (r.status().code() == ErrorCode::kCorruption ||
-          r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads.Add();
-        st->damaged[j] = 1;
-      }
-      continue;
-    }
-    const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
-    if (r->data.size() != shard_bytes || got != meta.chunk_crcs[j]) {
-      counters_.corrupt_replica_reads.Add();
-      st->damaged[j] = 1;
-      continue;
-    }
-    st->chunks[j] = std::move(r->data);
-    ++have;
+    co_await ReadChunk(targets[j], j, block_size, meta.extents, shard_bytes,
+                       meta.chunk_crcs[j], st);
+    have += st->chunks[j].has_value() ? 1 : 0;
   }
   if (have < static_cast<size_t>(k)) {
     co_return Status::Unavailable("stripe lost more than m chunks");
@@ -684,7 +604,7 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
     // reconstruction racing a demotion swap can never plant garbage.
     rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta,
                                     uint32_t block_size,
-                                    std::vector<ChunkTarget> targets,
+                                    std::vector<cluster::ReplicaTarget> targets,
                                     std::shared_ptr<StripeState> st) -> sim::Task<> {
       auto rebuilt = tier::ReconstructChunks(st->chunks, meta.ec_k, meta.ec_m);
       if (!rebuilt.ok()) {
@@ -713,8 +633,40 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   co_return Bytes(std::move(*decoded));
 }
 
+sim::Task<> ClientProxy::ReadChunk(cluster::ReplicaTarget t, size_t j, uint32_t block_size,
+                                   std::vector<alloc::Extent> extents, uint64_t shard_bytes,
+                                   uint32_t crc, std::shared_ptr<StripeState> st) {
+  DataReadRequest read;
+  read.device = t.device;
+  read.disk_index = t.disk_index;
+  read.block_size = block_size;
+  read.extents = std::move(extents);
+  read.length = shard_bytes;
+  read.verify = true;
+  read.expected_checksum = crc;
+  auto r = co_await rpc_.Call(t.node, std::move(read), options_.rpc_timeout);
+  if (!r.ok()) {
+    if (r.status().IsTimeout()) {
+      ReportSuspect(t.node);
+    }
+    if (r.status().code() == ErrorCode::kCorruption ||
+        r.status().code() == ErrorCode::kIoError) {
+      counters_.corrupt_replica_reads.Add();
+      st->damaged[j] = 1;
+    }
+    co_return;
+  }
+  const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
+  if (r->data.size() != shard_bytes || got != crc) {
+    counters_.corrupt_replica_reads.Add();
+    st->damaged[j] = 1;
+    co_return;
+  }
+  st->chunks[j] = std::move(r->data);
+}
+
 void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                                  std::vector<DamagedReplica> damaged, Bytes data) {
+                                  std::vector<cluster::ReplicaTarget> damaged, Bytes data) {
   // Fire-and-forget on the proxy's actor: the get that discovered the damage
   // has already returned by the time these writes land. Everything the task
   // needs is copied in — a concurrent delete or topology push can't dangle
@@ -724,9 +676,9 @@ void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
   // repair in virtual time or overwrites it) or already reused (the repair
   // write is itself overwritten; scrub re-heals if it races in between).
   rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta, uint32_t block_size,
-                                  std::vector<DamagedReplica> damaged,
+                                  std::vector<cluster::ReplicaTarget> damaged,
                                   Bytes data) -> sim::Task<> {
-    for (const DamagedReplica& d : damaged) {
+    for (const cluster::ReplicaTarget& d : damaged) {
       RepairWriteRequest write;
       write.view = self->topo_.view;
       write.device = d.device;
@@ -735,7 +687,7 @@ void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
       write.extents = meta.extents;
       write.data = data;
       write.checksum = meta.checksum;
-      auto w = co_await self->rpc_.Call(d.data_server, std::move(write),
+      auto w = co_await self->rpc_.Call(d.node, std::move(write),
                                         self->options_.rpc_timeout);
       if (w.ok()) {
         self->counters_.read_repairs.Add();

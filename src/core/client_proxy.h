@@ -15,6 +15,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -126,7 +127,7 @@ class ClientProxy {
   // One full put attempt; the caller loops on retryable failures.
   sim::Task<Status> PutAttempt(const std::string& name, const Bytes& data, uint32_t checksum,
                                ReqId reqid, bool re_meta, bool re_data);
-  sim::Task<Status> WriteDataReplicas(const cluster::LogicalVolume& lv,
+  sim::Task<Status> WriteDataReplicas(const cluster::LvTargets& lv,
                                       const std::vector<alloc::Extent>& extents,
                                       const Bytes& data, uint32_t checksum);
   sim::Task<Result<Bytes>> ReadData(const ObMeta& meta, bool verify);
@@ -134,19 +135,22 @@ class ClientProxy {
   // on damage, pulls parity and reconstructs from any k of k+m. Degraded
   // successes fire-and-forget a rewrite of the damaged chunks.
   sim::Task<Result<Bytes>> ReadEcData(const ObMeta& meta);
-
-  // A replica that positively failed verification (server-side kCorruption /
-  // kIoError or client-side checksum mismatch) — everything a repair write
-  // needs, copied out of the topology.
-  struct DamagedReplica {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId data_server = sim::kInvalidNode;
+  struct StripeState {
+    std::vector<std::optional<Bytes>> chunks;  // verified survivors
+    std::vector<char> damaged;  // positive evidence of damage, per chunk
   };
-  // Fire-and-forget maintenance-class rewrite of damaged replicas from the
-  // verified payload the get just returned.
+  // Verified read of stripe chunk j from `t` into st->chunks[j]; a checksum
+  // mismatch or a server-side corruption/IO error marks it damaged.
+  sim::Task<> ReadChunk(cluster::ReplicaTarget t, size_t j, uint32_t block_size,
+                        std::vector<alloc::Extent> extents, uint64_t shard_bytes, uint32_t crc,
+                        std::shared_ptr<StripeState> st);
+
+  // Fire-and-forget maintenance-class rewrite of `damaged` replicas (those
+  // that positively failed verification: server-side kCorruption / kIoError
+  // or a client-side checksum mismatch) from the verified payload the get
+  // just returned.
   void SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                       std::vector<DamagedReplica> damaged, Bytes data);
+                       std::vector<cluster::ReplicaTarget> damaged, Bytes data);
 
   sim::Task<Result<MetaPersistedAck>> HandlePersisted(sim::NodeId src,
                                                       MetaPersistedNotify req);

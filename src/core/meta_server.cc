@@ -18,6 +18,24 @@ namespace {
 
 std::string BitmapFile(cluster::LvId lv) { return "bitmap_" + std::to_string(lv); }
 
+// A put's MetaX (§5.2): its ObMeta record, plus the PG-log and proxy-log
+// entries that tie it to its op.
+kv::WriteBatch MetaXBatch(const PendingPut& p, bool with_logs) {
+  kv::WriteBatch batch;
+  batch.Put(ObMetaKey(p.pg, p.name), p.meta.Encode());
+  if (with_logs) {
+    PgLog pglog;
+    pglog.name = p.name;
+    pglog.pxlogkey = PxLogKey(p.proxy_id, p.reqid);
+    batch.Put(PgLogKey(p.pg, p.opseq), pglog.Encode());
+    PxLog pxlog;
+    pxlog.name = p.name;
+    pxlog.pglogkey = PgLogKey(p.pg, p.opseq);
+    batch.Put(PxLogKey(p.proxy_id, p.reqid), pxlog.Encode());
+  }
+  return batch;
+}
+
 }  // namespace
 
 MetaServer::MetaServer(rpc::Node& rpc, CheetahOptions options,
@@ -122,119 +140,15 @@ Status MetaServer::CheckRequest(uint64_t view, cluster::PgId pg, bool need_prima
   return Status::Ok();
 }
 
-std::vector<cluster::LvId> MetaServer::EffectiveVg(cluster::PgId pg) const {
-  if (!options_.no_volume_groups) {
-    auto it = topo_.vgs.find(pg);
-    return it == topo_.vgs.end() ? std::vector<cluster::LvId>{} : it->second;
-  }
-  // Cheetah-NoVG: volumes are partitioned over PGs in an order keyed by the
-  // meta membership, so meta expansion reshuffles which volumes belong to
-  // which PG and object data must chase its PG's new volumes (Fig. 14).
-  uint64_t meta_seed = 0;
-  for (const auto& item : topo_.meta_crush.items()) {
-    meta_seed = Mix64(meta_seed ^ item.id);
-  }
-  std::vector<std::pair<uint64_t, cluster::LvId>> shuffled;
-  for (const auto& [id, lv] : topo_.lvs) {
-    if (lv.ec_stripe) {
-      continue;  // stripe LVs never serve replica allocations
-    }
-    shuffled.emplace_back(Mix64(id * 0x9e3779b97f4a7c15ull ^ meta_seed), id);
-  }
-  std::sort(shuffled.begin(), shuffled.end());
-  std::vector<cluster::LvId> out;
-  for (size_t i = 0; i < shuffled.size(); ++i) {
-    if (i % topo_.pg_count == pg) {
-      out.push_back(shuffled[i].second);
-    }
-  }
-  return out;
-}
-
-alloc::BitmapAllocator* MetaServer::AllocatorFor(cluster::LvId lv_id) {
-  auto it = allocators_.find(lv_id);
-  if (it != allocators_.end()) {
-    return &it->second;
-  }
-  const cluster::LogicalVolume* lv = topo_.FindLv(lv_id);
-  if (lv == nullptr) {
-    return nullptr;
-  }
-  auto [nit, inserted] =
-      allocators_.emplace(lv_id, alloc::BitmapAllocator(lv->TotalBlocks(), lv->block_size));
-  return &nit->second;
-}
-
-Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateSpace(
-    cluster::PgId pg, uint64_t bytes) {
-  std::vector<cluster::LvId> candidates = EffectiveVg(pg);
-  // Prefer the volume with the most free space (simple load balancing).
-  std::sort(candidates.begin(), candidates.end(),
-            [this](cluster::LvId a, cluster::LvId b) {
-              auto* aa = allocators_.find(a) != allocators_.end() ? &allocators_.at(a) : nullptr;
-              auto* bb = allocators_.find(b) != allocators_.end() ? &allocators_.at(b) : nullptr;
-              const uint64_t fa = aa ? aa->free_blocks() : ~0ull;
-              const uint64_t fb = bb ? bb->free_blocks() : ~0ull;
-              return fa > fb;
-            });
-  for (cluster::LvId lv_id : candidates) {
-    const cluster::LogicalVolume* lv = topo_.FindLv(lv_id);
-    if (lv == nullptr || !lv->writable) {
-      continue;
-    }
-    alloc::BitmapAllocator* allocator = AllocatorFor(lv_id);
-    if (allocator == nullptr) {
-      continue;
-    }
-    auto extents = allocator->Allocate(bytes);
-    if (extents.ok()) {
-      return std::make_pair(lv_id, std::move(*extents));
-    }
-  }
-  return Status::ResourceExhausted("no writable volume can fit the object");
-}
-
-Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateEcStripe(
-    cluster::PgId pg, uint64_t chunk_bytes) {
-  auto it = topo_.ec_vgs.find(pg);
-  if (it == topo_.ec_vgs.end() || it->second.empty()) {
-    return Status::ResourceExhausted("pg has no ec stripe volumes");
-  }
-  std::vector<cluster::LvId> candidates = it->second;
-  std::sort(candidates.begin(), candidates.end(),
-            [this](cluster::LvId a, cluster::LvId b) {
-              auto* aa = allocators_.find(a) != allocators_.end() ? &allocators_.at(a) : nullptr;
-              auto* bb = allocators_.find(b) != allocators_.end() ? &allocators_.at(b) : nullptr;
-              const uint64_t fa = aa ? aa->free_blocks() : ~0ull;
-              const uint64_t fb = bb ? bb->free_blocks() : ~0ull;
-              return fa > fb;
-            });
-  for (cluster::LvId lv_id : candidates) {
-    const cluster::LogicalVolume* lv = topo_.FindLv(lv_id);
-    if (lv == nullptr || !lv->writable || !lv->ec_stripe) {
-      continue;
-    }
-    alloc::BitmapAllocator* allocator = AllocatorFor(lv_id);
-    if (allocator == nullptr) {
-      continue;
-    }
-    auto extents = allocator->Allocate(chunk_bytes);
-    if (extents.ok()) {
-      return std::make_pair(lv_id, std::move(*extents));
-    }
-  }
-  return Status::ResourceExhausted("no ec stripe can fit the chunk");
-}
-
 // ---- put ----
 
 sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
                                                             PutAllocRequest req) {
   const cluster::PgId pg = topo_.pg_count ? topo_.PgOf(req.name) : 0;
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
-  if (tiering_names_.contains(req.name)) {
-    // Mid-demotion metadata swap (src/tier): bounce for the one persist
-    // round the swap takes; the proxy's retry loop absorbs it.
+  if (pgs_.IsGuarded(req.name)) {
+    // Mid record swap (demotion or NoVG migration): bounce for the one
+    // persist round the swap takes; the proxy's retry loop absorbs it.
     co_return Status::Unavailable("object is moving between storage classes");
   }
   counters_.put_allocs.Add();
@@ -254,70 +168,45 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
 
   // Resume path (§5.3 RE-META): the put already allocated — return the same
   // allocation and re-replicate MetaX so the backups converge. A concurrent
-  // verification may revoke (erase) the pending entry during any wait here,
-  // so the entry is looked up again after each one and the attempt fails if
-  // it is gone or being revoked.
-  if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
-    auto pit = pending_.find(it->second);
-    if (pit == pending_.end() || pit->second.reqid != req.reqid) {
+  // verification may revoke the put, or a second RE-DATA move it, while the
+  // persist is out; the ticket then no longer applies and the attempt fails.
+  if (const PendingPut* p = pgs_.FindByName(req.name)) {
+    if (p->reqid != req.reqid) {
       co_return Status::AlreadyExists("object has an in-flight put");
     }
-    if (pit->second.revoking) {
+    if (p->state == PutState::kRevoking) {
       co_return Status::Unavailable("put is being revoked");
     }
-    if (req.re_data && pit->second.meta.storage_class != StorageClass::kInline) {
+    PgState::Ticket ticket = PgState::TicketOf(*p);
+    if (req.re_data && p->meta.storage_class != StorageClass::kInline) {
       // §5.3 RE-DATA: atomically pick a new volume and revoke the old
       // allocation on the problematic one. Allocate before freeing: if no
       // volume can fit the object the put must be revoked outright —
       // leaving the pending entry (and its replicated MetaX) behind would
       // let the cleaner complete a put the proxy was told failed.
-      auto alloc = AllocateSpace(pg, req.size);
+      auto alloc = pgs_.Allocate(pg, req.size);
       if (!alloc.ok()) {
-        PendingPut doomed = pit->second;
-        co_await RevokePut(std::move(doomed));
+        co_await RevokePut(ticket);
         co_return alloc.status();
       }
-      const ObMeta old_meta = pit->second.meta;
-      if (alloc::BitmapAllocator* a = AllocatorFor(old_meta.lvid)) {
-        a->Free(old_meta.extents);
-      }
-      co_await DiscardData(old_meta);
-      pit = pending_.find(req.reqid);
-      if (pit == pending_.end() || pit->second.revoking) {
-        if (alloc::BitmapAllocator* a = AllocatorFor(alloc->first)) {
-          a->Free(alloc->second);
-        }
-        co_return Status::Unavailable("put revoked during its resume");
-      }
-      pit->second.meta.lvid = alloc->first;
-      pit->second.meta.extents = std::move(alloc->second);
+      const ObMeta old_meta = p->meta;
+      ticket = *pgs_.Relocate(ticket, std::move(*alloc));
+      DiscardData(old_meta.lvid, old_meta.extents);
+      p = pgs_.Find(ticket);
     }
-    const PendingPut p = pit->second;
-    kv::WriteBatch batch;
-    batch.Put(ObMetaKey(pg, req.name), p.meta.Encode());
-    PgLog pglog;
-    pglog.name = req.name;
-    pglog.pxlogkey = PxLogKey(p.proxy_id, p.reqid);
-    batch.Put(PgLogKey(pg, p.opseq), pglog.Encode());
-    PxLog pxlog;
-    pxlog.name = req.name;
-    pxlog.pglogkey = PgLogKey(pg, p.opseq);
-    batch.Put(PxLogKey(p.proxy_id, p.reqid), pxlog.Encode());
-    Status ps = co_await PersistAndReplicate(pg, std::move(batch));
+    PutAllocReply reply;
+    reply.lvid = p->meta.lvid;
+    reply.extents = p->meta.extents;
+    reply.opseq = p->opseq;
+    reply.persisted = true;
+    reply.inline_stored = p->meta.storage_class == StorageClass::kInline;
+    Status ps = co_await PersistAndReplicate(pg, MetaXBatch(*p, /*with_logs=*/true));
     if (!ps.ok()) {
       co_return ps;
     }
-    pit = pending_.find(req.reqid);
-    if (pit == pending_.end() || pit->second.revoking) {
+    if (!pgs_.SetPersisted(ticket, true)) {
       co_return Status::Unavailable("put revoked during its resume");
     }
-    pit->second.persisted = true;
-    PutAllocReply reply;
-    reply.lvid = p.meta.lvid;
-    reply.extents = p.meta.extents;
-    reply.opseq = p.opseq;
-    reply.persisted = true;
-    reply.inline_stored = p.meta.storage_class == StorageClass::kInline;
     co_return reply;
   }
 
@@ -348,20 +237,25 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
       co_return Status::AlreadyExists("object exists (immutable)");
     }
   }
+  // Another put of the name may have been allocated during that read.
+  if (const PendingPut* p = pgs_.FindByName(req.name)) {
+    co_return p->reqid == req.reqid ? Status::Unavailable("put already in flight")
+                                    : Status::AlreadyExists("object has an in-flight put");
+  }
 
   // Inline placement (src/tier): the payload lives in the ObMeta record
   // itself — no allocation, no data servers, and the put is complete once
   // the MetaX triple persists.
   const bool inline_put = req.is_inline && req.inline_data.size() == req.size;
-  std::pair<cluster::LvId, std::vector<alloc::Extent>> placement;
+  PgState::Placement placement;
   if (!inline_put) {
-    auto alloc = AllocateSpace(pg, req.size);
+    auto alloc = pgs_.Allocate(pg, req.size);
     if (!alloc.ok()) {
       co_return alloc.status();
     }
     placement = std::move(*alloc);
   }
-  const uint64_t opseq = ++pg_opseq_[pg];
+  const uint64_t opseq = pgs_.NextOpseq(pg);
 
   PendingPut p;
   p.reqid = req.reqid;
@@ -369,7 +263,6 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   p.pg = pg;
   p.opseq = opseq;
   p.proxy_id = req.proxy_id;
-  p.proxy_node = req.proxy_node;
   if (inline_put) {
     p.meta.storage_class = StorageClass::kInline;
     p.meta.inline_data = std::move(req.inline_data);
@@ -384,18 +277,7 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   p.meta.born_ns = static_cast<uint64_t>(rpc_.machine().loop().Now());
   p.born = rpc_.machine().loop().Now();
 
-  kv::WriteBatch batch;
-  batch.Put(ObMetaKey(pg, req.name), p.meta.Encode());
-  if (!options_.thin_directory_mode) {
-    PgLog pglog;
-    pglog.name = req.name;
-    pglog.pxlogkey = PxLogKey(req.proxy_id, req.reqid);
-    batch.Put(PgLogKey(pg, opseq), pglog.Encode());
-    PxLog pxlog;
-    pxlog.name = req.name;
-    pxlog.pglogkey = PgLogKey(pg, opseq);
-    batch.Put(PxLogKey(req.proxy_id, req.reqid), pxlog.Encode());
-  }
+  kv::WriteBatch batch = MetaXBatch(p, !options_.thin_directory_mode);
 
   PutAllocReply reply;
   reply.lvid = p.meta.lvid;
@@ -403,23 +285,17 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   reply.opseq = opseq;
   reply.inline_stored = inline_put;
 
-  pending_[req.reqid] = p;
-  pending_names_[req.name] = req.reqid;
+  const PgState::Ticket ticket = pgs_.Add(std::move(p));
 
   if (options_.ordered_writes) {
     // Cheetah-OW (Fig. 9): restore the ordering constraint — do not reply
     // until MetaX is persisted everywhere.
     Status ps = co_await PersistAndReplicate(pg, std::move(batch));
     if (!ps.ok()) {
-      if (auto it = pending_.find(req.reqid); it != pending_.end()) {
-        PendingPut doomed = it->second;
-        co_await RevokePut(std::move(doomed));
-      }
+      co_await RevokePut(ticket);
       co_return ps;
     }
-    if (auto it = pending_.find(req.reqid); it != pending_.end()) {
-      it->second.persisted = true;
-    }
+    pgs_.SetPersisted(ticket, true);
     reply.persisted = true;
     co_return reply;
   }
@@ -427,17 +303,15 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   // Full Cheetah: reply NOW; persist + replicate in parallel and notify the
   // proxy when done (Fig. 4 steps (2)(3)).
   rpc_.machine().actor().Spawn(
-      [](MetaServer* self, cluster::PgId pg, ReqId reqid, sim::NodeId proxy_node,
+      [](MetaServer* self, cluster::PgId pg, PgState::Ticket ticket, sim::NodeId proxy_node,
          kv::WriteBatch batch) -> sim::Task<> {
         Status ps = co_await self->PersistAndReplicate(pg, std::move(batch));
-        if (auto it = self->pending_.find(reqid); it != self->pending_.end()) {
-          it->second.persisted = ps.ok();
-        }
+        self->pgs_.SetPersisted(ticket, ps.ok());
         MetaPersistedNotify note;
-        note.reqid = reqid;
+        note.reqid = ticket.reqid;
         note.ok = ps.ok();
         self->rpc_.Notify(proxy_node, std::move(note));
-      }(this, pg, req.reqid, req.proxy_node, std::move(batch)));
+      }(this, pg, ticket, req.proxy_node, std::move(batch)));
   co_return reply;
 }
 
@@ -495,11 +369,7 @@ sim::Task<Result<ReplicateMetaXReply>> MetaServer::HandleReplicate(
 
 sim::Task<Result<PutCommitAck>> MetaServer::HandleCommit(sim::NodeId src,
                                                          PutCommitNotify req) {
-  auto it = pending_.find(req.reqid);
-  if (it != pending_.end()) {
-    it->second.committed = true;
-    pending_names_.erase(it->second.name);  // object becomes visible
-  }
+  pgs_.Commit(req.reqid);  // the object becomes visible
   co_return PutCommitAck{};
 }
 
@@ -510,21 +380,18 @@ sim::Task<Result<GetMetaReply>> MetaServer::HandleGet(sim::NodeId src, GetMetaRe
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
   counters_.gets.Add();
 
-  if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
+  if (const PendingPut* p = pgs_.FindByName(req.name); p != nullptr && !p->recovered) {
     // A recovered entry will never see its commit notification (see
     // PendingPut::recovered) — waiting for one would make the first get of
     // every adopted object eat the full budget, turning a view change into a
     // visible latency spike. Go straight to verification instead.
-    auto pit = pending_.find(it->second);
-    if (pit == pending_.end() || !pit->second.recovered) {
-      co_await WaitPendingResolved(req.name, Millis(5));
-    }
+    co_await WaitPendingResolved(req.name, Millis(5));
   }
-  if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
+  if (const PendingPut* p = pgs_.FindByName(req.name)) {
     // §4.3.2: a get for a pending object makes the primary check whether the
     // data actually landed on the data servers (the proxy may have died
     // after the data was persisted but before notifying us).
-    Status s = co_await VerifyPending(it->second);
+    Status s = co_await VerifyPending(p->reqid);
     if (!s.ok()) {
       LOG_DEBUG << "get " << req.name << " pending verify: " << s.ToString();
       co_return s;
@@ -541,8 +408,7 @@ sim::Task<Result<GetMetaReply>> MetaServer::HandleGet(sim::NodeId src, GetMetaRe
   if (!meta.ok()) {
     co_return meta.status();
   }
-  // Access recency feeds the demotion policy: a get keeps the object hot.
-  last_access_[req.name] = rpc_.machine().loop().Now();
+  tier_->NoteAccess(req.name, rpc_.machine().loop().Now());
   GetMetaReply reply;
   reply.meta = std::move(*meta);
   co_return reply;
@@ -553,78 +419,70 @@ sim::Task<> MetaServer::WaitPendingResolved(const std::string& name, Nanos budge
   // notifications arrive within a network round trip, so a short wait
   // resolves the common case without the proxy-side retry/backoff path.
   const Nanos deadline = rpc_.machine().loop().Now() + budget;
-  while (pending_names_.contains(name) && rpc_.machine().loop().Now() < deadline) {
+  while (pgs_.FindByName(name) != nullptr && rpc_.machine().loop().Now() < deadline) {
     co_await sim::SleepFor(Micros(200));
   }
 }
 
 sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
-  auto it = pending_.find(reqid);
-  if (it == pending_.end()) {
+  const PendingPut* p = pgs_.Find(reqid);
+  if (p == nullptr) {
     co_return Status::Ok();
   }
-  PendingPut p = it->second;
-  // Re-read the authoritative record: a concurrent migration or RE-DATA may
-  // have moved the object since this pending entry was built.
+  const PgState::Ticket ticket = PgState::TicketOf(*p);
+  // The record must still be there: a revoke or a delete may have
+  // tombstoned it since this entry was built.
   {
-    auto value = co_await db_->Get(ObMetaKey(p.pg, p.name));
+    auto value = co_await db_->Get(ObMetaKey(p->pg, p->name));
     if (!value.ok() || IsObMetaTombstone(*value)) {
-      pending_names_.erase(p.name);
-      pending_.erase(reqid);
+      pgs_.Forget(ticket);
       co_return Status::NotFound("put already revoked");
     }
-    auto meta = ObMeta::Decode(*value);
-    if (meta.ok()) {
-      p.meta = std::move(*meta);
-      it->second.meta = p.meta;
-    }
   }
-  if (p.meta.storage_class == StorageClass::kInline) {
+  // Probe the allocation this ticket names. A verdict lands only if the put
+  // is still pending on this ticket when it is reached; otherwise the put
+  // was settled, revoked or moved by someone else in the meantime.
+  auto moved_on = [this, ticket] {
+    const PendingPut* now = pgs_.Find(ticket.reqid);
+    if (now == nullptr || now->committed()) {
+      return Status::Ok();  // settled: the caller reads the record
+    }
+    return now->state == PutState::kRevoking ? Status::NotFound("put revoked")
+                                             : Status::Unavailable("put moved during verify");
+  };
+  auto complete = [&] {
+    Status s = pgs_.Complete(ticket) ? Status::Ok() : moved_on();
+    if (s.ok()) {
+      counters_.completed_puts.Add();
+    }
+    return s;
+  };
+  p = pgs_.Find(ticket);
+  if (p == nullptr) {
+    co_return moved_on();
+  }
+  const ObMeta meta = p->meta;
+  if (meta.storage_class == StorageClass::kInline) {
     // The payload IS the (already persisted and replicated) MetaX record:
     // there is nothing on the data plane to probe.
-    if (auto pit = pending_.find(reqid); pit != pending_.end()) {
-      pit->second.committed = true;
-      pending_names_.erase(pit->second.name);
-    }
-    counters_.completed_puts.Add();
-    co_return Status::Ok();
+    co_return complete();
   }
-  // Snapshot every topology-derived field before the first co_await: a
-  // topology push move-assigns topo_ while this coroutine is suspended,
-  // invalidating any LogicalVolume/PhysicalVolume pointer held across it.
-  struct ProbeTarget {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId data_server = sim::kInvalidNode;
-  };
-  uint32_t block_size = 0;
-  std::vector<ProbeTarget> targets;
-  {
-    const cluster::LogicalVolume* lv = topo_.FindLv(p.meta.lvid);
-    if (lv == nullptr) {
-      co_return Status::Unavailable("volume missing during verify");
-    }
-    block_size = lv->block_size;
-    for (cluster::PvId pv_id : lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        continue;
-      }
-      targets.push_back({pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
+  auto lv = topo_.TargetsOf(meta.lvid, cluster::PvFilter::kSkipMissing);
+  if (!lv.has_value()) {
+    co_return Status::Unavailable("volume missing during verify");
   }
   int present = 0;
   int definitive = 0;
-  std::vector<const ProbeTarget*> missing;
-  const ProbeTarget* good = nullptr;
-  for (const ProbeTarget& t : targets) {
+  std::vector<const cluster::ReplicaTarget*> missing;
+  const cluster::ReplicaTarget* good = nullptr;
+  for (const cluster::ReplicaTarget& t : lv->targets) {
     DataProbeRequest probe;
     probe.device = t.device;
     probe.disk_index = t.disk_index;
-    probe.block_size = block_size;
-    probe.extents = p.meta.extents;
-    probe.expected_checksum = p.meta.checksum;
-    auto r = co_await rpc_.Call(t.data_server, std::move(probe), options_.rpc_timeout);
+    probe.block_size = lv->block_size;
+    probe.extents = meta.extents;
+    probe.expected_checksum = meta.checksum;
+    auto r = co_await rpc_.Call(t.node, std::move(probe), options_.rpc_timeout);
     if (!r.ok()) {
       continue;  // indeterminate
     }
@@ -637,88 +495,85 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
     }
   }
   if (definitive == 0) {
-    LOG_DEBUG << "verify " << p.name << ": no definitive probe";
+    LOG_DEBUG << "verify " << reqid << ": no definitive probe";
     co_return Status::Unavailable("data servers unreachable during verify");
   }
   if (present == 0) {
     // The data never landed anywhere: the put is unfinished — revoke (§5.3).
-    co_await RevokePut(std::move(p));
-    co_return Status::NotFound("put revoked");
+    const bool revoked = co_await RevokePut(ticket);
+    co_return revoked ? Status::NotFound("put revoked") : moved_on();
   }
   if (!missing.empty() && good != nullptr) {
     // Partially replicated: complete the put by copying from a good replica.
     DataReadRequest read;
     read.device = good->device;
     read.disk_index = good->disk_index;
-    read.block_size = block_size;
-    read.extents = p.meta.extents;
-    read.length = p.meta.size;
-    auto data = co_await rpc_.Call(good->data_server, std::move(read), options_.rpc_timeout);
+    read.block_size = lv->block_size;
+    read.extents = meta.extents;
+    read.length = meta.size;
+    auto data = co_await rpc_.Call(good->node, std::move(read), options_.rpc_timeout);
     if (!data.ok()) {
       co_return Status::Unavailable("repair read failed");
     }
-    for (const ProbeTarget* t : missing) {
+    for (const cluster::ReplicaTarget* t : missing) {
       DataWriteRequest write;
       write.view = topo_.view;
       write.device = t->device;
       write.disk_index = t->disk_index;
-      write.block_size = block_size;
-      write.extents = p.meta.extents;
+      write.block_size = lv->block_size;
+      write.extents = meta.extents;
       write.data = data->data;
-      write.checksum = p.meta.checksum;
-      auto w = co_await rpc_.Call(t->data_server, std::move(write), options_.rpc_timeout);
+      write.checksum = meta.checksum;
+      auto w = co_await rpc_.Call(t->node, std::move(write), options_.rpc_timeout);
       if (!w.ok()) {
         co_return Status::Unavailable("repair write failed");
       }
     }
   }
   // Complete: the put's effects are fully in place.
-  if (auto pit = pending_.find(reqid); pit != pending_.end()) {
-    pit->second.committed = true;
-    pending_names_.erase(pit->second.name);
-  }
-  counters_.completed_puts.Add();
-  co_return Status::Ok();
+  co_return complete();
 }
 
-sim::Task<> MetaServer::RevokePut(PendingPut p) {
-  if (auto it = pending_.find(p.reqid); it != pending_.end()) {
-    it->second.revoking = true;
+sim::Task<bool> MetaServer::RevokePut(PgState::Ticket ticket) {
+  const PendingPut* p = pgs_.BeginRevoke(ticket);
+  if (p == nullptr) {
+    co_return false;
   }
   // The ObMeta slot gets a tombstone (a revoked put must not resurrect via a
   // PG pull merge); the per-op log entries are plain removals — a merged-back
   // log entry is harmless, the cleaner re-resolves it against the tombstone.
+  const cluster::PgId pg = p->pg;
   kv::WriteBatch batch;
-  batch.Put(ObMetaKey(p.pg, p.name), ObMetaTombstone());
-  batch.Delete(PgLogKey(p.pg, p.opseq));
-  batch.Delete(PxLogKey(p.proxy_id, p.reqid));
-  (void)co_await PersistAndReplicate(p.pg, std::move(batch));
-  if (alloc::BitmapAllocator* a = AllocatorFor(p.meta.lvid)) {
-    a->Free(p.meta.extents);
+  batch.Put(ObMetaKey(pg, p->name), ObMetaTombstone());
+  batch.Delete(PgLogKey(pg, p->opseq));
+  batch.Delete(PxLogKey(p->proxy_id, p->reqid));
+  (void)co_await PersistAndReplicate(pg, std::move(batch));
+  if (auto revoked = pgs_.FinishRevoke(ticket)) {
+    DiscardData(revoked->meta.lvid, revoked->meta.extents);
   }
-  co_await DiscardData(p.meta);
-  pending_names_.erase(p.name);
-  pending_.erase(p.reqid);
   counters_.revoked_puts.Add();
+  co_return true;
 }
 
-sim::Task<> MetaServer::DiscardData(const ObMeta& meta) {
-  const cluster::LogicalVolume* lv = topo_.FindLv(meta.lvid);
-  if (lv == nullptr) {
-    co_return;
+void MetaServer::DiscardData(cluster::LvId lv_id, const std::vector<alloc::Extent>& extents) {
+  auto lv = topo_.TargetsOf(lv_id, cluster::PvFilter::kSkipMissing);
+  if (!lv.has_value()) {
+    return;
   }
-  for (cluster::PvId pv_id : lv->replicas) {
-    const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-    if (pv == nullptr) {
-      continue;
-    }
+  for (const cluster::ReplicaTarget& t : lv->targets) {
     DataDiscardRequest req;
-    req.device = pv->DeviceName();
-    req.disk_index = pv->disk_index;
+    req.device = t.device;
+    req.disk_index = t.disk_index;
     req.block_size = lv->block_size;
-    req.extents = meta.extents;
-    rpc_.Notify(pv->data_server, std::move(req));
+    req.extents = extents;
+    rpc_.Notify(t.node, std::move(req));
   }
+}
+
+void MetaServer::ReleaseExtents(cluster::LvId lv, const std::vector<alloc::Extent>& extents) {
+  pgs_.Free(lv, extents);
+  pgs_.MarkDirty(lv);
+  DiscardData(lv, extents);
 }
 
 // ---- delete ----
@@ -726,9 +581,9 @@ sim::Task<> MetaServer::DiscardData(const ObMeta& meta) {
 sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteRequest req) {
   const cluster::PgId pg = topo_.pg_count ? topo_.PgOf(req.name) : 0;
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
-  if (tiering_names_.contains(req.name)) {
-    // Mid-demotion metadata swap (src/tier): bounce for the one persist
-    // round the swap takes; the proxy's retry loop absorbs it.
+  if (pgs_.IsGuarded(req.name)) {
+    // Mid record swap (demotion or NoVG migration): bounce for the one
+    // persist round the swap takes; the proxy's retry loop absorbs it.
     co_return Status::Unavailable("object is moving between storage classes");
   }
   // Idempotency: a delete whose first attempt landed but whose ack was lost
@@ -744,17 +599,16 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
       co_return DeleteReply{};
     }
   }
-  if (auto it = pending_names_.find(req.name); it != pending_names_.end()) {
-    auto pit = pending_.find(it->second);
-    if (pit != pending_.end() && pit->second.recovered) {
+  if (const PendingPut* p = pgs_.FindByName(req.name)) {
+    if (p->recovered) {
       // No commit notification is coming for a recovered entry; resolve it
       // by probing the data servers rather than waiting out the budget and
       // bouncing the delete.
-      (void)co_await VerifyPending(it->second);
+      (void)co_await VerifyPending(p->reqid);
     } else {
       co_await WaitPendingResolved(req.name, Millis(5));
     }
-    if (pending_names_.contains(req.name)) {
+    if (pgs_.FindByName(req.name) != nullptr) {
       co_return Status::Unavailable("object has an in-flight put");
     }
   }
@@ -789,24 +643,19 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
   if (!s.ok()) {
     co_return s;
   }
-  if (alloc::BitmapAllocator* a = AllocatorFor(meta->lvid)) {
-    a->Free(meta->extents);
-  }
   // The in-memory bitmap is updated now (space immediately reusable); the
   // on-disk copy syncs with the next log-clean cycle (§5.2).
-  dirty_bitmaps_.insert(meta->lvid);
-  last_access_.erase(req.name);
-  co_await DiscardData(*meta);
+  ReleaseExtents(meta->lvid, meta->extents);
+  tier_->ForgetAccess(req.name);
   co_return DeleteReply{};
 }
 
 sim::Task<Status> MetaServer::FlushBitmap(cluster::LvId lv) {
-  auto it = allocators_.find(lv);
-  if (it == allocators_.end()) {
+  const alloc::BitmapAllocator* a = pgs_.FindAllocator(lv);
+  if (a == nullptr) {
     co_return Status::Ok();
   }
-  co_return co_await rpc_.machine().disk(0).WriteFile(BitmapFile(lv),
-                                                      it->second.Serialize(),
+  co_return co_await rpc_.machine().disk(0).WriteFile(BitmapFile(lv), a->Serialize(),
                                                       /*sync=*/true);
 }
 
@@ -898,19 +747,29 @@ sim::Task<Result<cluster::MigratePgReply>> MetaServer::HandleMigratePg(
   // migration. What catchup buys is having the bulk of the PG already
   // persisted here, so cutover never depends on the drained node surviving
   // it.
-  sim::NodeId source = req.source;
-  if (source == rpc_.id() || source == sim::kInvalidNode) {
+  if (req.source == rpc_.id() || req.source == sim::kInvalidNode) {
     co_return Status::InvalidArgument("bad migration source");
   }
+  auto pulled = co_await PullPg(req.source, req.pg, req.view);
+  if (!pulled.ok()) {
+    co_return pulled.status();
+  }
   cluster::MigratePgReply reply;
+  reply.kvs_pulled = *pulled;
+  co_return reply;
+}
+
+sim::Task<Result<uint64_t>> MetaServer::PullPg(sim::NodeId source, cluster::PgId pg,
+                                               uint64_t min_view) {
+  uint64_t pulled = 0;
   std::string cursor;
   for (int page = 0; page < 100000; ++page) {
     PgPullRequest pull;
     pull.view = topo_.view;
-    pull.pg = req.pg;
+    pull.pg = pg;
     pull.start_after = cursor;
     pull.limit = 512;
-    pull.min_view = req.view;
+    pull.min_view = min_view;
     auto r = co_await rpc_.Call(source, std::move(pull), options_.rpc_timeout);
     if (!r.ok()) {
       co_return r.status();
@@ -919,15 +778,15 @@ sim::Task<Result<cluster::MigratePgReply>> MetaServer::HandleMigratePg(
     for (auto& [k, v] : r->kvs) {
       batch.Put(k, v);
     }
-    reply.kvs_pulled += r->kvs.size();
+    pulled += r->kvs.size();
     counters_.recovered_kvs.Add(r->kvs.size());
     CO_RETURN_IF_ERROR(co_await db_->Write(std::move(batch)));
     if (r->next_start_after.empty()) {
-      co_return reply;
+      co_return pulled;
     }
     cursor = r->next_start_after;
   }
-  co_return Status::Internal("migration pull did not terminate");
+  co_return Status::Internal("pg pull did not terminate");
 }
 
 // ---- topology adoption ----
@@ -958,13 +817,7 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
     LOG_INFO << "meta " << rpc_.id() << ": adopting view " << topo_.view;
 
     // Which PGs is this node responsible for now?
-    std::set<cluster::PgId> responsible;
-    for (cluster::PgId pg = 0; pg < topo_.pg_count; ++pg) {
-      auto servers = topo_.MetaServersOf(pg);
-      if (std::find(servers.begin(), servers.end(), rpc_.id()) != servers.end()) {
-        responsible.insert(pg);
-      }
-    }
+    const std::vector<cluster::PgId> responsible = topo_.PgsOf(rpc_.id());
     std::set<cluster::PgId> previously_ready = std::move(ready_pgs_);
     ready_pgs_.clear();
 
@@ -1013,42 +866,16 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
             co_await sim::SleepFor(Millis(100));
           }
           for (sim::NodeId source : sources) {
+            // The pull is a pure merge: records only ever get added or
+            // overwritten, never inferred-deleted. Deletes arrive as
+            // tombstone records like any other write, so a replica's local
+            // (possibly the only surviving) copy of a PG is never thrown
+            // away because a source that adopted the PG empty lacks it.
             if (source == rpc_.id()) {
               continue;
             }
-            // Pull the PG page by page; each page is persisted as it lands so
-            // the recovery curve (Fig. 15) reflects actual transfer progress.
-            std::string cursor;
-            bool complete = false;
-            for (int page = 0; page < 100000; ++page) {
-              PgPullRequest pull;
-              pull.view = topo_.view;
-              pull.pg = pg;
-              pull.start_after = cursor;
-              pull.limit = 512;
-              auto r = co_await rpc_.Call(source, std::move(pull), options_.rpc_timeout);
-              if (!r.ok()) {
-                break;
-              }
-              kv::WriteBatch batch;
-              for (auto& [k, v] : r->kvs) {
-                batch.Put(k, v);
-              }
-              counters_.recovered_kvs.Add(r->kvs.size());
-              (void)co_await db_->Write(std::move(batch));
-              if (r->next_start_after.empty()) {
-                complete = true;
-                break;
-              }
-              cursor = r->next_start_after;
-            }
-            if (complete) {
-              // The pull is a pure merge: records only ever get added or
-              // overwritten, never inferred-deleted. Deletes arrive as
-              // tombstone records like any other write, so a replica's local
-              // (possibly the only surviving) copy of a PG is never thrown
-              // away because a source that adopted the PG empty lacks it.
-              pulled = true;
+            pulled = (co_await PullPg(source, pg, 0)).ok();
+            if (pulled) {
               break;
             }
           }
@@ -1070,23 +897,11 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
     std::set<cluster::LvId> managed;
     for (cluster::PgId pg : responsible) {
       if (IsPrimary(pg)) {
-        for (cluster::LvId lv : EffectiveVg(pg)) {
-          managed.insert(lv);
-        }
-        if (auto it = topo_.ec_vgs.find(pg); it != topo_.ec_vgs.end()) {
-          for (cluster::LvId lv : it->second) {
-            managed.insert(lv);
-          }
-        }
+        std::set<cluster::LvId> lvs = PrimaryLvs(pg);
+        managed.insert(lvs.begin(), lvs.end());
       }
     }
-    for (auto it = allocators_.begin(); it != allocators_.end();) {
-      if (!managed.contains(it->first)) {
-        it = allocators_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    pgs_.RetainAllocators(managed);
 
     if (options_.no_volume_groups) {
       for (cluster::PgId pg : responsible) {
@@ -1099,22 +914,22 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
   adopting_ = false;
 }
 
+std::set<cluster::LvId> MetaServer::PrimaryLvs(cluster::PgId pg) const {
+  std::vector<cluster::LvId> vg = pgs_.EffectiveVg(pg);
+  std::set<cluster::LvId> lvs(vg.begin(), vg.end());
+  if (auto it = topo_.ec_vgs.find(pg); it != topo_.ec_vgs.end()) {
+    lvs.insert(it->second.begin(), it->second.end());
+  }
+  return lvs;
+}
+
 sim::Task<> MetaServer::RebuildPgState(cluster::PgId pg) {
   // Allocators: fresh bitmaps, then mark every extent recorded in OBMETA.
-  std::set<cluster::LvId> my_lvs;
-  for (cluster::LvId lv : EffectiveVg(pg)) {
-    allocators_.erase(lv);
-    (void)AllocatorFor(lv);
-    my_lvs.insert(lv);
-  }
   // The PG's EC stripe LVs are rebuilt the same way: demoted objects record
   // stripe extents in their ObMeta, so the scan below re-marks them.
-  if (auto it = topo_.ec_vgs.find(pg); it != topo_.ec_vgs.end()) {
-    for (cluster::LvId lv : it->second) {
-      allocators_.erase(lv);
-      (void)AllocatorFor(lv);
-      my_lvs.insert(lv);
-    }
+  const std::set<cluster::LvId> my_lvs = PrimaryLvs(pg);
+  for (cluster::LvId lv : my_lvs) {
+    pgs_.ResetAllocator(lv);
   }
   // With VGs a volume's extents are all recorded under its one PG. Without
   // them (Cheetah-NoVG) another PG's not-yet-migrated objects may still live
@@ -1136,11 +951,10 @@ sim::Task<> MetaServer::RebuildPgState(cluster::PgId pg) {
       }
       // An entry may reference a volume outside the current VG (pre-migration
       // leftovers); give it a fresh allocator once, then accumulate marks.
-      if (!reset_this_pass.contains(meta->lvid)) {
-        allocators_.erase(meta->lvid);
-        reset_this_pass.insert(meta->lvid);
+      if (reset_this_pass.insert(meta->lvid).second) {
+        pgs_.ResetAllocator(meta->lvid);
       }
-      if (alloc::BitmapAllocator* a = AllocatorFor(meta->lvid)) {
+      if (alloc::BitmapAllocator* a = pgs_.AllocatorFor(meta->lvid)) {
         a->MarkAllocated(meta->extents);
       }
     }
@@ -1149,63 +963,47 @@ sim::Task<> MetaServer::RebuildPgState(cluster::PgId pg) {
   // reaches the memtable only after the WAL fsync. Its extents are still
   // taken; freeing them would hand the same blocks to the next put. (Without
   // VGs, as in the scan, any PG's put on our volumes counts.)
-  for (const auto& [reqid, p] : pending_) {
-    const bool covered =
-        p.pg == pg || (options_.no_volume_groups && my_lvs.contains(p.meta.lvid));
-    if (!covered || p.meta.storage_class == StorageClass::kInline) {
+  pgs_.ReservePendingExtents(pg, my_lvs);
+  // opseq and pending puts from the PG log.
+  auto logs = co_await db_->Scan(PgLogPrefix(pg), 0);
+  if (!logs.ok()) {
+    co_return;
+  }
+  const Nanos now = rpc_.machine().loop().Now();
+  for (const auto& [key, value] : *logs) {
+    cluster::PgId parsed_pg = 0;
+    uint64_t opseq = 0;
+    if (!ParsePgLogKey(key, &parsed_pg, &opseq)) {
       continue;
     }
-    if (alloc::BitmapAllocator* a = AllocatorFor(p.meta.lvid)) {
-      a->MarkAllocated(p.meta.extents);
+    pgs_.RaiseOpseq(pg, opseq);
+    auto log = PgLog::Decode(value);
+    if (!log.ok()) {
+      continue;
     }
-  }
-  // opseq and pending puts from the PG log.
-  uint64_t max_opseq = pg_opseq_[pg];
-  auto logs = co_await db_->Scan(PgLogPrefix(pg), 0);
-  if (logs.ok()) {
-    const Nanos now = rpc_.machine().loop().Now();
-    for (const auto& [key, value] : *logs) {
-      cluster::PgId parsed_pg = 0;
-      uint64_t opseq = 0;
-      if (!ParsePgLogKey(key, &parsed_pg, &opseq)) {
-        continue;
-      }
-      max_opseq = std::max(max_opseq, opseq);
-      auto log = PgLog::Decode(value);
-      if (!log.ok()) {
-        continue;
-      }
-      uint32_t proxy_id = 0;
-      ReqId reqid = 0;
-      if (!ParsePxLogKey(log->pxlogkey, &proxy_id, &reqid)) {
-        continue;
-      }
-      auto ob = co_await db_->Get(ObMetaKey(pg, log->name));
-      if (!ob.ok()) {
-        continue;  // already revoked/cleaned
-      }
-      auto meta = ObMeta::Decode(*ob);
-      if (!meta.ok()) {
-        continue;
-      }
-      if (pending_.contains(reqid)) {
-        continue;
-      }
-      PendingPut p;
-      p.reqid = reqid;
-      p.name = log->name;
-      p.pg = pg;
-      p.opseq = opseq;
-      p.proxy_id = proxy_id;
-      p.meta = std::move(*meta);
-      p.persisted = true;  // it is in the KV, after all
-      p.recovered = true;
-      p.born = now;
-      pending_[reqid] = p;
-      pending_names_[p.name] = reqid;
+    uint32_t proxy_id = 0;
+    ReqId reqid = 0;
+    if (!ParsePxLogKey(log->pxlogkey, &proxy_id, &reqid)) {
+      continue;
     }
+    auto ob = co_await db_->Get(ObMetaKey(pg, log->name));
+    if (!ob.ok()) {
+      continue;  // already revoked/cleaned
+    }
+    auto meta = ObMeta::Decode(*ob);
+    if (!meta.ok()) {
+      continue;
+    }
+    PendingPut p;
+    p.reqid = reqid;
+    p.name = log->name;
+    p.pg = pg;
+    p.opseq = opseq;
+    p.proxy_id = proxy_id;
+    p.meta = std::move(*meta);
+    p.born = now;
+    pgs_.AddRecovered(std::move(p));
   }
-  pg_opseq_[pg] = max_opseq;
 }
 
 sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
@@ -1213,10 +1011,7 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
   // volume set must be copied to a volume the new mapping owns (Fig. 14's
   // migration traffic).
   const uint64_t adopted_view = topo_.view;
-  std::vector<cluster::LvId> vg = EffectiveVg(pg);
-  auto in_vg = [&vg](cluster::LvId lv) {
-    return std::find(vg.begin(), vg.end(), lv) != vg.end();
-  };
+  const std::vector<cluster::LvId> vg = pgs_.EffectiveVg(pg);
   auto rows = co_await db_->Scan(ObMetaPrefix(pg), 0);
   if (!rows.ok()) {
     co_return;
@@ -1227,72 +1022,66 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     }
     cluster::PgId key_pg = 0;
     std::string name;
-    if (ParseObMetaKey(key, &key_pg, &name) && pending_names_.contains(name)) {
+    if (!ParseObMetaKey(key, &key_pg, &name) || pgs_.FindByName(name) != nullptr) {
       continue;  // unresolved put; the cleaner settles it first (§5.3)
     }
     auto meta = ObMeta::Decode(value);
-    if (!meta.ok() || in_vg(meta->lvid)) {
+    if (!meta.ok() || std::find(vg.begin(), vg.end(), meta->lvid) != vg.end()) {
       continue;
     }
-    const cluster::LogicalVolume* old_lv = topo_.FindLv(meta->lvid);
-    if (old_lv == nullptr) {
-      continue;
-    }
-    const cluster::PhysicalVolume* source = topo_.FindPv(old_lv->replicas.front());
-    if (source == nullptr) {
+    auto old_lv = topo_.TargetsOf(meta->lvid, cluster::PvFilter::kRequireAll);
+    if (!old_lv.has_value() || old_lv->targets.empty()) {
       continue;
     }
     // Read from the old location.
     DataReadRequest read;
-    read.device = source->DeviceName();
-    read.disk_index = source->disk_index;
+    read.device = old_lv->targets.front().device;
+    read.disk_index = old_lv->targets.front().disk_index;
     read.block_size = old_lv->block_size;
     read.extents = meta->extents;
     read.length = meta->size;
-    auto data = co_await rpc_.Call(source->data_server, std::move(read),
+    auto data = co_await rpc_.Call(old_lv->targets.front().node, std::move(read),
                                    options_.rpc_timeout);
     if (!data.ok()) {
       continue;
     }
     // Allocate at the new location and write all replicas.
-    auto alloc = AllocateSpace(pg, meta->size);
+    auto alloc = pgs_.Allocate(pg, meta->size);
     if (!alloc.ok()) {
       continue;
     }
-    const cluster::LogicalVolume* new_lv = topo_.FindLv(alloc->first);
-    bool wrote_all = true;
-    for (cluster::PvId pv_id : new_lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        wrote_all = false;
-        break;
-      }
+    auto new_lv = topo_.TargetsOf(alloc->first, cluster::PvFilter::kRequireAll);
+    bool wrote_all = new_lv.has_value();
+    for (size_t i = 0; wrote_all && i < new_lv->targets.size(); ++i) {
       DataWriteRequest write;
       write.view = topo_.view;
-      write.device = pv->DeviceName();
-      write.disk_index = pv->disk_index;
+      write.device = new_lv->targets[i].device;
+      write.disk_index = new_lv->targets[i].disk_index;
       write.block_size = new_lv->block_size;
       write.extents = alloc->second;
       write.data = data->data;
       write.checksum = meta->checksum;
-      auto w = co_await rpc_.Call(pv->data_server, std::move(write), options_.rpc_timeout);
-      wrote_all &= w.ok();
+      auto w = co_await rpc_.Call(new_lv->targets[i].node, std::move(write),
+                                  options_.rpc_timeout);
+      wrote_all = w.ok();
     }
     if (!wrote_all) {
-      if (alloc::BitmapAllocator* a = AllocatorFor(alloc->first)) {
-        a->Free(alloc->second);
-      }
+      pgs_.Free(alloc->first, alloc->second);
       continue;
     }
-    ObMeta updated = *meta;
-    const ObMeta old_meta = *meta;
-    updated.lvid = alloc->first;
-    updated.extents = std::move(alloc->second);
-    kv::WriteBatch batch;
-    batch.Put(key, updated.Encode());
-    (void)co_await PersistAndReplicate(pg, std::move(batch));
-    co_await DiscardData(old_meta);
-    counters_.migrated_objects.Add();
+    // The swap re-reads the record under the guard: a delete or a re-create
+    // that landed while the data was copied wins, and the copy is dropped.
+    ObMeta moved = *meta;
+    moved.lvid = alloc->first;
+    moved.extents = alloc->second;
+    Status s = co_await SwapObjectRecord(pg, name, *meta, std::move(moved));
+    if (s.ok()) {
+      DiscardData(meta->lvid, meta->extents);
+      counters_.migrated_objects.Add();
+    } else if (s.code() == ErrorCode::kAborted) {
+      pgs_.Free(alloc->first, alloc->second);
+      DiscardData(alloc->first, alloc->second);
+    }
   }
 }
 
@@ -1350,14 +1139,14 @@ sim::Task<> MetaServer::CleanLogs() {
     co_return;
   }
   const Nanos now = rpc_.machine().loop().Now();
-  std::vector<ReqId> committed;
+  std::vector<PgState::Ticket> committed;
   std::vector<ReqId> stale;
-  for (const auto& [reqid, p] : pending_) {
+  for (const auto& [reqid, p] : pgs_.pending()) {
     if (!IsPrimary(p.pg) || !ready_pgs_.contains(p.pg)) {
       continue;
     }
-    if (p.committed && p.persisted) {
-      committed.push_back(reqid);
+    if (p.state == PutState::kSettled) {
+      committed.push_back(PgState::TicketOf(p));
     } else if (now - p.born > options_.pending_put_timeout) {
       stale.push_back(reqid);
     }
@@ -1365,40 +1154,101 @@ sim::Task<> MetaServer::CleanLogs() {
   // §5.3: verify stale uncommitted puts against the data servers.
   for (ReqId reqid : stale) {
     (void)co_await VerifyPending(reqid);
-    auto it = pending_.find(reqid);
-    if (it != pending_.end() && it->second.committed) {
-      committed.push_back(reqid);
+    if (const PendingPut* p = pgs_.Find(reqid); p != nullptr && p->committed()) {
+      committed.push_back(PgState::TicketOf(*p));
     }
   }
-  if (committed.empty() && dirty_bitmaps_.empty()) {
+  if (committed.empty() && !pgs_.has_dirty()) {
     co_return;
   }
   // Clean the logs of committed puts in one batch; sync bitmaps (§5.2).
   std::map<cluster::PgId, kv::WriteBatch> deletes_by_pg;
   std::set<cluster::LvId> touched;
-  for (ReqId reqid : committed) {
-    auto it = pending_.find(reqid);
-    if (it == pending_.end()) {
+  for (PgState::Ticket ticket : committed) {
+    std::optional<PendingPut> p = pgs_.Retire(ticket);
+    if (!p.has_value()) {
       continue;
     }
-    const PendingPut& p = it->second;
-    deletes_by_pg[p.pg].Delete(PgLogKey(p.pg, p.opseq));
-    deletes_by_pg[p.pg].Delete(PxLogKey(p.proxy_id, p.reqid));
-    touched.insert(p.meta.lvid);
-    pending_names_.erase(p.name);
-    pending_.erase(it);
+    deletes_by_pg[p->pg].Delete(PgLogKey(p->pg, p->opseq));
+    deletes_by_pg[p->pg].Delete(PxLogKey(p->proxy_id, p->reqid));
+    touched.insert(p->meta.lvid);
     counters_.logs_cleaned.Add();
   }
   for (auto& [pg, deletes] : deletes_by_pg) {
     (void)co_await PersistAndReplicate(pg, std::move(deletes));
   }
-  for (cluster::LvId lv : dirty_bitmaps_) {
-    touched.insert(lv);
-  }
-  dirty_bitmaps_.clear();
+  touched.merge(pgs_.TakeDirty());
   for (cluster::LvId lv : touched) {
     (void)co_await FlushBitmap(lv);
   }
+}
+
+// ---- narrow interface for the Scrubber and the TierEngine ----
+
+sim::Task<> MetaServer::ForEachSettledObject(std::function<bool(cluster::PgId)> scan_pg,
+                                             ObjectVisitor visit) {
+  if (db_ == nullptr || topo_.view == 0) {
+    co_return;
+  }
+  auto migrating = [this](cluster::PgId pg) { return topo_.MigrationOf(pg) != nullptr; };
+  for (cluster::PgId pg = 0; pg < topo_.pg_count; ++pg) {
+    // PGs mid-migration are skipped outright: a repair or a record swap
+    // racing the cutover could write through topology targets the next view
+    // retires.
+    if (!IsPrimary(pg) || !ready_pgs_.contains(pg) || migrating(pg) ||
+        (scan_pg && !scan_pg(pg))) {
+      continue;
+    }
+    const uint64_t scan_view = topo_.view;
+    auto rows = co_await db_->Scan(ObMetaPrefix(pg), 0);
+    if (!rows.ok()) {
+      continue;
+    }
+    for (const auto& [key, value] : *rows) {
+      if (topo_.view != scan_view || !IsPrimary(pg) || migrating(pg)) {
+        break;  // superseded by a view change or an in-flight migration
+      }
+      cluster::PgId key_pg = 0;
+      std::string name;
+      if (!ParseObMetaKey(key, &key_pg, &name) || pgs_.FindByName(name) != nullptr ||
+          pgs_.IsGuarded(name)) {
+        continue;  // unresolved puts are the cleaner's job; a swap is moving it
+      }
+      auto meta = ObMeta::Decode(value);
+      if (meta.ok()) {
+        co_await visit(pg, std::move(name), std::move(*meta));
+      }
+    }
+  }
+}
+
+sim::Task<Status> MetaServer::SwapObjectRecord(cluster::PgId pg, std::string name,
+                                               ObMeta expected, ObMeta replacement) {
+  if (!pgs_.Guard(name)) {
+    co_return Status::Aborted("record swap already in flight");
+  }
+  Status s = Status::Aborted("record changed underneath the swap");
+  const std::string key = ObMetaKey(pg, name);
+  if (IsPrimary(pg) && pgs_.FindByName(name) == nullptr) {
+    auto value = co_await db_->Get(key);
+    auto current = value.ok() ? ObMeta::Decode(*value) : Result<ObMeta>(value.status());
+    if (current.ok() && *current == expected) {
+      const std::string encoded = replacement.Encode();
+      kv::WriteBatch batch;
+      batch.Put(key, encoded);
+      s = co_await PersistAndReplicate(pg, std::move(batch));
+      // Post-persist audit: a delete already past its guard check when the
+      // guard went up may have tombstoned over the new record.
+      if (s.ok()) {
+        auto after = co_await db_->Get(key);
+        if (!after.ok() || *after != encoded) {
+          s = Status::Aborted("record overwritten during the swap");
+        }
+      }
+    }
+  }
+  pgs_.Unguard(name);
+  co_return s;
 }
 
 }  // namespace cheetah::core

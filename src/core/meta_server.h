@@ -19,18 +19,18 @@
 #ifndef SRC_CORE_META_SERVER_H_
 #define SRC_CORE_META_SERVER_H_
 
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/alloc/bitmap_allocator.h"
 #include "src/cluster/messages.h"
 #include "src/core/messages.h"
 #include "src/core/metax.h"
 #include "src/core/options.h"
+#include "src/core/pg_state.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
 #include "src/rpc/node.h"
@@ -76,11 +76,10 @@ class MetaServer {
   // True while this server is adopting a view (pulling PGs); chaos tests use
   // it to aim crashes at the middle of a view change.
   bool adopting() const { return adopting_; }
-  size_t pending_puts() const { return pending_.size(); }
-  kv::DB* db() { return db_.get(); }
+  size_t pending_puts() const { return pgs_.pending().size(); }
+  // Pending puts, allocators and dirty bitmaps of this server's PGs.
+  PgState& pg_state() { return pgs_; }
 
-  // Test hook: runs one cleaner pass immediately.
-  sim::Task<> CleanNow() { return CleanLogs(); }
   // Audits every primary PG once (also runs periodically if
   // options.scrub_interval > 0). Delegates to the Scrubber.
   sim::Task<> ScrubNow();
@@ -90,30 +89,26 @@ class MetaServer {
   sim::Task<> TierNow();
   tier::TierEngine& tier_engine() { return *tier_; }
 
- private:
-  friend class Scrubber;  // reads db_/topo_/ready_pgs_/pending_names_
-  friend class tier::TierEngine;  // drives demotion through private state
-  struct PendingPut {
-    ReqId reqid = 0;
-    std::string name;
-    cluster::PgId pg = 0;
-    uint64_t opseq = 0;
-    uint32_t proxy_id = 0;
-    sim::NodeId proxy_node = sim::kInvalidNode;
-    ObMeta meta;
-    bool committed = false;
-    bool persisted = false;
-    // Rebuilt from the PG log (restart or PG adoption) rather than created by
-    // a live put: the proxy's commit notification went to the replicas of
-    // record at put time, so none is coming here — readers should verify
-    // immediately instead of waiting for one.
-    bool recovered = false;
-    // A RevokePut is tombstoning this put: a RE-META resume must not persist
-    // its MetaX again, which would land after the tombstone.
-    bool revoking = false;
-    Nanos born = 0;
-  };
+  // Calls `visit` for every settled object of every PG this server is the
+  // ready primary of and that is not migrating, skipping PGs `scan_pg`
+  // rejects. Objects with a pending put or under the relocation guard are
+  // skipped; a view change or a migration starting mid-scan ends that PG's
+  // scan.
+  using ObjectVisitor = std::function<sim::Task<>(cluster::PgId, std::string, ObMeta)>;
+  sim::Task<> ForEachSettledObject(std::function<bool(cluster::PgId)> scan_pg,
+                                   ObjectVisitor visit);
+  // Replaces name's record `expected` by `replacement` under the relocation
+  // guard (puts and deletes bounce for the one persist round it takes).
+  // kAborted if the record changed first (deleted, recreated, moved, or
+  // pending again) or a delete already past the guard overwrote the swap;
+  // another error if the persist failed.
+  sim::Task<Status> SwapObjectRecord(cluster::PgId pg, std::string name, ObMeta expected,
+                                     ObMeta replacement);
+  // Frees extents of `lv`, marks its bitmap dirty and discards the blocks on
+  // the data servers.
+  void ReleaseExtents(cluster::LvId lv, const std::vector<alloc::Extent>& extents);
 
+ private:
   sim::Task<> Init();
   sim::Task<> HeartbeatLoop();
   sim::Task<> CleanerLoop();
@@ -121,22 +116,19 @@ class MetaServer {
 
   // Pulls newly-responsible PGs, rebuilds allocators/opseq/pending.
   sim::Task<> AdoptTopology(cluster::TopologyMap next);
-  // Drops local PG keys absent from a completed pull (stale-record sweep).
+  // Rebuilds pg's allocators from its records and its opseq and recovered
+  // pending puts from its PG log.
   sim::Task<> RebuildPgState(cluster::PgId pg);
+  // The LVs a primary of pg allocates from: its VG and its EC stripe LVs.
+  std::set<cluster::LvId> PrimaryLvs(cluster::PgId pg) const;
   sim::Task<> MigratePgData(cluster::PgId pg);  // Cheetah-NoVG
+  // Pulls pg from `source` page by page, persisting each page as it lands
+  // (so Fig. 15's recovery curve tracks transfer progress); returns the
+  // records merged.
+  sim::Task<Result<uint64_t>> PullPg(sim::NodeId source, cluster::PgId pg, uint64_t min_view);
 
-  // Returns the LVs usable for pg's new allocations (VG, or the NoVG hash
-  // partition of all LVs).
-  std::vector<cluster::LvId> EffectiveVg(cluster::PgId pg) const;
   Status CheckRequest(uint64_t view, cluster::PgId pg, bool need_primary) const;
   bool IsPrimary(cluster::PgId pg) const;
-  alloc::BitmapAllocator* AllocatorFor(cluster::LvId lv);
-  Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> AllocateSpace(
-      cluster::PgId pg, uint64_t bytes);
-  // Allocates `chunk_bytes` of extents on one of the PG's EC stripe LVs; the
-  // one allocation reserves the same extent range on all k+m stripe PVs.
-  Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> AllocateEcStripe(
-      cluster::PgId pg, uint64_t chunk_bytes);
 
   // Persists the batch locally and on all backups in parallel; returns OK
   // only if every replica persisted. Every replica's write shares the
@@ -144,10 +136,13 @@ class MetaServer {
   sim::Task<Status> PersistAndReplicate(cluster::PgId pg, kv::WriteBatch batch);
   // Waits briefly for an in-flight put's commit notification to land.
   sim::Task<> WaitPendingResolved(const std::string& name, Nanos budget);
-  // Verifies a pending put against the data servers; completes or revokes.
+  // Verifies a pending put against the data servers; completes or revokes
+  // it unless it changed while the probes were out.
   sim::Task<Status> VerifyPending(ReqId reqid);
-  sim::Task<> RevokePut(PendingPut put);
-  sim::Task<> DiscardData(const ObMeta& meta);
+  // Tombstones an uncommitted put and frees its extents; false (nothing
+  // done) if the ticket went stale.
+  sim::Task<bool> RevokePut(PgState::Ticket ticket);
+  void DiscardData(cluster::LvId lv, const std::vector<alloc::Extent>& extents);
   sim::Task<Status> FlushBitmap(cluster::LvId lv);
 
   sim::Task<Result<PutAllocReply>> HandlePutAlloc(sim::NodeId src, PutAllocRequest req);
@@ -176,16 +171,7 @@ class MetaServer {
   std::optional<cluster::TopologyMap> pending_topo_;
 
   std::set<cluster::PgId> ready_pgs_;
-  std::map<cluster::PgId, uint64_t> pg_opseq_;
-  std::map<cluster::LvId, alloc::BitmapAllocator> allocators_;
-  std::set<cluster::LvId> dirty_bitmaps_;  // flushed by the next clean cycle
-  std::map<ReqId, PendingPut> pending_;
-  std::map<std::string, ReqId> pending_names_;
-  // Names mid-demotion-swap (src/tier): puts and deletes answer kUnavailable
-  // while a name is here, for the single persist round the swap takes.
-  std::set<std::string> tiering_names_;
-  // Last get time per object name, feeding the demotion recency policy.
-  std::map<std::string, Nanos> last_access_;
+  PgState pgs_{topo_, options_.no_volume_groups};
 
   std::unique_ptr<Scrubber> scrubber_;
   std::unique_ptr<tier::TierEngine> tier_;

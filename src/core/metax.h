@@ -88,6 +88,7 @@ struct ObMeta {
 
   std::string Encode() const;
   static Result<ObMeta> Decode(std::string_view data);
+  friend bool operator==(const ObMeta&, const ObMeta&) = default;
 };
 
 // A deleted object leaves a tombstone in place of its ObMeta record rather

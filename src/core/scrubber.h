@@ -14,6 +14,7 @@
 #ifndef SRC_CORE_SCRUBBER_H_
 #define SRC_CORE_SCRUBBER_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/cluster/messages.h"
@@ -50,10 +51,16 @@ class Scrubber {
   const Counters& stats() const { return counters_; }
 
  private:
-  sim::Task<> ScrubPg(cluster::PgId pg);
+  sim::Task<> ScrubObject(ObMeta meta);
   // EC objects: probe every stripe chunk against its recorded CRC; rebuild
   // damaged chunks from any k survivors (src/tier degraded-repair path).
   sim::Task<> ScrubEcObject(ObMeta meta);
+  // Probes target j of `lv` against expected[j]; returns the targets whose
+  // stored checksum verified and those that did not (an RPC failure counts
+  // as neither). Counts the object as audited.
+  sim::Task<std::pair<std::vector<size_t>, std::vector<size_t>>> Probe(
+      const cluster::LvTargets& lv, const std::vector<alloc::Extent>& extents,
+      std::vector<uint32_t> expected);
 
   MetaServer& ms_;
   rpc::Node& rpc_;

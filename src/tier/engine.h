@@ -1,10 +1,12 @@
 // Background promotion/demotion engine for storage-class tiering.
 //
-// A meta-server-resident actor (the same friend-actor shape as the
-// Scrubber): each pass walks every PG this server is primary for and demotes
-// settled, cold replica objects to K+M erasure-coded stripes. All movement
-// I/O rides the maintenance QoS class (RepairRead/RepairWrite), so a
-// demotion wave never contends with foreground puts/gets.
+// A meta-server-resident actor, like the Scrubber. It sees MetaServer only
+// through its public interface: ForEachSettledObject walks every PG this
+// server is primary for, SwapObjectRecord publishes a new record, and the
+// PgState allocates and frees stripe space. Each pass demotes settled, cold
+// replica objects to K+M erasure-coded stripes. All movement I/O rides the
+// maintenance QoS class (RepairRead/RepairWrite), so a demotion wave never
+// contends with foreground puts/gets.
 //
 // Demotion state machine per object:
 //   1. allocate shard-sized extents on one of the PG's EC stripe LVs
@@ -13,20 +15,20 @@
 //      write chunk j to stripe PV j with its own CRC32C as the stored
 //      checksum — the chunks are invisible until the metadata swap, so this
 //      whole phase needs no exclusion against foreground ops;
-//   3. swap: take the per-name tiering guard (puts/deletes answer
-//      kUnavailable and retry), re-read the ObMeta and abort if the object
-//      changed underneath (tombstoned, recreated, or pending again), persist
-//      the EC record through the normal replication path, then free +
-//      discard the old replica extents.
+//   3. swap (MetaServer::SwapObjectRecord): under the per-name relocation
+//      guard (puts/deletes answer kUnavailable and retry), re-read the
+//      ObMeta and abort if the object changed underneath (tombstoned,
+//      recreated, or pending again), persist the EC record through the
+//      normal replication path, then free + discard the old replica extents.
 // A delete that slipped past the guard before the swap persisted is caught
 // by a post-persist re-read; the stripe is then revoked like any failure.
 #ifndef SRC_TIER_ENGINE_H_
 #define SRC_TIER_ENGINE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
-#include "src/alloc/bitmap_allocator.h"
 #include "src/cluster/topology.h"
 #include "src/core/metax.h"
 #include "src/core/options.h"
@@ -61,17 +63,20 @@ class TierEngine {
   };
   const Counters& stats() const { return counters_; }
 
+  // Access recency for the demotion policy: a get keeps the object hot.
+  void NoteAccess(const std::string& name, Nanos at) { last_access_[name] = at; }
+  void ForgetAccess(const std::string& name) { last_access_.erase(name); }
+
  private:
-  sim::Task<> TierPg(cluster::PgId pg);
+  // Demotes `meta` if it is a cold replica object.
+  sim::Task<> ConsiderObject(cluster::PgId pg, std::string name, core::ObMeta meta);
   sim::Task<> DemoteObject(cluster::PgId pg, std::string name, core::ObMeta meta);
-  // Revokes a half-built stripe: frees the allocation and drops any chunks
-  // already written.
-  sim::Task<> RevokeStripe(cluster::LvId stripe_lvid,
-                           std::vector<alloc::Extent> extents);
 
   core::MetaServer& ms_;
   rpc::Node& rpc_;
   const core::CheetahOptions& options_;
+  // Last get time per object name (MetaServer reports gets and deletes).
+  std::map<std::string, Nanos> last_access_;
 
   Counters counters_;
 };

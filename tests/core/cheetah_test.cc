@@ -423,6 +423,55 @@ TEST_F(CheetahTest, NoVgVariantMigratesOnMetaExpansion) {
   }
 }
 
+// Meta expansion under Cheetah-NoVG moves object data to the volumes its PG
+// now owns. Deletes racing that migration must win: the migration re-reads
+// the record under the relocation guard before it publishes the moved copy,
+// so an acked delete is never undone by a stale record written over its
+// tombstone.
+TEST_F(CheetahTest, NoVgMigrationDoesNotResurrectDeletedObjects) {
+  TestbedConfig config = SmallConfig();
+  config.options.no_volume_groups = true;
+  Boot(config);
+  constexpr int kObjects = 200;
+  auto name = [](int i) { return "novg-del-" + std::to_string(i); };
+  for (int i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(bed().PutObject(0, name(i), Payload(8192, 'a' + i % 26)).ok()) << i;
+  }
+  auto added = bed().AddMetaMachine(/*settle=*/false);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+
+  // Two proxies delete every object while the migration copies them.
+  auto acked = std::make_shared<int>(0);
+  auto done = std::make_shared<int>(0);
+  for (int p = 0; p < 2; ++p) {
+    bed().RunOnProxy(p, [p, name, acked, done](ClientProxy& proxy) -> sim::Task<> {
+      for (int i = p; i < kObjects; i += 2) {
+        Status s = co_await proxy.Delete(name(i));
+        *acked += s.ok() ? 1 : 0;
+      }
+      ++*done;
+    }, Nanos{0});
+  }
+  const Nanos deadline = bed().loop().Now() + Seconds(60);
+  while (*done < 2 && bed().loop().Now() < deadline) {
+    if (!bed().loop().RunOne()) {
+      break;
+    }
+  }
+  ASSERT_EQ(*done, 2);
+  EXPECT_EQ(*acked, kObjects);
+  bed().RunFor(Seconds(5));  // let the migration finish
+  uint64_t migrated = 0;
+  for (int i = 0; i < bed().num_meta(); ++i) {
+    migrated += bed().meta(i).stats().migrated_objects.value();
+  }
+  EXPECT_GT(migrated, 0u) << "no migration overlapped the deletes";
+  for (int i = 0; i < kObjects; ++i) {
+    auto got = bed().GetObject(1, name(i));
+    EXPECT_TRUE(got.status().IsNotFound()) << name(i) << " came back after its delete";
+  }
+}
+
 TEST_F(CheetahTest, ConcurrentClientsDistinctObjects) {
   Boot(SmallConfig());
   // Drive both proxies concurrently on one loop.

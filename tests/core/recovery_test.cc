@@ -8,7 +8,9 @@
 //  * a PG rebuild on view adoption must keep the extents of a put whose
 //    MetaX write has not reached the memtable yet;
 //  * a RE-META resume whose pending put is revoked while its MetaX persist
-//    is in flight must fail cleanly instead of touching the erased entry.
+//    is in flight must fail cleanly instead of touching the erased entry;
+//  * a verification whose put moves to new extents (RE-DATA) while its
+//    probes are out must neither revoke nor complete it.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -343,6 +345,123 @@ TEST(Recovery, ReMetaResumeFailsWhenItsPutIsRevokedMidPersist) { ResumeRacesRevo
 
 TEST(Recovery, ReMetaResumeFailsWhenARevokeStartsDuringItsPersist) {
   ResumeRacesRevoke(false);
+}
+
+// A put allocates but only a torn write (wrong checksum) lands on its
+// extents; a get verifies it and probes the data servers, whose slowed disks
+// keep the probes out. Meanwhile the put's RE-DATA resend moves it to new
+// extents and commits. The probes of the old extents come back "not
+// present": revoking on them would tombstone a committed put.
+TEST(Recovery, VerifyDoesNotRevokeAPutResumedOntoNewExtents) {
+  Testbed bed(SmallConfig());
+  ASSERT_TRUE(bed.Boot().ok());
+  const std::string name = "moved-mid-verify";
+  const cluster::TopologyMap topo = bed.meta(0).topology();
+  const sim::NodeId primary_node = topo.PrimaryOf(topo.PgOf(name));
+  int primary = -1;
+  for (int m = 0; m < bed.num_meta(); ++m) {
+    if (bed.meta_node(m) == primary_node) {
+      primary = m;
+    }
+  }
+  ASSERT_GE(primary, 0);
+  auto alloc = [&](bool re_data) {
+    PutAllocRequest req;
+    req.view = topo.view;
+    req.name = name;
+    req.size = 8192;
+    req.checksum = 0x5eed;
+    req.reqid = (78ull << 32) | 1;
+    req.proxy_id = 78;
+    req.proxy_node = bed.proxy_node(0);
+    req.re_data = re_data;
+    return req;
+  };
+  auto get = [&] {
+    GetMetaRequest req;
+    req.view = topo.view;
+    req.name = name;
+    return req;
+  };
+  auto send = [&](auto req, auto reply) {
+    bed.proxy_machine(0).actor().Spawn(
+        [](rpc::Node* node, sim::NodeId to, decltype(req) req, decltype(reply) reply)
+            -> sim::Task<> {
+          reply->emplace(co_await node->Call(to, std::move(req), Seconds(5)));
+        }(&bed.proxy_rpc(0), primary_node, std::move(req), reply));
+  };
+
+  auto first = std::make_shared<std::optional<Result<PutAllocReply>>>();
+  send(alloc(false), first);
+  bed.RunFor(Millis(50));
+  ASSERT_TRUE(first->has_value() && (*first)->ok());
+  const cluster::LogicalVolume* old_lv = topo.FindLv((*first)->value().lvid);
+  ASSERT_NE(old_lv, nullptr);
+  std::vector<std::shared_ptr<std::optional<Result<DataWriteReply>>>> torn;
+  for (cluster::PvId pv_id : old_lv->replicas) {
+    const cluster::PhysicalVolume* pv = topo.FindPv(pv_id);
+    ASSERT_NE(pv, nullptr);
+    DataWriteRequest write;
+    write.view = topo.view;
+    write.device = pv->DeviceName();
+    write.disk_index = pv->disk_index;
+    write.block_size = old_lv->block_size;
+    write.extents = (*first)->value().extents;
+    write.data = Bytes(std::string(8192, 't'));
+    write.checksum = 0xbad;
+    torn.push_back(std::make_shared<std::optional<Result<DataWriteReply>>>());
+    bed.proxy_machine(0).actor().Spawn(
+        [](rpc::Node* node, sim::NodeId to, DataWriteRequest req,
+           std::shared_ptr<std::optional<Result<DataWriteReply>>> reply) -> sim::Task<> {
+          reply->emplace(co_await node->Call(to, std::move(req), Seconds(1)));
+        }(&bed.proxy_rpc(0), pv->data_server, std::move(write), torn.back()));
+  }
+  bed.RunFor(Millis(50));
+  for (const auto& w : torn) {
+    ASSERT_TRUE(w->has_value() && (*w)->ok());
+  }
+
+  // Slow every data disk so the verify's probes stay out for a while.
+  for (int d = 0; d < bed.num_data(); ++d) {
+    bed.data_machine(d).SetGrayFailure(sim::GrayFailure{.latency_multiplier = 5000});
+  }
+  auto got = std::make_shared<std::optional<Result<GetMetaReply>>>();
+  send(get(), got);
+  bed.RunFor(Millis(20));  // past the 5 ms commit wait: probing now
+  ASSERT_FALSE(got->has_value());
+
+  auto resumed = std::make_shared<std::optional<Result<PutAllocReply>>>();
+  send(alloc(true), resumed);
+  bed.RunFor(Millis(50));
+  ASSERT_TRUE(resumed->has_value());
+  ASSERT_TRUE((*resumed)->ok()) << (*resumed)->status().ToString();
+  const std::vector<alloc::Extent> moved_to = (*resumed)->value().extents;
+  EXPECT_FALSE((*resumed)->value().lvid == (*first)->value().lvid &&
+               moved_to == (*first)->value().extents);
+  auto acked = std::make_shared<std::optional<Result<PutCommitAck>>>();
+  PutCommitNotify commit;
+  commit.view = topo.view;
+  commit.name = name;
+  commit.reqid = alloc(true).reqid;
+  send(commit, acked);
+  bed.RunFor(Millis(20));
+  ASSERT_TRUE(acked->has_value());
+  ASSERT_FALSE(got->has_value()) << "the verify finished before the resume";
+
+  for (int d = 0; d < bed.num_data(); ++d) {
+    bed.data_machine(d).ClearGrayFailure();
+  }
+  bed.RunFor(Seconds(3));
+  ASSERT_TRUE(got->has_value());
+  EXPECT_FALSE((*got)->status().IsNotFound()) << "the verify revoked the moved put";
+
+  // The committed put is still there, on the extents its resume moved it to.
+  auto after = std::make_shared<std::optional<Result<GetMetaReply>>>();
+  send(get(), after);
+  bed.RunFor(Millis(50));
+  ASSERT_TRUE(after->has_value());
+  ASSERT_TRUE((*after)->ok()) << (*after)->status().ToString();
+  EXPECT_EQ((*after)->value().meta.extents, moved_to);
 }
 
 }  // namespace

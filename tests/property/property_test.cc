@@ -10,6 +10,7 @@
 
 #include "src/alloc/bitmap_allocator.h"
 #include "src/common/random.h"
+#include "src/core/pg_state.h"
 #include "src/crush/crush.h"
 #include "src/kv/db.h"
 #include "src/sim/actor.h"
@@ -356,6 +357,258 @@ INSTANTIATE_TEST_SUITE_P(Sweep, KvModelProperty,
                          ::testing::Values(KvModelParam{512, 2, 1}, KvModelParam{1024, 1, 2},
                                            KvModelParam{768, 3, 3}, KvModelParam{2048, 2, 4},
                                            KvModelParam{512, 1, 5}, KvModelParam{1024, 2, 6}));
+
+// ---- PgState: ticketed pending-put transitions against a map model ----
+
+class PgStateModelProperty : public ::testing::TestWithParam<uint64_t> {};
+
+using core::PendingPut;
+using core::PgState;
+using core::PutState;
+using core::ReqId;
+
+// What the model expects of one pending put.
+struct ModelPut {
+  std::string name;
+  uint64_t generation = 0;
+  PutState state = PutState::kAllocated;
+  PgState::Placement placement;
+};
+
+bool Uncommitted(PutState s) { return s == PutState::kAllocated || s == PutState::kPersisted; }
+bool Committed(PutState s) { return s == PutState::kCommitted || s == PutState::kSettled; }
+
+// Random interleavings of alloc, persisted, commit, RE-DATA relocate,
+// verify-complete, begin/finish-revoke, forget, retire and rebuild-insert on
+// one PgState, each applied through a randomly stale ticket, must match a
+// plain map model: a stale ticket changes nothing, a committed put is never
+// revoked, the name index holds exactly the uncommitted puts, and every
+// block is freed at most once per allocation (two small volumes reuse freed
+// blocks at once, so a second free would release a live put's blocks).
+TEST_P(PgStateModelProperty, TicketedTransitionsMatchAMapModel) {
+  cluster::TopologyMap topo;
+  topo.pg_count = 1;
+  for (cluster::LvId id : {1u, 2u}) {
+    cluster::LogicalVolume lv;
+    lv.id = id;
+    lv.capacity_bytes = 24 * 4096;
+    topo.lvs[id] = lv;
+    topo.vgs[0].push_back(id);
+  }
+  PgState state(topo, /*no_volume_groups=*/false);
+  Rng rng(GetParam());
+  std::map<ReqId, ModelPut> model;
+  std::vector<PgState::Ticket> issued;  // every ticket handed out, most stale
+  std::set<std::pair<ReqId, uint64_t>> ever_committed;  // (reqid, generation)
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e"};
+  ReqId next_reqid = 1;
+  int applied = 0;
+  int refused = 0;
+
+  auto live = [&](PgState::Ticket t) -> ModelPut* {
+    auto it = model.find(t.reqid);
+    return it != model.end() && it->second.generation == t.generation ? &it->second : nullptr;
+  };
+  auto held_by = [&](const std::string& name) -> const ModelPut* {
+    for (const auto& [reqid, m] : model) {
+      if (m.name == name && !Committed(m.state)) {
+        return &m;
+      }
+    }
+    return nullptr;
+  };
+  // Half the time the current ticket of a live put, else any ticket issued.
+  auto random_ticket = [&]() -> PgState::Ticket {
+    if (!model.empty() && rng.Bernoulli(0.5)) {
+      auto it = std::next(model.begin(), static_cast<long>(rng.Uniform(model.size())));
+      return {it->first, it->second.generation};
+    }
+    return issued.empty() ? PgState::Ticket{} : issued[rng.Uniform(issued.size())];
+  };
+  auto allocate = [&]() { return state.Allocate(0, rng.UniformRange(1, 3) * 4096); };
+  auto add = [&](ReqId reqid, const std::string& name, PgState::Placement placement) {
+    PendingPut p;
+    p.reqid = reqid;
+    p.name = name;
+    p.meta.lvid = placement.first;
+    p.meta.extents = placement.second;
+    return p;
+  };
+  auto check = [&](int step) {
+    ASSERT_EQ(state.pending().size(), model.size()) << "step " << step;
+    std::map<cluster::LvId, uint64_t> held;
+    for (const auto& [reqid, m] : model) {
+      const PendingPut* p = state.Find(reqid);
+      ASSERT_NE(p, nullptr) << "step " << step << " reqid " << reqid;
+      EXPECT_EQ(p->name, m.name);
+      EXPECT_EQ(p->generation, m.generation);
+      EXPECT_EQ(p->state, m.state) << "step " << step << " reqid " << reqid;
+      EXPECT_EQ(p->meta.lvid, m.placement.first);
+      EXPECT_EQ(p->meta.extents, m.placement.second);
+      for (const alloc::Extent& e : m.placement.second) {
+        held[m.placement.first] += e.count;
+        for (uint64_t b = e.block; b < e.block + e.count; ++b) {
+          ASSERT_TRUE(state.AllocatorFor(m.placement.first)->IsAllocated(b))
+              << "step " << step << ": block " << b << " of live put " << reqid << " is free";
+        }
+      }
+    }
+    for (cluster::LvId lv : {1u, 2u}) {
+      EXPECT_EQ(state.AllocatorFor(lv)->used_blocks(), held[lv]) << "step " << step;
+    }
+    for (const std::string& name : names) {
+      const ModelPut* want = held_by(name);
+      const PendingPut* got = state.FindByName(name);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step << " name " << name;
+      if (got != nullptr) {
+        EXPECT_EQ(got->generation, want->generation) << "step " << step << " name " << name;
+      }
+    }
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const PgState::Ticket t = random_ticket();
+    ModelPut* m = live(t);
+    bool expect = false;
+    bool got = false;
+    switch (rng.Uniform(10)) {
+      case 0:
+      case 1: {  // PutAlloc: a fresh put of a name no uncommitted put holds
+        const std::string& name = names[rng.Uniform(names.size())];
+        auto placement = allocate();
+        if (held_by(name) != nullptr || !placement.ok()) {
+          if (placement.ok()) {
+            state.Free(placement->first, placement->second);
+          }
+          continue;
+        }
+        const PgState::Ticket fresh = state.Add(add(next_reqid, name, *placement));
+        model[next_reqid++] = {name, fresh.generation, PutState::kAllocated, *placement};
+        issued.push_back(fresh);
+        expect = got = true;
+        break;
+      }
+      case 2: {  // MetaX persist finished (or failed)
+        const bool ok = rng.Bernoulli(0.8);
+        expect = m != nullptr && m->state != PutState::kRevoking;
+        got = state.SetPersisted(t, ok);
+        if (expect) {
+          m->state = Committed(m->state) ? (ok ? PutState::kSettled : PutState::kCommitted)
+                                         : (ok ? PutState::kPersisted : PutState::kAllocated);
+        }
+        break;
+      }
+      case 3: {  // the proxy's commit, by reqid only
+        auto it = model.find(t.reqid);
+        expect = it != model.end() && it->second.state != PutState::kRevoking;
+        got = state.Commit(t.reqid);
+        if (expect && Uncommitted(it->second.state)) {
+          it->second.state = it->second.state == PutState::kPersisted ? PutState::kSettled
+                                                                      : PutState::kCommitted;
+        }
+        break;
+      }
+      case 4: {  // RE-DATA moves an uncommitted put
+        auto placement = allocate();
+        if (!placement.ok()) {
+          continue;
+        }
+        expect = m != nullptr && Uncommitted(m->state);
+        auto moved = state.Relocate(t, *placement);
+        got = moved.has_value();
+        if (expect) {
+          m->placement = *placement;
+          m->generation = moved->generation;
+          issued.push_back(*moved);
+        } else {
+          state.Free(placement->first, placement->second);
+        }
+        break;
+      }
+      case 5: {  // verification found the data in place
+        expect = m != nullptr && Uncommitted(m->state);
+        got = state.Complete(t);
+        if (expect) {
+          m->state = m->state == PutState::kPersisted ? PutState::kSettled : PutState::kCommitted;
+        }
+        break;
+      }
+      case 6: {  // verification found no data: revoke, maybe finishing later
+        expect = m != nullptr && Uncommitted(m->state);
+        got = state.BeginRevoke(t) != nullptr;
+        if (expect) {
+          m->state = PutState::kRevoking;
+        }
+        break;
+      }
+      case 7: {  // a revoke's tombstone persisted: free and erase
+        expect = m != nullptr && m->state == PutState::kRevoking;
+        auto erased = state.FinishRevoke(t);
+        got = erased.has_value();
+        if (got) {
+          EXPECT_FALSE(ever_committed.contains({t.reqid, t.generation}))
+              << "committed put " << t.reqid << " was revoked";
+        }
+        if (expect) {
+          model.erase(t.reqid);
+        }
+        break;
+      }
+      case 8: {  // verify found no record (forget), or the cleaner retires
+        if (rng.Bernoulli(0.5)) {
+          expect = m != nullptr && Uncommitted(m->state);
+          got = state.Forget(t);
+          if (expect) {
+            state.Free(m->placement.first, m->placement.second);  // its record is gone
+            model.erase(t.reqid);
+          }
+        } else {
+          expect = m != nullptr && Committed(m->state);
+          got = state.Retire(t).has_value();
+          if (expect) {
+            state.Free(m->placement.first, m->placement.second);  // a later delete
+            model.erase(t.reqid);
+          }
+        }
+        break;
+      }
+      case 9: {  // a PG rebuild re-inserts a put from its log record
+        const ReqId reqid = rng.Bernoulli(0.5) && !issued.empty() ? t.reqid : next_reqid;
+        const std::string& name = names[rng.Uniform(names.size())];
+        auto placement = allocate();  // the scan marked the record's blocks
+        if (!placement.ok()) {
+          continue;
+        }
+        expect = !model.contains(reqid) && held_by(name) == nullptr;
+        got = state.AddRecovered(add(reqid, name, *placement));
+        if (expect) {
+          const PendingPut* p = state.Find(reqid);
+          ASSERT_NE(p, nullptr);
+          EXPECT_TRUE(p->recovered);
+          model[reqid] = {name, p->generation, PutState::kPersisted, *placement};
+          issued.push_back(PgState::TicketOf(*p));
+          next_reqid = std::max(next_reqid, reqid + 1);
+        } else {
+          state.Free(placement->first, placement->second);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(got, expect) << "step " << step << " ticket " << t.reqid << "@" << t.generation;
+    (got ? applied : refused)++;
+    for (const auto& [reqid, mp] : model) {
+      if (Committed(mp.state)) {
+        ever_committed.insert({reqid, mp.generation});
+      }
+    }
+    check(step);
+  }
+  // Both sides of the rules were exercised.
+  EXPECT_GT(applied, 400) << refused;
+  EXPECT_GT(refused, 400) << applied;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PgStateModelProperty, ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---- Deterministic RNG and zipf-free distributions ----
 
