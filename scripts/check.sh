@@ -51,11 +51,13 @@ CHEETAH_BENCH_SMOKE=1 "$builddir/bench/scrub_overhead"
 # asserts every cold object demotes, EC storage overhead stays <= 1.6x, and
 # the inline put path beats the replica put path on latency. Seed 9 is a
 # pinned regression: a verification that snapshotted a put before its RE-DATA
-# resume revoked it with the stale extents after the put was acked. ctest
-# only knows the seeds registered at discovery time, so seed 9 also runs
-# through the binary directly.
-CHEETAH_SWEEP_SEEDS=1,2,9 ctest --preset "$preset" -L ec -j "$(nproc)"
+# resume revoked it with the stale extents after the put was acked. Seed 17
+# is another: two overlapping deletes of one object were both acked. ctest
+# only knows the seeds registered at discovery time, so seeds 9 and 17 also
+# run through the binary directly.
+CHEETAH_SWEEP_SEEDS=1,2,9,17 ctest --preset "$preset" -L ec -j "$(nproc)"
 CHEETAH_SWEEP_SEEDS=9 "$builddir/tests/ec_sweep_test" --gtest_filter='*Seed9'
+CHEETAH_SWEEP_SEEDS=17 "$builddir/tests/ec_sweep_test" --gtest_filter='*Seed17'
 CHEETAH_BENCH_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 
 # Membership/migration tier: failure-detector units, live drain/migration

@@ -15,42 +15,93 @@ BitmapAllocator::BitmapAllocator(uint64_t total_blocks, uint32_t block_size)
     : total_blocks_(total_blocks),
       block_size_(block_size),
       free_blocks_(total_blocks),
-      bits_((total_blocks + kWordBits - 1) / kWordBits, 0) {
+      pages_((total_blocks + kPageBlocks - 1) / kPageBlocks) {
   assert(block_size > 0 && total_blocks > 0);
 }
 
 bool BitmapAllocator::IsAllocated(uint64_t block) const {
   assert(block < total_blocks_);
-  return (bits_[block / kWordBits] >> (block % kWordBits)) & 1;
+  const Page* page = pages_[block / kPageBlocks].get();
+  return page != nullptr &&
+         ((page->words[block % kPageBlocks / kWordBits] >> (block % kWordBits)) & 1);
+}
+
+size_t BitmapAllocator::resident_pages() const {
+  return static_cast<size_t>(
+      std::count_if(pages_.begin(), pages_.end(), [](const auto& p) { return p != nullptr; }));
+}
+
+uint64_t BitmapAllocator::Next(uint64_t from, uint64_t to, bool used) const {
+  uint64_t b = from;
+  while (b < to) {
+    const Page* page = pages_[b / kPageBlocks].get();
+    const uint64_t page_end = std::min(to, (b / kPageBlocks + 1) * kPageBlocks);
+    if (page == nullptr) {
+      if (!used) {
+        return b;
+      }
+      b = page_end;  // an absent page has no used block
+      continue;
+    }
+    while (b < page_end) {
+      const uint64_t word = page->words[b % kPageBlocks / kWordBits];
+      const uint64_t hits = (used ? word : ~word) >> (b % kWordBits);
+      if (hits != 0) {
+        return std::min(to, b + static_cast<uint64_t>(__builtin_ctzll(hits)));
+      }
+      b = (b / kWordBits + 1) * kWordBits;
+    }
+  }
+  return to;
 }
 
 void BitmapAllocator::SetRange(uint64_t start, uint64_t count, bool used) {
-  for (uint64_t b = start; b < start + count; ++b) {
-    const uint64_t word = b / kWordBits;
-    const uint64_t mask = 1ull << (b % kWordBits);
-    const bool was_used = bits_[word] & mask;
-    if (used && !was_used) {
-      bits_[word] |= mask;
-      --free_blocks_;
-    } else if (!used && was_used) {
-      bits_[word] &= ~mask;
-      ++free_blocks_;
+  const uint64_t end = start + count;
+  assert(end <= pages_.size() * kPageBlocks);
+  for (uint64_t b = start; b < end;) {
+    std::unique_ptr<Page>& page = pages_[b / kPageBlocks];
+    const uint64_t page_end = std::min(end, (b / kPageBlocks + 1) * kPageBlocks);
+    if (page == nullptr) {
+      if (!used) {
+        b = page_end;  // already free
+        continue;
+      }
+      page = std::make_unique<Page>();
     }
+    for (; b < page_end; b = (b / kWordBits + 1) * kWordBits) {
+      const uint64_t shift = b % kWordBits;
+      const uint64_t n = std::min(kWordBits - shift, page_end - b);
+      const uint64_t mask = (n == kWordBits ? ~0ull : (1ull << n) - 1) << shift;
+      uint64_t& word = page->words[b % kPageBlocks / kWordBits];
+      const uint64_t flips = mask & (used ? ~word : word);
+      const auto changed = static_cast<uint64_t>(__builtin_popcountll(flips));
+      word ^= flips;
+      if (used) {
+        page->used += changed;
+        free_blocks_ -= changed;
+      } else {
+        page->used -= changed;
+        free_blocks_ += changed;
+      }
+    }
+    if (page->used == 0) {
+      page.reset();
+    }
+    b = page_end;
   }
 }
 
 uint64_t BitmapAllocator::FindRun(uint64_t want) const {
   // Two passes: from the cursor to the end, then from 0 to the cursor.
+  // A run only has to reach `want` blocks, so the search for its end stops
+  // there.
   auto scan = [&](uint64_t from, uint64_t to) -> uint64_t {
-    uint64_t run = 0;
-    uint64_t run_start = from;
-    for (uint64_t b = from; b < to; ++b) {
-      if (IsAllocated(b)) {
-        run = 0;
-        run_start = b + 1;
-      } else if (++run >= want) {
-        return run_start;
+    for (uint64_t b = Next(from, to, false); b < to;) {
+      const uint64_t run_end = Next(b, std::min(to, b + want), true);
+      if (run_end - b >= want) {
+        return b;
       }
+      b = Next(run_end, to, false);
     }
     return total_blocks_;
   };
@@ -78,29 +129,14 @@ Result<std::vector<Extent>> BitmapAllocator::Allocate(uint64_t bytes) {
     extents.emplace_back(start, want);
     return extents;
   }
-  // Fragmented path: greedily take free runs.
+  // Fragmented path: greedily take free runs from the start of the volume.
   uint64_t remaining = want;
-  uint64_t run_start = 0;
-  uint64_t run = 0;
-  for (uint64_t b = 0; b < total_blocks_ && remaining > 0; ++b) {
-    if (IsAllocated(b)) {
-      if (run > 0) {
-        const uint64_t take = std::min(run, remaining);
-        extents.emplace_back(run_start, take);
-        remaining -= take;
-      }
-      run = 0;
-    } else {
-      if (run == 0) {
-        run_start = b;
-      }
-      ++run;
-    }
-  }
-  if (remaining > 0 && run > 0) {
-    const uint64_t take = std::min(run, remaining);
-    extents.emplace_back(run_start, take);
+  for (uint64_t b = Next(0, total_blocks_, false); b < total_blocks_ && remaining > 0;) {
+    const uint64_t run_end = Next(b, total_blocks_, true);
+    const uint64_t take = std::min(run_end - b, remaining);
+    extents.emplace_back(b, take);
     remaining -= take;
+    b = Next(run_end, total_blocks_, false);
   }
   if (remaining > 0) {
     return Status::ResourceExhausted("volume full (fragmented)");
@@ -131,30 +167,34 @@ double BitmapAllocator::Fragmentation() const {
     return 0.0;
   }
   uint64_t largest = 0;
-  uint64_t run = 0;
-  for (uint64_t b = 0; b < total_blocks_; ++b) {
-    if (IsAllocated(b)) {
-      run = 0;
-    } else {
-      largest = std::max(largest, ++run);
-    }
+  for (uint64_t b = Next(0, total_blocks_, false); b < total_blocks_;) {
+    const uint64_t run_end = Next(b, total_blocks_, true);
+    largest = std::max(largest, run_end - b);
+    b = Next(run_end, total_blocks_, false);
   }
   return 1.0 - static_cast<double>(largest) / static_cast<double>(free_blocks_);
 }
 
 std::string BitmapAllocator::Serialize() const {
-  // Sized once, then every word encoded in place: the file plane keeps this
-  // string as written, so spare capacity would sit in memory with it.
+  // The flat bitmap's bytes: zeros, with the resident pages' words encoded
+  // over them. Sized once, because the file plane keeps this string as
+  // written and spare capacity would sit in memory with it.
+  const uint64_t words = (total_blocks_ + kWordBits - 1) / kWordBits;
   const size_t header = VarintLength(total_blocks_) + VarintLength(block_size_);
   std::string out;
-  out.reserve(header + bits_.size() * 8);
+  out.reserve(header + words * 8);
   PutVarint64(&out, total_blocks_);
   PutVarint64(&out, block_size_);
-  out.resize(header + bits_.size() * 8);
-  char* p = out.data() + header;
-  for (uint64_t word : bits_) {
-    EncodeFixed64(p, word);
-    p += 8;
+  out.resize(header + words * 8);
+  for (size_t i = 0; i < pages_.size(); ++i) {
+    if (pages_[i] == nullptr) {
+      continue;
+    }
+    const uint64_t first = i * kPageWords;
+    char* p = out.data() + header + first * 8;
+    for (uint64_t w = first; w < std::min(words, first + kPageWords); ++w, p += 8) {
+      EncodeFixed64(p, pages_[i]->words[w - first]);
+    }
   }
   return out;
 }
@@ -165,18 +205,24 @@ Result<BitmapAllocator> BitmapAllocator::Deserialize(std::string_view data) {
     return Status::Corruption("bitmap header");
   }
   BitmapAllocator alloc(total, static_cast<uint32_t>(bs));
-  const uint64_t words = alloc.bits_.size();
+  const uint64_t words = (total + kWordBits - 1) / kWordBits;
   if (data.size() < words * 8) {
     return Status::Corruption("bitmap truncated");
   }
-  uint64_t used = 0;
-  const char* p = data.data();
-  for (uint64_t& word : alloc.bits_) {
-    word = DecodeFixed64(p);
-    p += 8;
-    used += static_cast<uint64_t>(__builtin_popcountll(word));
+  for (uint64_t w = 0; w < words; ++w) {
+    const uint64_t word = DecodeFixed64(data.data() + w * 8);
+    if (word == 0) {
+      continue;
+    }
+    std::unique_ptr<Page>& page = alloc.pages_[w / kPageWords];
+    if (page == nullptr) {
+      page = std::make_unique<Page>();
+    }
+    page->words[w % kPageWords] = word;
+    const auto used = static_cast<uint64_t>(__builtin_popcountll(word));
+    page->used += used;
+    alloc.free_blocks_ -= used;
   }
-  alloc.free_blocks_ = total - used;
   return alloc;
 }
 

@@ -9,10 +9,19 @@
 //
 // The bitmap serializes to a compact byte string so meta servers can persist
 // it and resynchronize the in-memory copy after PG-log cleaning (§5.2).
+//
+// In memory the bitmap is split into 4 KiB pages, and a page exists only
+// while one of its bits is set: an absent page reads as all-free, and scans
+// step over it in one move. A volume therefore costs host memory in
+// proportion to its used blocks, not its capacity (an empty 8 GiB volume
+// of 4 KiB blocks is 64 page pointers, not a 256 KiB bitmap). Allocation
+// choices and the serialized bytes are those of one flat bitmap.
 #ifndef SRC_ALLOC_BITMAP_ALLOCATOR_H_
 #define SRC_ALLOC_BITMAP_ALLOCATOR_H_
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,24 +60,38 @@ class BitmapAllocator {
 
   bool IsAllocated(uint64_t block) const;
 
+  // Bitmap pages held in memory (each covers kPageBlocks blocks).
+  size_t resident_pages() const;
+
   // Persistence.
   std::string Serialize() const;
   static Result<BitmapAllocator> Deserialize(std::string_view data);
 
+  static constexpr uint64_t kPageWords = 512;  // 4 KiB
+  static constexpr uint64_t kPageBlocks = kPageWords * 64;
+
  private:
+  struct Page {
+    std::array<uint64_t, kPageWords> words{};  // 1 = used
+    uint64_t used = 0;  // set bits; the page is released when this drops to 0
+  };
+
   uint64_t BlocksFor(uint64_t bytes) const {
     return (bytes + block_size_ - 1) / block_size_;
   }
   // Finds the first free run of exactly-or-more `want` blocks starting the
   // search at cursor_; returns run start or total_blocks_ if none.
   uint64_t FindRun(uint64_t want) const;
+  // The first block in [from, to) whose state is `used`, or `to` if there
+  // is none. Every scan walks the free runs with this.
+  uint64_t Next(uint64_t from, uint64_t to, bool used) const;
   void SetRange(uint64_t start, uint64_t count, bool used);
 
   uint64_t total_blocks_;
   uint32_t block_size_;
   uint64_t free_blocks_;
   uint64_t cursor_ = 0;  // rotating search start to spread allocations
-  std::vector<uint64_t> bits_;  // 1 = used
+  std::vector<std::unique_ptr<Page>> pages_;  // null = every block free
 };
 
 }  // namespace cheetah::alloc

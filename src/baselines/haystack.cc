@@ -386,7 +386,7 @@ sim::Task<> HaystackStore::CheckpointLoop() {
         continue;
       }
       const uint64_t bytes = vol.index.size() * 64 + 1024;
-      (void)co_await disk.WriteFile(IndexFile(id), std::string(1, 'i'), /*sync=*/true);
+      (void)co_await disk.WriteFile(IndexFile(id), Bytes(std::string(1, 'i')), /*sync=*/true);
       co_await disk.ChargeWrite(bytes);
       vol.dirty = 0;
       counters_.checkpoints.Add();

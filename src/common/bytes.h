@@ -8,7 +8,9 @@
 // back every replica's request, every stored extent and every in-flight
 // reply at once. Code that needs different bytes (damage injection) builds a
 // new buffer. std::string appears only at the ObjectStore boundary, through
-// the explicit constructor and ToString().
+// the explicit constructor and ToString(). The device model's flat files are
+// Bytes too: a file and every handle read from it share one buffer, and the
+// model mutates it in place only while the file holds the sole handle.
 #ifndef SRC_COMMON_BYTES_H_
 #define SRC_COMMON_BYTES_H_
 
@@ -37,6 +39,7 @@ class Bytes {
   bool empty() const { return size_ == 0; }
   const char* data() const { return data_; }
   std::string_view view() const { return {data_, size_}; }
+  operator std::string_view() const { return view(); }  // NOLINT(google-explicit-constructor)
 
   // Bytes [off, off + len) of this payload, sharing its buffer. O(1).
   Bytes Slice(size_t off, size_t len) const {

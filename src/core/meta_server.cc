@@ -147,9 +147,9 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
   const cluster::PgId pg = topo_.pg_count ? topo_.PgOf(req.name) : 0;
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
   if (pgs_.IsGuarded(req.name)) {
-    // Mid record swap (demotion or NoVG migration): bounce for the one
-    // persist round the swap takes; the proxy's retry loop absorbs it.
-    co_return Status::Unavailable("object is moving between storage classes");
+    // Mid record swap (demotion or NoVG migration) or mid delete: bounce for
+    // the one persist round it takes; the proxy's retry loop absorbs it.
+    co_return Status::Unavailable("object is being swapped or deleted");
   }
   counters_.put_allocs.Add();
 
@@ -582,9 +582,9 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
   const cluster::PgId pg = topo_.pg_count ? topo_.PgOf(req.name) : 0;
   CO_RETURN_IF_ERROR(CheckRequest(req.view, pg, /*need_primary=*/true));
   if (pgs_.IsGuarded(req.name)) {
-    // Mid record swap (demotion or NoVG migration): bounce for the one
-    // persist round the swap takes; the proxy's retry loop absorbs it.
-    co_return Status::Unavailable("object is moving between storage classes");
+    // Mid record swap (demotion or NoVG migration) or mid delete: bounce for
+    // the one persist round it takes; the proxy's retry loop absorbs it.
+    co_return Status::Unavailable("object is being swapped or deleted");
   }
   // Idempotency: a delete whose first attempt landed but whose ack was lost
   // must not take effect twice — by the time the retry arrives the name may
@@ -612,6 +612,26 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
       co_return Status::Unavailable("object has an in-flight put");
     }
   }
+  // The name stays guarded from the record read through the tombstone's
+  // persist: an overlapping delete of it bounces (its retry then reads the
+  // tombstone and answers NotFound) and a record swap aborts, instead of
+  // each acting on the record this delete is retiring.
+  if (!pgs_.Guard(req.name)) {
+    co_return Status::Unavailable("object is being swapped or deleted");
+  }
+  Result<ObMeta> meta = co_await DeleteGuarded(pg, req);
+  pgs_.Unguard(req.name);
+  if (!meta.ok()) {
+    co_return meta.status();
+  }
+  // The in-memory bitmap is updated now (space immediately reusable); the
+  // on-disk copy syncs with the next log-clean cycle (§5.2).
+  ReleaseExtents(meta->lvid, meta->extents);
+  tier_->ForgetAccess(req.name);
+  co_return DeleteReply{};
+}
+
+sim::Task<Result<ObMeta>> MetaServer::DeleteGuarded(cluster::PgId pg, const DeleteRequest& req) {
   auto value = co_await db_->Get(ObMetaKey(pg, req.name));
   if (!value.ok()) {
     co_return value.status();
@@ -639,15 +659,8 @@ sim::Task<Result<DeleteReply>> MetaServer::HandleDelete(sim::NodeId src, DeleteR
   if (meta->reqid != 0) {
     batch.Put(OpDoneKey(pg, meta->proxy_id, meta->reqid), req.name);
   }
-  Status s = co_await PersistAndReplicate(pg, std::move(batch));
-  if (!s.ok()) {
-    co_return s;
-  }
-  // The in-memory bitmap is updated now (space immediately reusable); the
-  // on-disk copy syncs with the next log-clean cycle (§5.2).
-  ReleaseExtents(meta->lvid, meta->extents);
-  tier_->ForgetAccess(req.name);
-  co_return DeleteReply{};
+  CO_RETURN_IF_ERROR(co_await PersistAndReplicate(pg, std::move(batch)));
+  co_return meta;
 }
 
 sim::Task<Status> MetaServer::FlushBitmap(cluster::LvId lv) {
@@ -655,7 +668,7 @@ sim::Task<Status> MetaServer::FlushBitmap(cluster::LvId lv) {
   if (a == nullptr) {
     co_return Status::Ok();
   }
-  co_return co_await rpc_.machine().disk(0).WriteFile(BitmapFile(lv), a->Serialize(),
+  co_return co_await rpc_.machine().disk(0).WriteFile(BitmapFile(lv), Bytes(a->Serialize()),
                                                       /*sync=*/true);
 }
 
@@ -1237,8 +1250,9 @@ sim::Task<Status> MetaServer::SwapObjectRecord(cluster::PgId pg, std::string nam
       kv::WriteBatch batch;
       batch.Put(key, encoded);
       s = co_await PersistAndReplicate(pg, std::move(batch));
-      // Post-persist audit: a delete already past its guard check when the
-      // guard went up may have tombstoned over the new record.
+      // Post-persist audit: the record must still be the one just written.
+      // Deletes hold this guard too, so none can tombstone over it; the
+      // check stays for any writer that takes no guard.
       if (s.ok()) {
         auto after = co_await db_->Get(key);
         if (!after.ok() || *after != encoded) {

@@ -149,6 +149,9 @@ class MetaServer {
   sim::Task<Result<PutCommitAck>> HandleCommit(sim::NodeId src, PutCommitNotify req);
   sim::Task<Result<GetMetaReply>> HandleGet(sim::NodeId src, GetMetaRequest req);
   sim::Task<Result<DeleteReply>> HandleDelete(sim::NodeId src, DeleteRequest req);
+  // HandleDelete's part under the name's guard: reads the record and
+  // persists its tombstone; returns the retired record.
+  sim::Task<Result<ObMeta>> DeleteGuarded(cluster::PgId pg, const DeleteRequest& req);
   sim::Task<Result<ReplicateMetaXReply>> HandleReplicate(sim::NodeId src,
                                                          ReplicateMetaXRequest req);
   sim::Task<Result<PgPullReply>> HandlePgPull(sim::NodeId src, PgPullRequest req);

@@ -97,7 +97,9 @@ class PgState {
   // The cleaner retires a committed put whose logs it deletes.
   std::optional<PendingPut> Retire(Ticket t);
 
-  // ---- per-name relocation guard: puts and deletes bounce while held ----
+  // ---- per-name guard, held by record swaps and by deletes from their
+  // record read through their persist: puts, deletes and swaps of the name
+  // bounce while it is held ----
   bool Guard(const std::string& name) { return guarded_.insert(name).second; }
   void Unguard(const std::string& name) { guarded_.erase(name); }
   bool IsGuarded(const std::string& name) const { return guarded_.contains(name); }

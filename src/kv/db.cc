@@ -445,8 +445,14 @@ sim::Task<> DB::CompactTask() {
   compacting_ = false;
 }
 
+std::vector<TablePtr> DB::Tables() const {
+  std::vector<TablePtr> out = l0_;
+  out.insert(out.end(), l1_.begin(), l1_.end());
+  return out;
+}
+
 sim::Task<Status> DB::PersistManifest() {
-  return storage_->WriteFile(ManifestName(), EncodeManifest(), /*sync=*/true);
+  return storage_->WriteFile(ManifestName(), Bytes(EncodeManifest()), /*sync=*/true);
 }
 
 std::optional<std::optional<std::string_view>> DB::LookupInMemory(

@@ -106,6 +106,8 @@ class DB {
 
   // Test hook: waits until no flush/compaction is running.
   sim::Task<> WaitForMaintenance();
+  // Test hook: the live tables, level 0 then level 1, each newest first.
+  std::vector<TablePtr> Tables() const;
 
  private:
   DB(Options options, sim::Storage* storage)

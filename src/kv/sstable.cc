@@ -85,7 +85,7 @@ TablePtr Table::Build(std::string file_name, std::span<const Entry> entries) {
     block_ends.push_back(0);  // one empty block
   }
 
-  std::string& out = t->file_;
+  std::string out;
   out.reserve(total);
   t->index_.reserve(entries.size());
   begin = 0;
@@ -113,13 +113,25 @@ TablePtr Table::Build(std::string file_name, std::span<const Entry> entries) {
   }
   assert(out.size() == total);
   t->blocks_ = block_ends.size();
+  // Adopting the buffer keeps its address, except that a string short
+  // enough to live inline moves: the index then follows it.
+  const char* built_at = out.data();
+  t->file_ = Bytes(std::move(out));
+  if (t->file_.data() != built_at) {
+    for (Entry& e : t->index_) {
+      e.key = std::string_view(t->file_.data() + (e.key.data() - built_at), e.key.size());
+      if (e.value) {
+        e.value = std::string_view(t->file_.data() + (e.value->data() - built_at), e.value->size());
+      }
+    }
+  }
   return t;
 }
 
-TablePtr Table::Load(std::string file_name, std::string file) {
+TablePtr Table::Load(std::string file_name, Bytes file) {
   std::shared_ptr<Table> t(new Table(std::move(file_name)));
   t->file_ = std::move(file);
-  std::string_view input = t->file_;
+  std::string_view input = t->file_.view();
   while (!input.empty()) {
     uint32_t crc = 0;
     uint64_t len = 0;

@@ -10,9 +10,11 @@
 //
 // In memory a table is its encoded file plus a sorted index of views into
 // it; the index is built while encoding (Build) or parsing (Load), and no
-// key or value is copied out of the buffer. Disk reads are *charged* to the
-// simulated device when the table is consulted, which is what the
-// experiments measure.
+// key or value is copied out of the buffer. The file is a refcounted Bytes
+// buffer, the same one the simulated disk stores for the table's file: a
+// flush or compaction writes the handle, and Open loads the handle it
+// reads. Disk reads are *charged* to the simulated device when the table is
+// consulted, which is what the experiments measure.
 #ifndef SRC_KV_SSTABLE_H_
 #define SRC_KV_SSTABLE_H_
 
@@ -23,6 +25,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/common/bytes.h"
 
 namespace cheetah::kv {
 
@@ -51,11 +55,11 @@ class Table {
   // recovery can tell a clean load from a partial salvage. A block header
   // too mangled to skip past loses the rest of the file (counted as one bad
   // block).
-  static TablePtr Load(std::string file_name, std::string file);
+  static TablePtr Load(std::string file_name, Bytes file);
 
   const std::string& file_name() const { return file_name_; }
   // The encoded file.
-  const std::string& file() const { return file_; }
+  const Bytes& file() const { return file_; }
   std::span<const Entry> entries() const { return index_; }
   uint64_t blocks() const { return blocks_; }
   uint64_t bad_blocks() const { return bad_blocks_; }
@@ -74,7 +78,7 @@ class Table {
   explicit Table(std::string file_name) : file_name_(std::move(file_name)) {}
 
   std::string file_name_;
-  std::string file_;
+  Bytes file_;
   std::vector<Entry> index_;  // views into file_
   uint64_t blocks_ = 0;
   uint64_t bad_blocks_ = 0;

@@ -36,7 +36,7 @@ sim::Task<Status> RaftNode::PersistHardState() {
   std::string out;
   PutFixed32(&out, Crc32c(body));
   out += body;
-  co_return co_await storage_.WriteFile(StateFile(), out, /*sync=*/true);
+  co_return co_await storage_.WriteFile(StateFile(), Bytes(std::move(out)), /*sync=*/true);
 }
 
 sim::Task<Status> RaftNode::PersistLog() {
@@ -51,7 +51,7 @@ sim::Task<Status> RaftNode::PersistLog() {
   std::string out;
   PutFixed32(&out, Crc32c(body));
   out += body;
-  co_return co_await storage_.WriteFile(LogFile(), out, /*sync=*/true);
+  co_return co_await storage_.WriteFile(LogFile(), Bytes(std::move(out)), /*sync=*/true);
 }
 
 sim::Task<Status> RaftNode::LoadPersistent() {

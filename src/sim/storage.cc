@@ -36,7 +36,10 @@ void Storage::RecordIo(const char* what, uint64_t bytes, Nanos done) {
 Task<Status> Storage::Append(std::string name, std::string data, bool sync) {
   co_await ChargeFileWrite(data.size());
   File& f = files_[name];
-  f.data.append(data);
+  // The file's own buffer, unless a reader's handle shares it: then a copy.
+  std::string grown = std::move(f.data).ToString();
+  grown.append(data);
+  f.data = Bytes(std::move(grown));
   if (!sync) {
     co_return Status::Ok();
   }
@@ -45,7 +48,7 @@ Task<Status> Storage::Append(std::string name, std::string data, bool sync) {
   co_return FinishSync(name, end);
 }
 
-Task<Status> Storage::WriteFile(std::string name, std::string data, bool sync) {
+Task<Status> Storage::WriteFile(std::string name, Bytes data, bool sync) {
   co_await ChargeFileWrite(data.size());
   File& f = files_[name];
   f.data = std::move(data);
@@ -68,7 +71,7 @@ Status Storage::FinishSync(const std::string& name, uint64_t len) {
   return Status::Ok();
 }
 
-Task<Result<std::string>> Storage::ReadFile(std::string name) {
+Task<Result<Bytes>> Storage::ReadFile(std::string name) {
   auto it = files_.find(name);
   if (it == files_.end()) {
     co_return Status::NotFound("read: no such file " + name);
@@ -81,7 +84,7 @@ Task<Result<std::string>> Storage::ReadFile(std::string name) {
   co_return it->second.data;
 }
 
-Task<Result<std::string>> Storage::ReadAt(std::string name, uint64_t offset, uint64_t length) {
+Task<Result<Bytes>> Storage::ReadAt(std::string name, uint64_t offset, uint64_t length) {
   auto it = files_.find(name);
   if (it == files_.end()) {
     co_return Status::NotFound("read: no such file " + name);
@@ -94,7 +97,7 @@ Task<Result<std::string>> Storage::ReadAt(std::string name, uint64_t offset, uin
   if (it == files_.end() || offset + length > it->second.data.size()) {
     co_return Status::NotFound("read: " + name + " was deleted or cut during the read");
   }
-  co_return it->second.data.substr(offset, length);
+  co_return it->second.data.Slice(offset, length);
 }
 
 Status Storage::DeleteFile(const std::string& name) {
@@ -311,7 +314,11 @@ void Storage::PowerLoss() {
       it = files_.erase(it);
       continue;
     }
-    f.data.resize(f.synced_len);
+    if (f.data.size() > f.synced_len) {
+      std::string kept = std::move(f.data).ToString();  // same rule as Append
+      kept.resize(f.synced_len);
+      f.data = Bytes(std::move(kept));
+    }
     ++it;
   }
 }

@@ -136,12 +136,19 @@ class Storage {
   // it was to make durable are gone); one during a read fails it with
   // kNotFound.
   //
+  // A file is one refcounted buffer. WriteFile adopts the caller's buffer
+  // (an SSTable's file is the same buffer its kv::Table indexes), and reads
+  // return handles to it, so a file's bytes exist once in host memory however
+  // many readers hold them. Append and power loss change a buffer in place
+  // only while the file holds its only handle; otherwise they copy it first,
+  // so a handle keeps the bytes it was read with, even past DeleteFile.
+  //
   // Appends to (creating if absent) a file; durable immediately iff sync.
   Task<Status> Append(std::string name, std::string data, bool sync);
   // Replaces the entire file content; durable immediately iff sync.
-  Task<Status> WriteFile(std::string name, std::string data, bool sync);
-  Task<Result<std::string>> ReadFile(std::string name);
-  Task<Result<std::string>> ReadAt(std::string name, uint64_t offset, uint64_t length);
+  Task<Status> WriteFile(std::string name, Bytes data, bool sync);
+  Task<Result<Bytes>> ReadFile(std::string name);
+  Task<Result<Bytes>> ReadAt(std::string name, uint64_t offset, uint64_t length);
   // Deletion is a metadata operation; modeled as instantaneous and durable.
   Status DeleteFile(const std::string& name);
   bool FileExists(const std::string& name) const { return files_.contains(name); }
@@ -228,7 +235,7 @@ class Storage {
 
  private:
   struct File {
-    std::string data;
+    Bytes data;
     uint64_t synced_len = 0;
     bool ever_synced = false;
   };

@@ -10,7 +10,9 @@
 //  * a RE-META resume whose pending put is revoked while its MetaX persist
 //    is in flight must fail cleanly instead of touching the erased entry;
 //  * a verification whose put moves to new extents (RE-DATA) while its
-//    probes are out must neither revoke nor complete it.
+//    probes are out must neither revoke nor complete it;
+//  * of two deletes of one object that overlap at its primary, only one is
+//    acked; the other answers NotFound.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -462,6 +464,30 @@ TEST(Recovery, VerifyDoesNotRevokeAPutResumedOntoNewExtents) {
   ASSERT_TRUE(after->has_value());
   ASSERT_TRUE((*after)->ok()) << (*after)->status().ToString();
   EXPECT_EQ((*after)->value().meta.extents, moved_to);
+}
+
+TEST(Recovery, OverlappingDeletesOfOneObjectAckOnlyOne) {
+  Testbed bed(SmallConfig());
+  ASSERT_TRUE(bed.Boot().ok());
+  const std::string name = "deleted-twice";
+  ASSERT_TRUE(bed.PutObject(0, name, std::string(8192, 'd')).ok());
+
+  // Both proxies delete the object at the same instant: the second delete
+  // reaches the primary while the first one's tombstone is persisting.
+  std::vector<Status> results;
+  for (int p = 0; p < 2; ++p) {
+    bed.RunOnProxy(p, [&results, name](ClientProxy& proxy) -> sim::Task<> {
+      results.push_back(co_await proxy.Delete(name));
+    }, Nanos{0});
+  }
+  bed.RunFor(Seconds(5));
+  ASSERT_EQ(results.size(), 2u);
+  const int acked = static_cast<int>(results[0].ok()) + static_cast<int>(results[1].ok());
+  EXPECT_EQ(acked, 1) << results[0].ToString() << " / " << results[1].ToString();
+  for (const Status& s : results) {
+    EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  }
+  EXPECT_TRUE(bed.GetObject(1, name).status().IsNotFound());
 }
 
 }  // namespace

@@ -144,9 +144,9 @@ TEST_F(KvEdgeTest, CorruptManifestFailsOpen) {
   actor_.Spawn([](Storage* storage) -> Task<> {
     auto manifest = co_await storage->ReadFile("db.MANIFEST");
     if (manifest.ok() && !manifest->empty()) {
-      std::string bad = *manifest;
+      std::string bad = manifest->ToString();
       bad[bad.size() / 2] ^= 0x20;
-      (void)co_await storage->WriteFile("db.MANIFEST", bad, true);
+      (void)co_await storage->WriteFile("db.MANIFEST", Bytes(bad), true);
     }
   }(&storage_));
   loop_.Run();
@@ -225,9 +225,9 @@ TEST_F(KvEdgeTest, CorruptWalRecordIsSkippedAndLaterRecordsSalvaged) {
     cursor.remove_prefix(len);  // skip record 1
     CO_ASSERT_TRUE(GetFixed32(&cursor, &crc) && GetFixed64(&cursor, &len));
     const size_t payload2_off = file->size() - cursor.size();
-    std::string bad = *file;
+    std::string bad = file->ToString();
     bad[payload2_off + len / 2] ^= 0x01;
-    (void)co_await storage->WriteFile(wals.front(), bad, true);
+    (void)co_await storage->WriteFile(wals.front(), Bytes(bad), true);
   }(&storage_));
   loop_.Run();
   Run(Options{}, [](DB* db) -> Task<> {
@@ -260,7 +260,7 @@ TEST_F(KvEdgeTest, SstableBlockSalvageSkipsDamagedBlockOnly) {
     entries.push_back({keys[i], values[i]});
   }
   TablePtr table = Table::Build("t", entries);
-  const std::string& enc = table->file();
+  const Bytes& enc = table->file();
 
   // Pristine file: every block verifies, nothing lost.
   TablePtr clean = Table::Load("t", enc);
@@ -277,10 +277,10 @@ TEST_F(KvEdgeTest, SstableBlockSalvageSkipsDamagedBlockOnly) {
   ASSERT_TRUE(GetFixed32(&cursor, &crc) && GetFixed64(&cursor, &len));
   cursor.remove_prefix(len);  // skip block 1
   ASSERT_TRUE(GetFixed32(&cursor, &crc) && GetFixed64(&cursor, &len));
-  std::string bad = enc;
+  std::string bad = enc.ToString();
   bad[enc.size() - cursor.size() + len / 2] ^= 0x01;
 
-  TablePtr salvaged = Table::Load("t", bad);
+  TablePtr salvaged = Table::Load("t", Bytes(std::move(bad)));
   EXPECT_EQ(salvaged->blocks(), clean->blocks());
   EXPECT_EQ(salvaged->bad_blocks(), 1u);
   EXPECT_LT(salvaged->entries().size(), entries.size());

@@ -115,6 +115,31 @@ TEST_F(KvTest, FlushAndReadFromTables) {
   });
 }
 
+// A table and the disk model's file of it are one buffer: after a flush or
+// compaction, and after Open loads the tables back.
+TEST_F(KvTest, TablesAndTheirFilesShareOneBuffer) {
+  auto check = [this](DB* db) -> Task<> {
+    const std::vector<TablePtr> tables = db->Tables();
+    CO_ASSERT_TRUE(!tables.empty());
+    for (const TablePtr& t : tables) {
+      auto file = co_await storage_.ReadFile(t->file_name());
+      CO_ASSERT_OK(file);
+      EXPECT_EQ(file->data(), t->file().data()) << t->file_name();
+      EXPECT_EQ(file->size(), t->file().size()) << t->file_name();
+    }
+  };
+  Run(SmallOptions(), [check](DB* db) -> Task<> {
+    for (int i = 0; i < 200; ++i) {
+      (void)co_await db->Put("key" + std::to_string(i), std::string(100, 'v'));
+    }
+    co_await db->WaitForMaintenance();
+    EXPECT_GT(db->stats().compactions.value(), 0u);
+    co_await check(db);
+  });
+  db_.reset();
+  Run(SmallOptions(), [check](DB* db) -> Task<> { co_await check(db); });
+}
+
 TEST_F(KvTest, CompactionPreservesData) {
   Run(SmallOptions(), [](DB* db) -> Task<> {
     for (int i = 0; i < 400; ++i) {
@@ -454,9 +479,9 @@ TEST_F(TableTest, EncodeDecodeRoundTrip) {
 
 TEST_F(TableTest, DecodeRejectsCorruption) {
   std::vector<Entry> entries = {{"k", "v"}};
-  std::string enc = Table::Build("sst", entries)->file();
+  std::string enc = Table::Build("sst", entries)->file().ToString();
   enc[enc.size() / 2] ^= 0x40;
-  EXPECT_EQ(Table::Load("sst", enc)->bad_blocks(), 1u);
+  EXPECT_EQ(Table::Load("sst", Bytes(enc))->bad_blocks(), 1u);
 }
 
 TEST_F(TableTest, FindAndRange) {

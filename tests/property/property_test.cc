@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/alloc/bitmap_allocator.h"
+#include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/core/pg_state.h"
 #include "src/crush/crush.h"
@@ -99,6 +100,234 @@ TEST_P(AllocatorSerializeProperty, RoundTripPreservesEveryBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorSerializeProperty,
                          ::testing::Values(11, 22, 33, 44, 55));
+
+// ---- Allocator: the paged bitmap chooses what one flat bitmap chooses ----
+
+// The reference: one bit per block in a flat vector, scanned block by block
+// with the allocator's documented policy (first fitting run from a rotating
+// cursor, wrapping once; else greedy fragments from block 0).
+class FlatBitmap {
+ public:
+  FlatBitmap(uint64_t total, uint32_t block_size)
+      : total_(total), block_size_(block_size), free_(total), used_(total) {}
+
+  uint64_t free_blocks() const { return free_; }
+  bool IsAllocated(uint64_t b) const { return used_[b]; }
+
+  void Set(const std::vector<alloc::Extent>& extents, bool used) {
+    for (const auto& e : extents) {
+      for (uint64_t b = e.block; b < e.block + e.count; ++b) {
+        if (used_[b] != used) {
+          used_[b] = used;
+          used ? --free_ : ++free_;
+        }
+      }
+    }
+  }
+
+  Result<std::vector<alloc::Extent>> Allocate(uint64_t bytes) {
+    const uint64_t want = (bytes + block_size_ - 1) / block_size_;
+    if (want == 0) {
+      return Status::InvalidArgument("zero-byte allocation");
+    }
+    if (want > free_) {
+      return Status::ResourceExhausted("volume full");
+    }
+    auto scan = [&](uint64_t from, uint64_t to) -> uint64_t {
+      uint64_t run = 0;
+      for (uint64_t b = from; b < to; ++b) {
+        run = used_[b] ? 0 : run + 1;
+        if (run >= want) {
+          return b + 1 - run;
+        }
+      }
+      return total_;
+    };
+    uint64_t start = scan(cursor_, total_);
+    if (start == total_ && cursor_ > 0) {
+      start = scan(0, std::min(cursor_ + want, total_));
+    }
+    std::vector<alloc::Extent> extents;
+    if (start != total_) {
+      extents.emplace_back(start, want);
+    } else {
+      uint64_t remaining = want;
+      for (uint64_t b = 0; b < total_ && remaining > 0;) {
+        if (used_[b]) {
+          ++b;
+          continue;
+        }
+        uint64_t end = b;
+        while (end < total_ && !used_[end]) {
+          ++end;
+        }
+        extents.emplace_back(b, std::min(end - b, remaining));
+        remaining -= extents.back().count;
+        b = end;
+      }
+      if (remaining > 0) {
+        return Status::ResourceExhausted("volume full (fragmented)");
+      }
+    }
+    Set(extents, true);
+    cursor_ = (extents.back().block + extents.back().count) % total_;
+    return extents;
+  }
+
+  double Fragmentation() const {
+    if (free_ == 0) {
+      return 0.0;
+    }
+    uint64_t largest = 0;
+    uint64_t run = 0;
+    for (uint64_t b = 0; b < total_; ++b) {
+      run = used_[b] ? 0 : run + 1;
+      largest = std::max(largest, run);
+    }
+    return 1.0 - static_cast<double>(largest) / static_cast<double>(free_);
+  }
+
+  // varint total | varint block size | one fixed64 per 64 blocks.
+  std::string Serialize() const {
+    std::string out;
+    PutVarint64(&out, total_);
+    PutVarint64(&out, block_size_);
+    for (uint64_t w = 0; w < (total_ + 63) / 64; ++w) {
+      uint64_t word = 0;
+      for (uint64_t b = w * 64; b < std::min(total_, w * 64 + 64); ++b) {
+        word |= static_cast<uint64_t>(used_[b]) << (b % 64);
+      }
+      PutFixed64(&out, word);
+    }
+    return out;
+  }
+
+ private:
+  uint64_t total_;
+  uint32_t block_size_;
+  uint64_t free_;
+  uint64_t cursor_ = 0;
+  std::vector<bool> used_;
+};
+
+struct AllocModelParam {
+  uint64_t total_blocks;
+  uint64_t max_request_blocks;
+  int steps;
+  int full_check_every;  // Fragmentation and Serialize are O(volume) here
+  uint64_t seed;
+};
+
+class AllocatorModelProperty : public ::testing::TestWithParam<AllocModelParam> {};
+
+TEST_P(AllocatorModelProperty, PagedBitmapMatchesAFlatModel) {
+  const AllocModelParam p = GetParam();
+  constexpr uint32_t kBlock = 4096;
+  alloc::BitmapAllocator allocator(p.total_blocks, kBlock);
+  FlatBitmap model(p.total_blocks, kBlock);
+  Rng rng(p.seed);
+  std::vector<std::vector<alloc::Extent>> live;
+  std::vector<uint64_t> probes;  // blocks next to what each step touched
+  constexpr uint64_t kPage = alloc::BitmapAllocator::kPageBlocks;
+  auto random_extent = [&] {
+    const uint64_t count = rng.UniformRange(1, std::min(p.max_request_blocks, p.total_blocks));
+    uint64_t start = rng.Uniform(p.total_blocks - count + 1);
+    if (p.total_blocks > kPage && rng.Bernoulli(0.5)) {
+      // Straddle a page edge, where a range leaves one page for the next.
+      const uint64_t edge = kPage * rng.UniformRange(1, (p.total_blocks - 1) / kPage);
+      start = std::min(edge - std::min(edge, rng.Uniform(count)), p.total_blocks - count);
+    }
+    return alloc::Extent(start, count);
+  };
+  auto note = [&](const std::vector<alloc::Extent>& extents) {
+    for (const auto& e : extents) {
+      for (uint64_t b : {e.block, e.block + e.count - 1, e.block + e.count}) {
+        probes.push_back(std::min(b, p.total_blocks - 1));
+      }
+      if (e.block > 0) {
+        probes.push_back(e.block - 1);
+      }
+    }
+  };
+  uint64_t fragmented = 0;
+  for (int step = 0; step < p.steps; ++step) {
+    probes.clear();
+    const double dice = rng.NextDouble();
+    if (dice < 0.45 || live.empty()) {
+      const uint64_t bytes = rng.UniformRange(1, p.max_request_blocks * kBlock);
+      auto got = allocator.Allocate(bytes);
+      auto want = model.Allocate(bytes);
+      ASSERT_EQ(got.status().code(), want.status().code()) << "step " << step;
+      if (got.ok()) {
+        ASSERT_EQ(*got, *want) << "step " << step << ": " << bytes << " bytes";
+        fragmented += got->size() > 1 ? 1 : 0;
+        note(*got);
+        live.push_back(std::move(*got));
+      }
+    } else if (dice < 0.7) {
+      const size_t victim = rng.Uniform(live.size());
+      allocator.Free(live[victim]);
+      model.Set(live[victim], false);
+      note(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      // Recovery re-marks, or a stray free of blocks that may already be
+      // free or owned by a live allocation: both must agree either way.
+      const std::vector<alloc::Extent> extents = {random_extent()};
+      if (rng.Bernoulli(0.6)) {
+        allocator.MarkAllocated(extents);
+        model.Set(extents, true);
+      } else {
+        allocator.Free(extents);
+        model.Set(extents, false);
+      }
+      note(extents);
+    }
+    ASSERT_EQ(allocator.free_blocks(), model.free_blocks()) << "step " << step;
+    for (int i = 0; i < 16; ++i) {
+      probes.push_back(rng.Uniform(p.total_blocks));
+    }
+    for (uint64_t b : probes) {
+      ASSERT_EQ(allocator.IsAllocated(b), model.IsAllocated(b)) << "step " << step << " block " << b;
+    }
+    if (step % p.full_check_every == 0 || step + 1 == p.steps) {
+      ASSERT_EQ(allocator.Fragmentation(), model.Fragmentation()) << "step " << step;
+      const std::string bytes = allocator.Serialize();
+      ASSERT_EQ(bytes, model.Serialize()) << "step " << step;
+      auto restored = alloc::BitmapAllocator::Deserialize(bytes);
+      ASSERT_TRUE(restored.ok());
+      ASSERT_EQ(restored->free_blocks(), model.free_blocks());
+      ASSERT_EQ(restored->Serialize(), bytes);
+    }
+  }
+  if (p.total_blocks < 200'000) {
+    EXPECT_GT(fragmented, 0u) << "the fragmented path never ran";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, AllocatorModelProperty,
+    ::testing::Values(AllocModelParam{300, 24, 1500, 1, 1},        // one partial page
+                      AllocModelParam{300, 24, 1500, 1, 2},
+                      AllocModelParam{3 * alloc::BitmapAllocator::kPageBlocks + 100, 4000,
+                                      1200, 10, 3},               // pages fill and drain
+                      AllocModelParam{3 * alloc::BitmapAllocator::kPageBlocks + 100, 4000,
+                                      1200, 10, 4},
+                      AllocModelParam{(8ull << 30) / 4096, 40'000, 400, 50, 5},  // 8 GiB LV
+                      AllocModelParam{(8ull << 30) / 4096, 40'000, 400, 50, 6}));
+
+TEST(AllocatorPagesTest, SequentialAllocationsOnAn8GiBVolumeStayInTwoPages) {
+  alloc::BitmapAllocator allocator((8ull << 30) / 4096, 4096);
+  EXPECT_EQ(allocator.resident_pages(), 0u);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(allocator.Allocate(8 * 4096).ok());
+  }
+  EXPECT_EQ(allocator.used_blocks(), 8000u);
+  EXPECT_LE(allocator.resident_pages(), 2u);
+  // Freeing everything releases the pages again.
+  allocator.Free({alloc::Extent(0, 8000)});
+  EXPECT_EQ(allocator.resident_pages(), 0u);
+}
 
 // ---- CRUSH: determinism, distinctness, minimal remap across sizes ----
 

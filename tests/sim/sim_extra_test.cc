@@ -13,6 +13,7 @@
 #include "src/sim/network.h"
 #include "src/sim/storage.h"
 #include "src/sim/sync.h"
+#include "tests/test_util.h"
 
 namespace cheetah::sim {
 namespace {
@@ -96,7 +97,7 @@ TEST(StorageExtraTest, FileAndVolumeBandwidthAreIndependent) {
   Storage storage(loop, DiskParams{});
   Nanos small_done = 0;
   actor.Spawn([](Storage* s) -> Task<> {
-    (void)co_await s->WriteFile("huge.sst", std::string(64 << 20, 'x'), true);
+    (void)co_await s->WriteFile("huge.sst", Bytes(std::string(64 << 20, 'x')), true);
   }(&storage));
   actor.Spawn([](Actor* a, Storage* s, Nanos* done) -> Task<> {
     (void)co_await s->WriteBlocks("pv", 0, Bytes(std::string(4096, 'y')), 1);
@@ -156,16 +157,16 @@ TEST(StorageExtraTest, FileDeletedDuringReadFailsTheRead) {
   EventLoop loop;
   Actor actor(loop);
   Storage storage(loop, DiskParams{});
-  Result<std::string> whole = Status::Internal("not run");
-  Result<std::string> part = Status::Internal("not run");
-  actor.Spawn([](Storage* s, Result<std::string>* whole,
-                 Result<std::string>* part) -> Task<> {
-    (void)co_await s->WriteFile("sst", std::string(1 << 20, 's'), /*sync=*/true);
+  Result<Bytes> whole = Status::Internal("not run");
+  Result<Bytes> part = Status::Internal("not run");
+  actor.Spawn([](Storage* s, Result<Bytes>* whole,
+                 Result<Bytes>* part) -> Task<> {
+    (void)co_await s->WriteFile("sst", Bytes(std::string(1 << 20, 's')), /*sync=*/true);
     Actor* a = co_await CurrentActor{};
-    a->Spawn([](Storage* s, Result<std::string>* out) -> Task<> {
+    a->Spawn([](Storage* s, Result<Bytes>* out) -> Task<> {
       *out = co_await s->ReadFile("sst");
     }(s, whole));
-    a->Spawn([](Storage* s, Result<std::string>* out) -> Task<> {
+    a->Spawn([](Storage* s, Result<Bytes>* out) -> Task<> {
       *out = co_await s->ReadAt("sst", 4096, 4096);
     }(s, part));
     co_await SleepFor(Micros(10));  // both reads are on the device
@@ -174,6 +175,47 @@ TEST(StorageExtraTest, FileDeletedDuringReadFailsTheRead) {
   loop.Run();
   EXPECT_TRUE(whole.status().IsNotFound()) << whole.status().ToString();
   EXPECT_TRUE(part.status().IsNotFound()) << part.status().ToString();
+}
+
+// A flat file is one buffer that reads hand out. WriteFile adopts the
+// caller's buffer; Append and power loss copy a buffer some handle still
+// shares before changing it; a handle outlives the file's deletion.
+TEST(StorageExtraTest, FileHandlesShareTheBufferAndKeepTheirBytes) {
+  EventLoop loop;
+  Actor actor(loop);
+  Storage storage(loop, DiskParams{});
+  bool done = false;
+  actor.Spawn([](Storage* s, bool* done) -> Task<> {
+    const Bytes written(std::string(1000, 'a'));
+    (void)co_await s->WriteFile("f", written, /*sync=*/true);
+    auto first = co_await s->ReadFile("f");
+    CO_ASSERT_OK(first);
+    EXPECT_EQ(first->data(), written.data());  // adopted, not copied
+    auto again = co_await s->ReadFile("f");
+    CO_ASSERT_OK(again);
+    EXPECT_EQ(again->data(), first->data());
+
+    (void)co_await s->Append("f", "bbb", /*sync=*/false);
+    EXPECT_EQ(first->view(), std::string(1000, 'a'));
+    auto appended = co_await s->ReadFile("f");
+    CO_ASSERT_OK(appended);
+    EXPECT_EQ(appended->view(), std::string(1000, 'a') + "bbb");
+    EXPECT_NE(appended->data(), first->data());
+
+    s->PowerLoss();  // back to the 1000 synced bytes
+    EXPECT_EQ(appended->view(), std::string(1000, 'a') + "bbb");
+    auto truncated = co_await s->ReadFile("f");
+    CO_ASSERT_OK(truncated);
+    EXPECT_EQ(truncated->view(), std::string(1000, 'a'));
+
+    (void)s->DeleteFile("f");
+    EXPECT_FALSE(s->FileExists("f"));
+    EXPECT_EQ(truncated->view(), std::string(1000, 'a'));
+    EXPECT_EQ(written.view(), std::string(1000, 'a'));
+    *done = true;
+  }(&storage, &done));
+  loop.Run();
+  EXPECT_TRUE(done);
 }
 
 TEST(ResourceExtraTest, BurstThenIdleDrains) {

@@ -362,7 +362,7 @@ TEST_F(StorageTest, AppendAndReadBack) {
     (void)co_await s->Append("wal", "hello ", true);
     (void)co_await s->Append("wal", "world", true);
     auto r = co_await s->ReadFile("wal");
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
   }(&storage_, &got));
   EXPECT_EQ(got, "hello world");
 }
@@ -372,7 +372,7 @@ TEST_F(StorageTest, ReadAtSlices) {
   RunTask([](Storage* s, std::string* out) -> Task<> {
     (void)co_await s->Append("f", "0123456789", true);
     auto r = co_await s->ReadAt("f", 3, 4);
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
   }(&storage_, &got));
   EXPECT_EQ(got, "3456");
 }
@@ -384,7 +384,7 @@ TEST_F(StorageTest, PowerLossDropsUnsyncedTail) {
     (void)co_await s->Append("wal", "volatile", false);
     s->PowerLoss();
     auto r = co_await s->ReadFile("wal");
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
   }(&storage_, &got));
   EXPECT_EQ(got, "durable|");
 }
@@ -402,10 +402,10 @@ TEST_F(StorageTest, PowerLossDropsNeverSyncedFile) {
 TEST_F(StorageTest, WriteFileReplaces) {
   std::string got;
   RunTask([](Storage* s, std::string* out) -> Task<> {
-    (void)co_await s->WriteFile("m", "v1", true);
-    (void)co_await s->WriteFile("m", "version2", true);
+    (void)co_await s->WriteFile("m", Bytes("v1"), true);
+    (void)co_await s->WriteFile("m", Bytes("version2"), true);
     auto r = co_await s->ReadFile("m");
-    *out = r.ok() ? *r : "ERR";
+    *out = r.ok() ? r->ToString() : "ERR";
   }(&storage_, &got));
   EXPECT_EQ(got, "version2");
 }
