@@ -4,6 +4,10 @@
 # (sweep, seed). The simulator is fully deterministic, so one seed + the
 # printed schedule reproduces a failure byte-for-byte.
 #
+# Every sweep run prints "sweep=<binary>/<test> seed=<n> history=<hash>"
+# (a hash of its schedule and history); the hunt collects those lines in
+# chaos-hashes.txt, so two builds' hunts compare with one diff.
+#
 # Usage: scripts/chaos.sh [--seeds N] [--from K] [--preset default|sanitize]
 #   --seeds N    run seeds FROM..FROM+N-1 (default 10)
 #   --from K     start at seed K instead of 1 (resume a hunt)
@@ -36,14 +40,20 @@ cmake --build --preset "$preset" -j "$(nproc)" --target "${sweeps[@]}"
 # at discovery time), so the hunt drives the gtest binaries directly with one
 # seed per run — a failure then pins that sweep and seed exactly.
 failed=()
+hashes=chaos-hashes.txt
+: >"$hashes"
+log="$(mktemp)"
+trap 'rm -f "$log"' EXIT
 for ((s = from; s < from + seeds; s++)); do
   for sweep in "${sweeps[@]}"; do
     echo "== $sweep seed $s =="
-    if ! CHEETAH_SWEEP_SEEDS="$s" "$builddir/tests/$sweep" --gtest_brief=1; then
+    if ! CHEETAH_SWEEP_SEEDS="$s" "$builddir/tests/$sweep" --gtest_brief=1 | tee "$log"; then
       failed+=("CHEETAH_SWEEP_SEEDS=$s $builddir/tests/$sweep")
     fi
+    grep '^sweep=' "$log" >>"$hashes" || true
   done
 done
+echo "history hashes: $hashes"
 
 echo
 if [[ ${#failed[@]} -eq 0 ]]; then

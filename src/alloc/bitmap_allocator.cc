@@ -175,17 +175,22 @@ double BitmapAllocator::Fragmentation() const {
   return 1.0 - static_cast<double>(largest) / static_cast<double>(free_blocks_);
 }
 
+uint64_t BitmapAllocator::SerializedSize() const {
+  const uint64_t words = (total_blocks_ + kWordBits - 1) / kWordBits;
+  return VarintLength(total_blocks_) + VarintLength(block_size_) + words * 8;
+}
+
 std::string BitmapAllocator::Serialize() const {
   // The flat bitmap's bytes: zeros, with the resident pages' words encoded
-  // over them. Sized once, because the file plane keeps this string as
-  // written and spare capacity would sit in memory with it.
+  // over them.
   const uint64_t words = (total_blocks_ + kWordBits - 1) / kWordBits;
   const size_t header = VarintLength(total_blocks_) + VarintLength(block_size_);
+  const uint64_t size = SerializedSize();
   std::string out;
-  out.reserve(header + words * 8);
+  out.reserve(size);
   PutVarint64(&out, total_blocks_);
   PutVarint64(&out, block_size_);
-  out.resize(header + words * 8);
+  out.resize(size);
   for (size_t i = 0; i < pages_.size(); ++i) {
     if (pages_[i] == nullptr) {
       continue;

@@ -65,6 +65,8 @@ class BitmapAllocator {
 
   // Persistence.
   std::string Serialize() const;
+  // Serialize().size(), without building the string.
+  uint64_t SerializedSize() const;
   static Result<BitmapAllocator> Deserialize(std::string_view data);
 
   static constexpr uint64_t kPageWords = 512;  // 4 KiB

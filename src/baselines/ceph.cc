@@ -34,21 +34,11 @@ sim::Task<Status> CephOsd::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<CWriteRequest>([this](sim::NodeId src, CWriteRequest req) {
-    return HandleWrite(src, std::move(req));
-  });
-  rpc_.Serve<CRepWriteRequest>([this](sim::NodeId src, CRepWriteRequest req) {
-    return HandleRepWrite(src, std::move(req));
-  });
-  rpc_.Serve<CReadRequest>([this](sim::NodeId src, CReadRequest req) {
-    return HandleRead(src, std::move(req));
-  });
-  rpc_.Serve<CDeleteRequest>([this](sim::NodeId src, CDeleteRequest req) {
-    return HandleDelete(src, std::move(req));
-  });
-  rpc_.Serve<CBackfillRequest>([this](sim::NodeId src, CBackfillRequest req) {
-    return HandleBackfill(src, std::move(req));
-  });
+  rpc_.Serve<CWriteRequest, &CephOsd::HandleWrite>(this);
+  rpc_.Serve<CRepWriteRequest, &CephOsd::HandleRepWrite>(this);
+  rpc_.Serve<CReadRequest, &CephOsd::HandleRead>(this);
+  rpc_.Serve<CDeleteRequest, &CephOsd::HandleDelete>(this);
+  rpc_.Serve<CBackfillRequest, &CephOsd::HandleBackfill>(this);
   co_return Status::Ok();
 }
 
@@ -145,24 +135,16 @@ sim::Task<Result<CWriteReply>> CephOsd::HandleWrite(sim::NodeId, CWriteRequest r
     if (peer == rpc_.id()) {
       continue;
     }
-    tasks.push_back([](CephOsd* self, sim::NodeId peer, CWriteRequest req)
-                        -> sim::Task<Status> {
-      CRepWriteRequest rep;
-      rep.epoch = req.epoch;
-      rep.pg = req.pg;
-      rep.name = std::move(req.name);
-      rep.data = std::move(req.data);
-      rep.checksum = req.checksum;
-      auto r = co_await self->rpc_.Call(peer, std::move(rep), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, static_cast<sim::NodeId>(peer), req));
+    CRepWriteRequest rep;
+    rep.epoch = req.epoch;
+    rep.pg = req.pg;
+    rep.name = req.name;
+    rep.data = req.data;
+    rep.checksum = req.checksum;
+    tasks.push_back(
+        rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), config_.rpc_timeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   co_return CWriteReply{};
 }
 
@@ -240,12 +222,10 @@ sim::Task<Result<CDeleteReply>> CephOsd::HandleDelete(sim::NodeId, CDeleteReques
       if (peer == rpc_.id()) {
         continue;
       }
-      tasks.push_back([](CephOsd* self, sim::NodeId peer, CDeleteRequest req)
-                          -> sim::Task<Status> {
-        req.replicate = false;
-        auto r = co_await self->rpc_.Call(peer, std::move(req), self->config_.rpc_timeout);
-        co_return r.ok() ? Status::Ok() : r.status();
-      }(this, static_cast<sim::NodeId>(peer), req));
+      CDeleteRequest rep = req;
+      rep.replicate = false;
+      tasks.push_back(
+          rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), config_.rpc_timeout));
     }
     auto results = co_await sim::WhenAll(std::move(tasks));
     for (const Status& s : results) {
@@ -312,8 +292,7 @@ sim::Task<Status> CephClient::Put(std::string name, std::string data) {
   req.checksum = Crc32c(data);
   req.name = std::move(name);
   req.data = Bytes(std::move(data));
-  auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return co_await rpc_.CallStatus(primary, std::move(req), config_.rpc_timeout);
 }
 
 sim::Task<Result<std::string>> CephClient::Get(std::string name) {
@@ -337,8 +316,7 @@ sim::Task<Status> CephClient::Delete(std::string name) {
   req.epoch = epoch_;
   req.pg = pg;
   req.name = std::move(name);
-  auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return co_await rpc_.CallStatus(primary, std::move(req), config_.rpc_timeout);
 }
 
 // ---- cluster ----

@@ -43,18 +43,10 @@ sim::Task<Status> HaystackDirectory::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<HsAssignRequest>([this](sim::NodeId src, HsAssignRequest req) {
-    return HandleAssign(src, std::move(req));
-  });
-  rpc_.Serve<HsLookupRequest>([this](sim::NodeId src, HsLookupRequest req) {
-    return HandleLookup(src, std::move(req));
-  });
-  rpc_.Serve<HsDirDeleteRequest>([this](sim::NodeId src, HsDirDeleteRequest req) {
-    return HandleDelete(src, std::move(req));
-  });
-  rpc_.Serve<HsDirReplicateRequest>([this](sim::NodeId src, HsDirReplicateRequest req) {
-    return HandleReplicate(src, std::move(req));
-  });
+  rpc_.Serve<HsAssignRequest, &HaystackDirectory::HandleAssign>(this);
+  rpc_.Serve<HsLookupRequest, &HaystackDirectory::HandleLookup>(this);
+  rpc_.Serve<HsDirDeleteRequest, &HaystackDirectory::HandleDelete>(this);
+  rpc_.Serve<HsDirReplicateRequest, &HaystackDirectory::HandleReplicate>(this);
   co_return Status::Ok();
 }
 
@@ -64,22 +56,12 @@ sim::Task<Status> HaystackDirectory::ReplicateToPeers(std::string key, std::stri
     if (peer == rpc_.id()) {
       continue;
     }
-    tasks.push_back([](HaystackDirectory* self, sim::NodeId peer, std::string key,
-                       std::string value) -> sim::Task<Status> {
-      HsDirReplicateRequest rep;
-      rep.key = std::move(key);
-      rep.value = std::move(value);
-      auto r = co_await self->rpc_.Call(peer, std::move(rep), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, peer, key, value));
+    HsDirReplicateRequest rep;
+    rep.key = key;
+    rep.value = value;
+    tasks.push_back(rpc_.CallStatus(peer, std::move(rep), config_.rpc_timeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::WhenAllOk(std::move(tasks));
 }
 
 sim::Task<Result<HsAssignReply>> HaystackDirectory::HandleAssign(sim::NodeId src,
@@ -114,12 +96,7 @@ sim::Task<Result<HsAssignReply>> HaystackDirectory::HandleAssign(sim::NodeId src
   std::vector<sim::Task<Status>> tasks;
   tasks.push_back(db_->Put(key, value));
   tasks.push_back(ReplicateToPeers(key, value));
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   HsAssignReply reply;
   reply.volume = chosen->id;
   reply.stores = chosen->stores;
@@ -164,12 +141,7 @@ sim::Task<Result<HsDirDeleteReply>> HaystackDirectory::HandleDelete(sim::NodeId 
   std::vector<sim::Task<Status>> tasks;
   tasks.push_back(db_->Delete("V_" + req.name));
   tasks.push_back(ReplicateToPeers("V_" + req.name, ""));
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   co_return HsDirDeleteReply{};
 }
 
@@ -200,18 +172,10 @@ HaystackStore::HaystackStore(rpc::Node& rpc, const HaystackConfig& config)
       counters_{obs::Scope("haystack@" + std::to_string(rpc.id()))} {}
 
 void HaystackStore::Start() {
-  rpc_.Serve<HsWriteRequest>([this](sim::NodeId src, HsWriteRequest req) {
-    return HandleWrite(src, std::move(req));
-  });
-  rpc_.Serve<HsReadRequest>([this](sim::NodeId src, HsReadRequest req) {
-    return HandleRead(src, std::move(req));
-  });
-  rpc_.Serve<HsFlagRequest>([this](sim::NodeId src, HsFlagRequest req) {
-    return HandleFlag(src, std::move(req));
-  });
-  rpc_.Serve<HsCompactRequest>([this](sim::NodeId src, HsCompactRequest req) {
-    return HandleCompact(src, std::move(req));
-  });
+  rpc_.Serve<HsWriteRequest, &HaystackStore::HandleWrite>(this);
+  rpc_.Serve<HsReadRequest, &HaystackStore::HandleRead>(this);
+  rpc_.Serve<HsFlagRequest, &HaystackStore::HandleFlag>(this);
+  rpc_.Serve<HsCompactRequest, &HaystackStore::HandleCompact>(this);
   rpc_.machine().actor().Spawn(CheckpointLoop());
 }
 
@@ -418,25 +382,14 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
   const Bytes payload(std::move(data));
   std::vector<sim::Task<Status>> tasks;
   for (sim::NodeId store : assigned->stores) {
-    tasks.push_back([](HaystackClient* self, sim::NodeId store, uint32_t volume,
-                       std::string name, Bytes data,
-                       uint32_t checksum) -> sim::Task<Status> {
-      HsWriteRequest write;
-      write.volume = volume;
-      write.name = std::move(name);
-      write.data = std::move(data);
-      write.checksum = checksum;
-      auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, store, assigned->volume, name, payload, checksum));
+    HsWriteRequest write;
+    write.volume = assigned->volume;
+    write.name = name;
+    write.data = payload;
+    write.checksum = checksum;
+    tasks.push_back(rpc_.CallStatus(store, std::move(write), config_.rpc_timeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::WhenAllOk(std::move(tasks));
 }
 
 sim::Task<Result<std::string>> HaystackClient::Get(std::string name) {
@@ -471,25 +424,15 @@ sim::Task<Status> HaystackClient::Delete(std::string name) {
   }
   std::vector<sim::Task<Status>> tasks;
   for (sim::NodeId store : found->stores) {
-    tasks.push_back([](HaystackClient* self, sim::NodeId store, uint32_t volume,
-                       std::string name) -> sim::Task<Status> {
-      HsFlagRequest flag;
-      flag.volume = volume;
-      flag.name = std::move(name);
-      auto r = co_await self->rpc_.Call(store, std::move(flag), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, store, found->volume, name));
+    HsFlagRequest flag;
+    flag.volume = found->volume;
+    flag.name = name;
+    tasks.push_back(rpc_.CallStatus(store, std::move(flag), config_.rpc_timeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   HsDirDeleteRequest del;
   del.name = std::move(name);
-  auto r = co_await rpc_.Call(primary_dir_, std::move(del), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return co_await rpc_.CallStatus(primary_dir_, std::move(del), config_.rpc_timeout);
 }
 
 // ---- cluster ----

@@ -39,21 +39,11 @@ sim::Task<Status> TectonicMetaServer::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<TnCreateNameRequest>([this](sim::NodeId src, TnCreateNameRequest req) {
-    return HandleCreate(src, std::move(req));
-  });
-  rpc_.Serve<TnLookupNameRequest>([this](sim::NodeId src, TnLookupNameRequest req) {
-    return HandleLookup(src, std::move(req));
-  });
-  rpc_.Serve<TnDeleteNameRequest>([this](sim::NodeId src, TnDeleteNameRequest req) {
-    return HandleDeleteName(src, std::move(req));
-  });
-  rpc_.Serve<TnFileOpRequest>([this](sim::NodeId src, TnFileOpRequest req) {
-    return HandleFileOp(src, std::move(req));
-  });
-  rpc_.Serve<TnBlockOpRequest>([this](sim::NodeId src, TnBlockOpRequest req) {
-    return HandleBlockOp(src, std::move(req));
-  });
+  rpc_.Serve<TnCreateNameRequest, &TectonicMetaServer::HandleCreate>(this);
+  rpc_.Serve<TnLookupNameRequest, &TectonicMetaServer::HandleLookup>(this);
+  rpc_.Serve<TnDeleteNameRequest, &TectonicMetaServer::HandleDeleteName>(this);
+  rpc_.Serve<TnFileOpRequest, &TectonicMetaServer::HandleFileOp>(this);
+  rpc_.Serve<TnBlockOpRequest, &TectonicMetaServer::HandleBlockOp>(this);
   co_return Status::Ok();
 }
 
@@ -274,22 +264,13 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   const Bytes payload(std::move(data));
   std::vector<sim::Task<Status>> tasks;
   for (sim::NodeId store : placed->stores) {
-    tasks.push_back([](TectonicClient* self, sim::NodeId store, uint64_t chunk_id,
-                       Bytes data, uint32_t checksum) -> sim::Task<Status> {
-      TnChunkWriteRequest write;
-      write.chunk_id = chunk_id;
-      write.data = std::move(data);
-      write.checksum = checksum;
-      auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, store, placed->chunk_id, payload, checksum));
+    TnChunkWriteRequest write;
+    write.chunk_id = placed->chunk_id;
+    write.data = payload;
+    write.checksum = checksum;
+    tasks.push_back(rpc_.CallStatus(store, std::move(write), config_.rpc_timeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   // Seal/commit.
   TnBlockOpRequest seal;
   seal.block_id = block->block_id;

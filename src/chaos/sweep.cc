@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/core/scrubber.h"
 #include "src/sim/actor.h"
@@ -155,6 +156,14 @@ std::string SweepReport::Replay(std::string_view binary, std::string_view test) 
      << coverage.events_with_ops_in_flight << " with ops in flight\nschedule:\n"
      << schedule;
   return os.str();
+}
+
+void SweepReport::PrintHistoryHash(std::string_view binary, std::string_view test) const {
+  std::printf("sweep=%.*s/%.*s seed=%llu history=%016llx\n", static_cast<int>(binary.size()),
+              binary.data(), static_cast<int>(test.size()), test.data(),
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(Fnv1a64(schedule + history.Serialize())));
+  std::fflush(stdout);
 }
 
 void Sweep::Install(NemesisSchedule schedule) {

@@ -100,6 +100,12 @@ struct SweepReport {
   // Replay command for `test` in tests/`binary`, then the coverage counts
   // and the schedule: the tail of every failure message.
   std::string Replay(std::string_view binary, std::string_view test) const;
+
+  // Prints "sweep=<binary>/<test> seed=<n> history=<hash>" on stdout, the
+  // hash a 64-bit FNV-1a of the schedule and History::Serialize() (what the
+  // determinism tests compare). scripts/chaos.sh collects these lines, so
+  // two builds' hunts compare with one diff.
+  void PrintHistoryHash(std::string_view binary, std::string_view test) const;
 };
 
 // One run's recorded state on a booted Testbed. Call the phases in run

@@ -32,18 +32,10 @@ sim::Task<Status> Manager::Start() {
   assert(config_.fail_timeout > config_.lease_duration &&
          "a dead server's lease must expire before its removal activates");
   CO_RETURN_IF_ERROR(co_await raft_->Start());
-  rpc_.Serve<HeartbeatRequest>([this](sim::NodeId src, HeartbeatRequest req) {
-    return HandleHeartbeat(src, std::move(req));
-  });
-  rpc_.Serve<GetTopologyRequest>([this](sim::NodeId src, GetTopologyRequest req) {
-    return HandleGetTopology(src, std::move(req));
-  });
-  rpc_.Serve<ReportFailureRequest>([this](sim::NodeId src, ReportFailureRequest req) {
-    return HandleReport(src, std::move(req));
-  });
-  rpc_.Serve<RecoveryDoneRequest>([this](sim::NodeId src, RecoveryDoneRequest req) {
-    return HandleRecoveryDone(src, std::move(req));
-  });
+  rpc_.Serve<HeartbeatRequest, &Manager::HandleHeartbeat>(this);
+  rpc_.Serve<GetTopologyRequest, &Manager::HandleGetTopology>(this);
+  rpc_.Serve<ReportFailureRequest, &Manager::HandleReport>(this);
+  rpc_.Serve<RecoveryDoneRequest, &Manager::HandleRecoveryDone>(this);
   rpc_.machine().actor().Spawn(LeaderLoop());
   co_return Status::Ok();
 }

@@ -11,6 +11,23 @@
 
 namespace cheetah::core {
 
+namespace {
+
+// Retry backoff: capped exponential with decorrelated jitter (AWS
+// architecture-blog style: sleep = min(cap, rand(base, 3*prev))), so many
+// proxies retrying into a recovering cluster don't synchronize into
+// thundering herds. Deterministic per proxy seed. kBackoffBase is also the
+// retry-after floor of an overload pushback.
+constexpr Nanos kBackoffBase = Millis(5);
+constexpr Nanos kBackoffCap = Millis(320);
+// Attempts per put, get or delete before it fails as unavailable.
+constexpr int kMaxRetries = 6;
+
+// Lets an actor own a repair whose outcome its observer already counted.
+sim::Task<> Detach(sim::Task<Status> repair) { (void)co_await std::move(repair); }
+
+}  // namespace
+
 ClientProxy::ClientProxy(rpc::Node& rpc, CheetahOptions options,
                          std::vector<sim::NodeId> manager_nodes, uint32_t proxy_id)
     : rpc_(rpc),
@@ -31,12 +48,8 @@ ClientProxy::MetaWindow& ClientProxy::WindowFor(sim::NodeId dst) {
 }
 
 void ClientProxy::Start() {
-  rpc_.Serve<MetaPersistedNotify>([this](sim::NodeId src, MetaPersistedNotify req) {
-    return HandlePersisted(src, std::move(req));
-  });
-  rpc_.Serve<cluster::TopologyPush>([this](sim::NodeId src, cluster::TopologyPush req) {
-    return HandleTopologyPush(src, std::move(req));
-  });
+  rpc_.Serve<MetaPersistedNotify, &ClientProxy::HandlePersisted>(this);
+  rpc_.Serve<cluster::TopologyPush, &ClientProxy::HandleTopologyPush>(this);
   rpc_.machine().actor().Spawn(HeartbeatLoop());
 }
 
@@ -67,7 +80,7 @@ sim::Task<> ClientProxy::HeartbeatLoop() {
       hb.node = rpc_.id();
       hb.kind = cluster::ServerKind::kClientProxy;
       hb.view = topo_.view;
-      auto r = co_await rpc_.Call(mgr, std::move(hb), options_.rpc_timeout);
+      auto r = co_await rpc_.Call(mgr, std::move(hb), kRpcTimeout);
       if (r.ok() && r->is_leader) {
         if (r->current_view > topo_.view) {
           (void)co_await RefreshTopology();
@@ -75,7 +88,7 @@ sim::Task<> ClientProxy::HeartbeatLoop() {
         break;
       }
     }
-    co_await sim::SleepFor(options_.heartbeat_interval * 4);
+    co_await sim::SleepFor(kHeartbeatInterval * 4);
   }
 }
 
@@ -90,7 +103,7 @@ sim::Task<Status> ClientProxy::RefreshTopology() {
   for (sim::NodeId mgr : manager_nodes_) {
     cluster::GetTopologyRequest get;
     get.have_view = 0;  // always fetch the full map
-    auto r = co_await rpc_.Call(mgr, std::move(get), options_.rpc_timeout);
+    auto r = co_await rpc_.Call(mgr, std::move(get), kRpcTimeout);
     if (!r.ok() || !r->changed) {
       continue;
     }
@@ -123,11 +136,9 @@ sim::Task<> ClientProxy::BackoffAndRefresh(int attempt) {
   // fast-fails while initializing; the draw (from the proxy's own seeded
   // RNG, so runs stay reproducible) decorrelates proxies so recovery traffic
   // doesn't stampede in lockstep.
-  const Nanos base = options_.backoff_base;
-  const Nanos cap = options_.backoff_cap;
-  const Nanos floor = std::min(cap, base << std::min(attempt, 10));
+  const Nanos floor = std::min(kBackoffCap, kBackoffBase << std::min(attempt, 10));
   const Nanos hi =
-      std::max(floor, std::min(cap, 3 * std::max(backoff_, base)));
+      std::max(floor, std::min(kBackoffCap, 3 * std::max(backoff_, kBackoffBase)));
   backoff_ = floor + rng_.Uniform(hi - floor + 1);
   co_await sim::SleepFor(backoff_);
   (void)co_await RefreshTopology();
@@ -169,6 +180,18 @@ sim::Task<> ClientProxy::ChaseStaleView(const Status& s) {
   (void)co_await RefreshTopology();
 }
 
+sim::Task<> ClientProxy::WaitToRetry(const Status& s, int attempt) {
+  if (s.IsStaleView()) {
+    co_await ChaseStaleView(s);
+  } else if (s.IsOverloaded()) {
+    // Admission-control pushback, not a failure: honor the server's
+    // retry-after hint without refreshing views.
+    co_await sim::SleepFor(qos::RetryAfterOf(s, kBackoffBase));
+  } else {
+    co_await BackoffAndRefresh(attempt);
+  }
+}
+
 // ---- put ----
 
 sim::Task<Status> ClientProxy::Put(std::string name, std::string data) {
@@ -186,7 +209,7 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, Bytes data) {
   const ReqId reqid = (static_cast<uint64_t>(proxy_id_) << 32) | next_req_++;
   bool re_meta = false;
   bool re_data = false;
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     Status s = co_await PutAttempt(name, data, checksum, reqid, re_meta, re_data);
     if (s.ok()) {
       counters_.puts.Add();
@@ -198,19 +221,12 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, Bytes data) {
       co_return s;  // terminal
     }
     counters_.retries.Add();
-    if (s.IsStaleView()) {
-      co_await ChaseStaleView(s);
-    } else if (s.IsOverloaded()) {
-      // Admission-control pushback, not a failure: honor the server's
-      // retry-after hint without escalating to RE-META or refreshing views.
-      co_await sim::SleepFor(qos::RetryAfterOf(s, options_.backoff_base));
-    } else if (s.code() == ErrorCode::kIoError) {
+    if (s.code() == ErrorCode::kIoError) {
       re_data = true;  // a data server failed us mid-write (§5.3 RE-DATA)
-      co_await BackoffAndRefresh(attempt);
-    } else {
+    } else if (!s.IsStaleView() && !s.IsOverloaded()) {
       re_meta = true;  // meta path failed; resume after recovery (§5.3 RE-META)
-      co_await BackoffAndRefresh(attempt);
     }
+    co_await WaitToRetry(s, attempt);
   }
   counters_.failures.Add();
   co_return Status::Unavailable("put exhausted retries");
@@ -264,7 +280,16 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& 
       persist_waits_.erase(reqid);
       co_return Status::StaleView("allocated volume unknown to this proxy");
     }
-    Status ws = co_await WriteDataReplicas(*lv, reply->extents, data, checksum);
+    // Every replica in parallel; a timed-out data server is reported the
+    // moment its write gives up.
+    Status ws = co_await data_.Write(
+        qos::TrafficClass::kForeground, topo_.view, lv->block_size, reply->extents,
+        DataPlane::Replicas(*lv, data, checksum), DataPlane::Fanout::kParallel,
+        [this](const DataPlane::Piece& piece, const Status& s) {
+          if (s.IsTimeout()) {
+            ReportSuspect(piece.target.node);
+          }
+        });
     if (!ws.ok()) {
       persist_waits_.erase(reqid);
       co_return Status::IoError("data write failed: " + ws.ToString());
@@ -283,7 +308,7 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& 
         tracer.enabled() ? tracer.Begin(obs::SpanKind::kWait, "put.persist_wait", rpc_.id(),
                                         rpc_.machine().loop().Now())
                          : 0;
-    const bool fired = co_await wait->done.TimedWait(options_.rpc_timeout);
+    const bool fired = co_await wait->done.TimedWait(kRpcTimeout);
     tracer.End(wspan, rpc_.machine().loop().Now(), fired && wait->ok);
     if (!fired || !wait->ok) {
       persist_waits_.erase(reqid);
@@ -315,41 +340,6 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const Bytes& 
   co_return Status::Ok();
 }
 
-sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LvTargets& lv,
-                                                 const std::vector<alloc::Extent>& extents,
-                                                 const Bytes& data, uint32_t checksum) {
-  std::vector<sim::Task<Status>> tasks;
-  for (const cluster::ReplicaTarget& t : lv.targets) {
-    tasks.push_back([](ClientProxy* self, cluster::ReplicaTarget t, uint32_t block_size,
-                       std::vector<alloc::Extent> extents, Bytes data,
-                       uint32_t checksum) -> sim::Task<Status> {
-      DataWriteRequest write;
-      write.view = self->topo_.view;
-      write.device = t.device;
-      write.disk_index = t.disk_index;
-      write.block_size = block_size;
-      write.extents = std::move(extents);
-      write.data = std::move(data);
-      write.checksum = checksum;
-      auto r = co_await self->rpc_.Call(t.node, std::move(write), self->options_.rpc_timeout);
-      if (!r.ok()) {
-        if (r.status().IsTimeout()) {
-          self->ReportSuspect(t.node);
-        }
-        co_return r.status();
-      }
-      co_return Status::Ok();
-    }(this, t, lv.block_size, extents, data, checksum));
-  }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
-}
-
 // ---- get ----
 
 sim::Task<Result<std::string>> ClientProxy::Get(std::string name) {
@@ -366,7 +356,7 @@ sim::Task<Result<std::string>> ClientProxy::Get(std::string name) {
 
 sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const cluster::PgId pg = topo_.PgOf(name);
     const sim::NodeId primary = topo_.PrimaryOf(pg);
 
@@ -387,7 +377,7 @@ sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
       std::vector<sim::Task<>> tasks;
       tasks.push_back([](ClientProxy* self, ObMeta m,
                          std::shared_ptr<ParallelGet> par) -> sim::Task<> {
-        par->data = co_await self->ReadData(m, /*verify=*/true);
+        par->data = co_await self->ReadData(m);
       }(this, cached_meta, par));
       GetMetaRequest req;
       req.view = topo_.view;
@@ -407,7 +397,7 @@ sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
       if (meta.ok() && !data0.ok()) {
         // Metadata moved (migration/recovery): retry the read at the fresh
         // location using the authoritative metadata.
-        auto data = co_await ReadData(par->meta->meta, /*verify=*/true);
+        auto data = co_await ReadData(par->meta->meta);
         if (data.ok()) {
           counters_.gets.Add();
           co_return data;
@@ -433,17 +423,10 @@ sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
       if (meta.status().IsTimeout()) {
         ReportSuspect(primary);
       }
-      if (meta.status().IsStaleView()) {
-        co_await ChaseStaleView(meta.status());
-      } else if (meta.status().IsOverloaded()) {
-        co_await sim::SleepFor(
-            qos::RetryAfterOf(meta.status(), options_.backoff_base));
-      } else {
-        co_await BackoffAndRefresh(attempt);
-      }
+      co_await WaitToRetry(meta.status(), attempt);
       continue;
     }
-    auto data = co_await ReadData(meta->meta, /*verify=*/true);
+    auto data = co_await ReadData(meta->meta);
     if (data.ok()) {
       if (options_.enable_read_cache) {
         meta_cache_[name] = meta->meta;
@@ -460,10 +443,10 @@ sim::Task<Result<Bytes>> ClientProxy::GetImpl(std::string name) {
   co_return Status::Unavailable("get exhausted retries");
 }
 
-sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) {
+sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta) {
   if (meta.storage_class == StorageClass::kInline) {
     // The payload rode inside the MetaX record; nothing on the data plane.
-    if (verify && Crc32c(meta.inline_data) != meta.checksum) {
+    if (Crc32c(meta.inline_data) != meta.checksum) {
       co_return Status::Corruption("inline payload checksum mismatch");
     }
     co_return Bytes(meta.inline_data);
@@ -480,7 +463,9 @@ sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) 
   // pointer held across an await).
   const std::vector<cluster::PvId> order = lv->replicas;
   const uint32_t block_size = lv->block_size;
-  std::vector<cluster::ReplicaTarget> damaged;
+  // Replicas that positively failed verification.
+  cluster::LvTargets damaged;
+  damaged.block_size = block_size;
   // The lease lets a get read from any one of the n data servers (§5.1).
   const size_t start = rng_.Uniform(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
@@ -488,48 +473,30 @@ sim::Task<Result<Bytes>> ClientProxy::ReadData(const ObMeta& meta, bool verify) 
     if (pv == nullptr || !pv->healthy) {
       continue;
     }
-    DataReadRequest read;
-    read.device = pv->DeviceName();
-    read.disk_index = pv->disk_index;
-    read.block_size = block_size;
-    read.extents = meta.extents;
-    read.length = meta.size;
-    read.verify = verify;
-    read.expected_checksum = meta.checksum;
-    const sim::NodeId target = pv->data_server;
-    const cluster::ReplicaTarget as_damaged{pv->DeviceName(), pv->disk_index, target};
-    auto r = co_await rpc_.Call(target, std::move(read), options_.rpc_timeout);
+    const cluster::ReplicaTarget target{pv->DeviceName(), pv->disk_index, pv->data_server};
+    auto r = co_await data_.Read(qos::TrafficClass::kForeground, target, block_size,
+                                 meta.extents, meta.size, meta.checksum);
     if (!r.ok()) {
-      if (r.status().IsTimeout()) {
-        ReportSuspect(target);
+      if (NoteFailedRead(target, r.status())) {
+        damaged.targets.push_back(target);  // remember the replica for repair
       }
-      // A server-side verification failure or an unreadable sector is
-      // positive evidence of damage (unlike a timeout or a stale view):
-      // remember the replica for repair.
-      if (r.status().code() == ErrorCode::kCorruption ||
-          r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads.Add();
-        damaged.push_back(as_damaged);
-      }
-      continue;
+      continue;  // try another replica
     }
-    // A reply of the wrong length is a damaged replica even when its
-    // checksum looks right: in metadata-only mode the checksum is the one
-    // the device reports, not one computed over the bytes.
-    bool intact = r->data.size() == meta.size;
-    if (verify && intact) {
-      // Full-content mode: recompute; metadata-only mode: the device reports
-      // the checksum it stored at write time.
-      const uint32_t crc = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
-      intact = crc == meta.checksum && r->checksum == meta.checksum;
-    }
-    if (!intact) {
-      counters_.corrupt_replica_reads.Add();
-      damaged.push_back(as_damaged);
-      continue;  // corrupt/partial replica; try another
-    }
-    if (verify && !damaged.empty() && options_.enable_read_repair) {
-      SpawnReadRepair(meta, block_size, std::move(damaged), r->data);
+    if (!damaged.targets.empty()) {
+      // Read-repair, fire-and-forget on the proxy's actor: the get returns
+      // without waiting for these maintenance-class rewrites of the damaged
+      // replicas. Writing to a deleted object's old extents is benign:
+      // visibility is governed by MetaX, and the blocks are either
+      // unallocated (the next put to reuse them overwrites the repair) or
+      // already reused (the repair is itself overwritten; scrub re-heals if
+      // it races in between).
+      rpc_.machine().actor().Spawn(Detach(data_.RepairReplicas(
+          qos::TrafficClass::kMaintenance, topo_.view, std::move(damaged), meta, r->data,
+          DataPlane::Fanout::kSerial, [this](const DataPlane::Piece&, const Status& s) {
+            if (s.ok()) {
+              counters_.read_repairs.Add();
+            }
+          })));
     }
     co_return std::move(r->data);
   }
@@ -549,19 +516,18 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
       meta.chunk_crcs.size() != lv->targets.size()) {
     co_return Status::Corruption("inconsistent EC stripe metadata");
   }
-  std::vector<cluster::ReplicaTarget> targets = std::move(lv->targets);
-  const uint32_t block_size = lv->block_size;
+  const cluster::LvTargets stripe = std::move(*lv);
+  const std::vector<cluster::ReplicaTarget>& targets = stripe.targets;
   const uint64_t shard_bytes = tier::ShardBytes(meta.size, k);
 
   auto st = std::make_shared<StripeState>();
   st->chunks.resize(targets.size());
-  st->damaged.assign(targets.size(), 0);
 
   // Fast path: the k data chunks in parallel. The code is systematic, so
   // their concatenation (minus padding) is the object — no decode needed.
   std::vector<sim::Task<>> reads;
   for (uint32_t j = 0; j < k; ++j) {
-    reads.push_back(ReadChunk(targets[j], j, block_size, meta.extents, shard_bytes,
+    reads.push_back(ReadChunk(targets[j], j, stripe.block_size, meta.extents, shard_bytes,
                               meta.chunk_crcs[j], st));
   }
   co_await sim::WhenAllVoid(std::move(reads));
@@ -584,7 +550,7 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   // fetched one at a time — the fast path already has most of the stripe, and
   // the sequential tail keeps parity traffic off healthy gets entirely.
   for (size_t j = k; j < targets.size() && have < k; ++j) {
-    co_await ReadChunk(targets[j], j, block_size, meta.extents, shard_bytes,
+    co_await ReadChunk(targets[j], j, stripe.block_size, meta.extents, shard_bytes,
                        meta.chunk_crcs[j], st);
     have += st->chunks[j].has_value() ? 1 : 0;
   }
@@ -597,103 +563,44 @@ sim::Task<Result<Bytes>> ClientProxy::ReadEcData(const ObMeta& meta) {
   }
   counters_.ec_degraded_reads.Add();
 
-  if (options_.enable_read_repair) {
-    // Fire-and-forget reconstruction repair of the positively-damaged chunks
-    // (maintenance class, same rationale as SpawnReadRepair). A rebuilt chunk
-    // is written back only if its bytes match the CRC recorded in MetaX — a
-    // reconstruction racing a demotion swap can never plant garbage.
-    rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta,
-                                    uint32_t block_size,
-                                    std::vector<cluster::ReplicaTarget> targets,
-                                    std::shared_ptr<StripeState> st) -> sim::Task<> {
-      auto rebuilt = tier::ReconstructChunks(st->chunks, meta.ec_k, meta.ec_m);
-      if (!rebuilt.ok()) {
-        co_return;
-      }
-      for (size_t j = 0; j < targets.size(); ++j) {
-        if (!st->damaged[j] || Crc32c((*rebuilt)[j]) != meta.chunk_crcs[j]) {
-          continue;
+  // Fire-and-forget reconstruction repair of the positively-damaged chunks,
+  // maintenance class like a replica read-repair. RepairChunks writes back
+  // only chunks whose rebuilt bytes match the CRC recorded in MetaX, so a
+  // reconstruction racing a demotion swap can never plant garbage.
+  std::sort(st->damaged.begin(), st->damaged.end());  // parallel reads land in any order
+  rpc_.machine().actor().Spawn(Detach(data_.RepairChunks(
+      qos::TrafficClass::kMaintenance, topo_.view, stripe, meta, st->chunks, st->damaged,
+      [this](const DataPlane::Piece&, const Status& s) {
+        if (s.ok()) {
+          counters_.ec_chunk_repairs.Add();
         }
-        RepairWriteRequest write;
-        write.view = self->topo_.view;
-        write.device = targets[j].device;
-        write.disk_index = targets[j].disk_index;
-        write.block_size = block_size;
-        write.extents = meta.extents;
-        write.data = Bytes(std::move((*rebuilt)[j]));
-        write.checksum = meta.chunk_crcs[j];
-        auto w = co_await self->rpc_.Call(targets[j].node, std::move(write),
-                                          self->options_.rpc_timeout);
-        if (w.ok()) {
-          self->counters_.ec_chunk_repairs.Add();
-        }
-      }
-    }(this, meta, block_size, std::move(targets), st));
-  }
+      })));
   co_return Bytes(std::move(*decoded));
 }
 
 sim::Task<> ClientProxy::ReadChunk(cluster::ReplicaTarget t, size_t j, uint32_t block_size,
                                    std::vector<alloc::Extent> extents, uint64_t shard_bytes,
                                    uint32_t crc, std::shared_ptr<StripeState> st) {
-  DataReadRequest read;
-  read.device = t.device;
-  read.disk_index = t.disk_index;
-  read.block_size = block_size;
-  read.extents = std::move(extents);
-  read.length = shard_bytes;
-  read.verify = true;
-  read.expected_checksum = crc;
-  auto r = co_await rpc_.Call(t.node, std::move(read), options_.rpc_timeout);
-  if (!r.ok()) {
-    if (r.status().IsTimeout()) {
-      ReportSuspect(t.node);
-    }
-    if (r.status().code() == ErrorCode::kCorruption ||
-        r.status().code() == ErrorCode::kIoError) {
-      counters_.corrupt_replica_reads.Add();
-      st->damaged[j] = 1;
-    }
-    co_return;
+  auto r = co_await data_.Read(qos::TrafficClass::kForeground, t, block_size,
+                               std::move(extents), shard_bytes, crc);
+  if (r.ok()) {
+    st->chunks[j] = std::move(r->data);
+  } else if (NoteFailedRead(t, r.status())) {
+    st->damaged.push_back(j);
   }
-  const uint32_t got = r->content_valid ? Crc32c(r->data.view()) : r->checksum;
-  if (r->data.size() != shard_bytes || got != crc) {
-    counters_.corrupt_replica_reads.Add();
-    st->damaged[j] = 1;
-    co_return;
-  }
-  st->chunks[j] = std::move(r->data);
 }
 
-void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                                  std::vector<cluster::ReplicaTarget> damaged, Bytes data) {
-  // Fire-and-forget on the proxy's actor: the get that discovered the damage
-  // has already returned by the time these writes land. Everything the task
-  // needs is copied in — a concurrent delete or topology push can't dangle
-  // it. Writing to a deleted object's old extents is benign: visibility is
-  // governed by MetaX, and the blocks are either unallocated (the write is
-  // superseded by the next put to reuse them, which lands later than this
-  // repair in virtual time or overwrites it) or already reused (the repair
-  // write is itself overwritten; scrub re-heals if it races in between).
-  rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta, uint32_t block_size,
-                                  std::vector<cluster::ReplicaTarget> damaged,
-                                  Bytes data) -> sim::Task<> {
-    for (const cluster::ReplicaTarget& d : damaged) {
-      RepairWriteRequest write;
-      write.view = self->topo_.view;
-      write.device = d.device;
-      write.disk_index = d.disk_index;
-      write.block_size = block_size;
-      write.extents = meta.extents;
-      write.data = data;
-      write.checksum = meta.checksum;
-      auto w = co_await self->rpc_.Call(d.node, std::move(write),
-                                        self->options_.rpc_timeout);
-      if (w.ok()) {
-        self->counters_.read_repairs.Add();
-      }
-    }
-  }(this, meta, block_size, std::move(damaged), std::move(data)));
+bool ClientProxy::NoteFailedRead(const cluster::ReplicaTarget& t, const Status& s) {
+  if (s.IsTimeout()) {
+    ReportSuspect(t.node);
+  }
+  // A failed verification or an unreadable sector is positive evidence of
+  // damage, unlike a timeout or a stale view.
+  if (s.code() != ErrorCode::kCorruption && s.code() != ErrorCode::kIoError) {
+    return false;
+  }
+  counters_.corrupt_replica_reads.Add();
+  return true;
 }
 
 // ---- delete ----
@@ -711,7 +618,7 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
   meta_cache_.erase(name);
   const ReqId reqid = (static_cast<uint64_t>(proxy_id_) << 32) | next_req_++;
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const cluster::PgId pg = topo_.PgOf(name);
     const sim::NodeId primary = topo_.PrimaryOf(pg);
     DeleteRequest req;
@@ -731,14 +638,7 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
     if (r.status().IsTimeout()) {
       ReportSuspect(primary);
     }
-    if (r.status().IsStaleView()) {
-      co_await ChaseStaleView(r.status());
-    } else if (r.status().IsOverloaded()) {
-      co_await sim::SleepFor(
-          qos::RetryAfterOf(r.status(), options_.backoff_base));
-    } else {
-      co_await BackoffAndRefresh(attempt);
-    }
+    co_await WaitToRetry(r.status(), attempt);
   }
   counters_.failures.Add();
   co_return Status::Unavailable("delete exhausted retries");

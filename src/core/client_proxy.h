@@ -22,6 +22,7 @@
 
 #include "src/cluster/messages.h"
 #include "src/common/random.h"
+#include "src/core/data_plane.h"
 #include "src/core/messages.h"
 #include "src/core/options.h"
 #include "src/obs/metrics.h"
@@ -96,12 +97,12 @@ class ClientProxy {
   template <rpc::RpcRequest Req>
   sim::Task<Result<typename Req::Response>> CallMeta(sim::NodeId dst, Req req) {
     if (!options_.qos.enabled) {
-      co_return co_await rpc_.Call(dst, std::move(req), options_.rpc_timeout);
+      co_return co_await rpc_.Call(dst, std::move(req), kRpcTimeout);
     }
     MetaWindow& mw = WindowFor(dst);
     co_await mw.win.Acquire();
     Result<typename Req::Response> r =
-        co_await rpc_.Call(dst, std::move(req), options_.rpc_timeout);
+        co_await rpc_.Call(dst, std::move(req), kRpcTimeout);
     if (r.ok()) {
       mw.win.Release(qos::AimdWindow::Signal::kSuccess);
     } else if (r.status().IsOverloaded() || r.status().IsTimeout()) {
@@ -123,34 +124,32 @@ class ClientProxy {
   // decorrelated-jitter backoff cycle. Used after a migration cutover bumps
   // the view: the proxy re-pulls and re-sends to the new owner right away.
   sim::Task<> ChaseStaleView(const Status& s);
+  // Waits before retrying after `s`: chases a stale view, honors an overload
+  // pushback's retry-after, else backs off and refreshes the topology.
+  sim::Task<> WaitToRetry(const Status& s, int attempt);
 
   // One full put attempt; the caller loops on retryable failures.
   sim::Task<Status> PutAttempt(const std::string& name, const Bytes& data, uint32_t checksum,
                                ReqId reqid, bool re_meta, bool re_data);
-  sim::Task<Status> WriteDataReplicas(const cluster::LvTargets& lv,
-                                      const std::vector<alloc::Extent>& extents,
-                                      const Bytes& data, uint32_t checksum);
-  sim::Task<Result<Bytes>> ReadData(const ObMeta& meta, bool verify);
+  // Verified read of a replica or EC object; damaged replicas it passes over
+  // get a fire-and-forget read-repair.
+  sim::Task<Result<Bytes>> ReadData(const ObMeta& meta);
   // EC stripe read: verified reads of the k data chunks (systematic layout);
   // on damage, pulls parity and reconstructs from any k of k+m. Degraded
   // successes fire-and-forget a rewrite of the damaged chunks.
   sim::Task<Result<Bytes>> ReadEcData(const ObMeta& meta);
   struct StripeState {
     std::vector<std::optional<Bytes>> chunks;  // verified survivors
-    std::vector<char> damaged;  // positive evidence of damage, per chunk
+    std::vector<size_t> damaged;  // chunks with positive evidence of damage
   };
-  // Verified read of stripe chunk j from `t` into st->chunks[j]; a checksum
-  // mismatch or a server-side corruption/IO error marks it damaged.
+  // Verified read of stripe chunk j from `t` into st->chunks[j]; a damaged
+  // chunk is listed in st->damaged.
   sim::Task<> ReadChunk(cluster::ReplicaTarget t, size_t j, uint32_t block_size,
                         std::vector<alloc::Extent> extents, uint64_t shard_bytes, uint32_t crc,
                         std::shared_ptr<StripeState> st);
-
-  // Fire-and-forget maintenance-class rewrite of `damaged` replicas (those
-  // that positively failed verification: server-side kCorruption / kIoError
-  // or a client-side checksum mismatch) from the verified payload the get
-  // just returned.
-  void SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                       std::vector<cluster::ReplicaTarget> damaged, Bytes data);
+  // Notes a failed replica read: reports a timed-out server; counts and
+  // returns true for positive evidence of damage.
+  bool NoteFailedRead(const cluster::ReplicaTarget& t, const Status& s);
 
   sim::Task<Result<MetaPersistedAck>> HandlePersisted(sim::NodeId src,
                                                       MetaPersistedNotify req);
@@ -166,6 +165,7 @@ class ClientProxy {
   MetaWindow& WindowFor(sim::NodeId dst);
 
   rpc::Node& rpc_;
+  DataPlane data_{rpc_};
   CheetahOptions options_;
   std::vector<sim::NodeId> manager_nodes_;
   uint32_t proxy_id_;

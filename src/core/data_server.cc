@@ -17,56 +17,25 @@ DataServer::DataServer(rpc::Node& rpc, CheetahOptions options,
       counters_{obs::Scope("data@" + std::to_string(rpc.id()))} {}
 
 void DataServer::Start() {
-  rpc_.Serve<DataWriteRequest>(
-      [this](sim::NodeId src, DataWriteRequest req) {
-        return HandleWrite(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<DataReadRequest>(
-      [this](sim::NodeId src, DataReadRequest req) {
-        return HandleRead(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
+  rpc_.Serve<DataWriteRequest, &DataServer::HandleWrite>(this, qos::TrafficClass::kForeground);
+  rpc_.Serve<DataReadRequest, &DataServer::HandleRead>(this, qos::TrafficClass::kForeground);
   // Repair traffic shares the read/write handlers (the derived request
   // slices to its base) but rides the maintenance class, so scrub and
   // read-repair I/O never contends with foreground puts/gets for credit.
-  rpc_.Serve<RepairReadRequest>(
-      [this](sim::NodeId src, RepairReadRequest req) {
-        return HandleRead(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<RepairWriteRequest>(
-      [this](sim::NodeId src, RepairWriteRequest req) {
-        return HandleWrite(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<DataProbeRequest>(
-      [this](sim::NodeId src, DataProbeRequest req) {
-        return HandleProbe(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<DataDiscardRequest>(
-      [this](sim::NodeId src, DataDiscardRequest req) {
-        return HandleDiscard(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<VolumePullRequest>(
-      [this](sim::NodeId src, VolumePullRequest req) {
-        return HandlePull(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
-  rpc_.Serve<cluster::RecoverVolumeRequest>(
-      [this](sim::NodeId src, cluster::RecoverVolumeRequest req) {
-        return HandleRecover(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
+  rpc_.Serve<RepairReadRequest, &DataServer::HandleRead>(this, qos::TrafficClass::kMaintenance);
+  rpc_.Serve<RepairWriteRequest, &DataServer::HandleWrite>(this, qos::TrafficClass::kMaintenance);
+  rpc_.Serve<DataProbeRequest, &DataServer::HandleProbe>(this, qos::TrafficClass::kMaintenance);
+  rpc_.Serve<DataDiscardRequest, &DataServer::HandleDiscard>(this, qos::TrafficClass::kMaintenance);
+  rpc_.Serve<VolumePullRequest, &DataServer::HandlePull>(this, qos::TrafficClass::kBackground);
+  rpc_.Serve<cluster::RecoverVolumeRequest, &DataServer::HandleRecover>(
+      this, qos::TrafficClass::kBackground);
   rpc_.machine().actor().Spawn(HeartbeatLoop());
 }
 
 sim::Task<> DataServer::ChargeFsOverhead(uint32_t disk_index) {
   if (options_.fs_backed_data) {
     // One extra metadata write (journal/inode) per file-backed data op.
-    co_await DiskFor(disk_index).ChargeWrite(options_.fs_overhead_bytes);
+    co_await DiskFor(disk_index).ChargeWrite(kFsOverheadBytes);
   }
 }
 
@@ -251,12 +220,12 @@ sim::Task<> DataServer::HeartbeatLoop() {
       cluster::HeartbeatRequest hb;
       hb.node = rpc_.id();
       hb.kind = cluster::ServerKind::kDataServer;
-      auto r = co_await rpc_.Call(mgr, std::move(hb), options_.rpc_timeout);
+      auto r = co_await rpc_.Call(mgr, std::move(hb), kRpcTimeout);
       if (r.ok() && r->is_leader) {
         break;
       }
     }
-    co_await sim::SleepFor(options_.heartbeat_interval);
+    co_await sim::SleepFor(kHeartbeatInterval);
   }
 }
 

@@ -52,6 +52,9 @@ class DataServer {
   sim::Storage& DiskFor(uint32_t disk_index) {
     return rpc_.machine().disk(disk_index % rpc_.machine().num_disks());
   }
+  // Cheetah-FS charges one extra metadata write per data op (journal +
+  // inode update, roughly 4 KiB).
+  static constexpr uint64_t kFsOverheadBytes = 4096;
   sim::Task<> ChargeFsOverhead(uint32_t disk_index);
 
   sim::Task<Result<DataWriteReply>> HandleWrite(sim::NodeId src, DataWriteRequest req);

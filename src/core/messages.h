@@ -14,11 +14,18 @@
 
 #include "src/alloc/bitmap_allocator.h"
 #include "src/common/bytes.h"
+#include "src/common/units.h"
 #include "src/cluster/topology.h"
 #include "src/core/metax.h"
 #include "src/kv/write_batch.h"
 
 namespace cheetah::core {
+
+// Deadline of every call the proxies and the meta and data servers make.
+inline constexpr Nanos kRpcTimeout = Millis(500);
+// Period of the meta and data servers' heartbeats to the managers (proxies
+// beat at four times it).
+inline constexpr Nanos kHeartbeatInterval = Millis(100);
 
 // ---- proxy -> meta: put allocation (Pseudocode 1, lines 2-6) ----
 

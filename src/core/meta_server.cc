@@ -16,7 +16,11 @@ namespace cheetah::core {
 
 namespace {
 
-std::string BitmapFile(cluster::LvId lv) { return "bitmap_" + std::to_string(lv); }
+// The cleaner's period: it retires the logs of committed puts and syncs the
+// dirty bitmaps (§5.2).
+constexpr Nanos kLogCleanInterval = Millis(500);
+// A put still pending this long is verified against the data servers (§5.3).
+constexpr Nanos kPendingPutTimeout = Millis(1500);
 
 // A put's MetaX (§5.2): its ObMeta record, plus the PG-log and proxy-log
 // entries that tie it to its op.
@@ -52,44 +56,16 @@ MetaServer::MetaServer(rpc::Node& rpc, CheetahOptions options,
 MetaServer::~MetaServer() = default;
 
 void MetaServer::Start() {
-  rpc_.Serve<PutAllocRequest>(
-      [this](sim::NodeId src, PutAllocRequest req) {
-        return HandlePutAlloc(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<PutCommitNotify>(
-      [this](sim::NodeId src, PutCommitNotify req) {
-        return HandleCommit(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<GetMetaRequest>(
-      [this](sim::NodeId src, GetMetaRequest req) {
-        return HandleGet(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<DeleteRequest>(
-      [this](sim::NodeId src, DeleteRequest req) {
-        return HandleDelete(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<ReplicateMetaXRequest>(
-      [this](sim::NodeId src, ReplicateMetaXRequest req) {
-        return HandleReplicate(src, std::move(req));
-      },
-      qos::TrafficClass::kReplication);
-  rpc_.Serve<PgPullRequest>(
-      [this](sim::NodeId src, PgPullRequest req) {
-        return HandlePgPull(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
-  rpc_.Serve<cluster::MigratePgRequest>(
-      [this](sim::NodeId src, cluster::MigratePgRequest req) {
-        return HandleMigratePg(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<cluster::TopologyPush>([this](sim::NodeId src, cluster::TopologyPush req) {
-    return HandleTopologyPush(src, std::move(req));
-  });
+  rpc_.Serve<PutAllocRequest, &MetaServer::HandlePutAlloc>(this, qos::TrafficClass::kForeground);
+  rpc_.Serve<PutCommitNotify, &MetaServer::HandleCommit>(this, qos::TrafficClass::kForeground);
+  rpc_.Serve<GetMetaRequest, &MetaServer::HandleGet>(this, qos::TrafficClass::kForeground);
+  rpc_.Serve<DeleteRequest, &MetaServer::HandleDelete>(this, qos::TrafficClass::kForeground);
+  rpc_.Serve<ReplicateMetaXRequest, &MetaServer::HandleReplicate>(
+      this, qos::TrafficClass::kReplication);
+  rpc_.Serve<PgPullRequest, &MetaServer::HandlePgPull>(this, qos::TrafficClass::kBackground);
+  rpc_.Serve<cluster::MigratePgRequest, &MetaServer::HandleMigratePg>(
+      this, qos::TrafficClass::kMaintenance);
+  rpc_.Serve<cluster::TopologyPush, &MetaServer::HandleTopologyPush>(this);
   rpc_.machine().actor().Spawn(Init());
 }
 
@@ -191,7 +167,7 @@ sim::Task<Result<PutAllocReply>> MetaServer::HandlePutAlloc(sim::NodeId src,
       }
       const ObMeta old_meta = p->meta;
       ticket = *pgs_.Relocate(ticket, std::move(*alloc));
-      DiscardData(old_meta.lvid, old_meta.extents);
+      data_.Discard(topo_, old_meta.lvid, old_meta.extents);
       p = pgs_.Find(ticket);
     }
     PutAllocReply reply;
@@ -332,23 +308,13 @@ sim::Task<Status> MetaServer::PersistAndReplicate(cluster::PgId pg, kv::WriteBat
     if (backup == rpc_.id()) {
       continue;
     }
-    tasks.push_back([](MetaServer* self, sim::NodeId backup, cluster::PgId pg,
-                       kv::WriteBatch batch) -> sim::Task<Status> {
-      ReplicateMetaXRequest rep;
-      rep.view = self->topo_.view;
-      rep.pg = pg;
-      rep.batch = std::move(batch);
-      auto r = co_await self->rpc_.Call(backup, std::move(rep), self->options_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
-    }(this, backup, pg, batch));
+    ReplicateMetaXRequest rep;
+    rep.view = topo_.view;
+    rep.pg = pg;
+    rep.batch = batch;
+    tasks.push_back(rpc_.CallStatus(backup, std::move(rep), kRpcTimeout));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::WhenAllOk(std::move(tasks));
 }
 
 sim::Task<Result<ReplicateMetaXReply>> MetaServer::HandleReplicate(
@@ -471,63 +437,34 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
   if (!lv.has_value()) {
     co_return Status::Unavailable("volume missing during verify");
   }
-  int present = 0;
-  int definitive = 0;
-  std::vector<const cluster::ReplicaTarget*> missing;
-  const cluster::ReplicaTarget* good = nullptr;
-  for (const cluster::ReplicaTarget& t : lv->targets) {
-    DataProbeRequest probe;
-    probe.device = t.device;
-    probe.disk_index = t.disk_index;
-    probe.block_size = lv->block_size;
-    probe.extents = meta.extents;
-    probe.expected_checksum = meta.checksum;
-    auto r = co_await rpc_.Call(t.node, std::move(probe), options_.rpc_timeout);
-    if (!r.ok()) {
-      continue;  // indeterminate
-    }
-    ++definitive;
-    if (r->present) {
-      ++present;
-      good = &t;
-    } else {
-      missing.push_back(&t);
-    }
-  }
-  if (definitive == 0) {
+  // An unanswered probe is indeterminate: it counts neither way.
+  const DataPlane::Probed probed =
+      co_await data_.ProbeAll(*lv, meta.extents, std::vector<uint32_t>(lv->targets.size(),
+                                                                      meta.checksum),
+                              DataPlane::Fanout::kSerial);
+  if (probed.present.empty() && probed.damaged.empty()) {
     LOG_DEBUG << "verify " << reqid << ": no definitive probe";
     co_return Status::Unavailable("data servers unreachable during verify");
   }
-  if (present == 0) {
+  if (probed.present.empty()) {
     // The data never landed anywhere: the put is unfinished — revoke (§5.3).
     const bool revoked = co_await RevokePut(ticket);
     co_return revoked ? Status::NotFound("put revoked") : moved_on();
   }
-  if (!missing.empty() && good != nullptr) {
+  if (!probed.damaged.empty()) {
     // Partially replicated: complete the put by copying from a good replica.
-    DataReadRequest read;
-    read.device = good->device;
-    read.disk_index = good->disk_index;
-    read.block_size = lv->block_size;
-    read.extents = meta.extents;
-    read.length = meta.size;
-    auto data = co_await rpc_.Call(good->node, std::move(read), options_.rpc_timeout);
+    // The copy finishes a client's put, so it rides the foreground class.
+    auto data = co_await data_.Read(qos::TrafficClass::kForeground,
+                                    lv->targets[probed.present.back()], lv->block_size,
+                                    meta.extents, meta.size, std::nullopt);
     if (!data.ok()) {
       co_return Status::Unavailable("repair read failed");
     }
-    for (const cluster::ReplicaTarget* t : missing) {
-      DataWriteRequest write;
-      write.view = topo_.view;
-      write.device = t->device;
-      write.disk_index = t->disk_index;
-      write.block_size = lv->block_size;
-      write.extents = meta.extents;
-      write.data = data->data;
-      write.checksum = meta.checksum;
-      auto w = co_await rpc_.Call(t->node, std::move(write), options_.rpc_timeout);
-      if (!w.ok()) {
-        co_return Status::Unavailable("repair write failed");
-      }
+    Status copied = co_await data_.RepairReplicas(
+        qos::TrafficClass::kForeground, topo_.view, DataPlane::Pick(*lv, probed.damaged), meta,
+        data->data, DataPlane::Fanout::kSerialUntilFailure);
+    if (!copied.ok()) {
+      co_return Status::Unavailable("repair write failed");
     }
   }
   // Complete: the put's effects are fully in place.
@@ -549,31 +486,16 @@ sim::Task<bool> MetaServer::RevokePut(PgState::Ticket ticket) {
   batch.Delete(PxLogKey(p->proxy_id, p->reqid));
   (void)co_await PersistAndReplicate(pg, std::move(batch));
   if (auto revoked = pgs_.FinishRevoke(ticket)) {
-    DiscardData(revoked->meta.lvid, revoked->meta.extents);
+    data_.Discard(topo_, revoked->meta.lvid, revoked->meta.extents);
   }
   counters_.revoked_puts.Add();
   co_return true;
 }
 
-void MetaServer::DiscardData(cluster::LvId lv_id, const std::vector<alloc::Extent>& extents) {
-  auto lv = topo_.TargetsOf(lv_id, cluster::PvFilter::kSkipMissing);
-  if (!lv.has_value()) {
-    return;
-  }
-  for (const cluster::ReplicaTarget& t : lv->targets) {
-    DataDiscardRequest req;
-    req.device = t.device;
-    req.disk_index = t.disk_index;
-    req.block_size = lv->block_size;
-    req.extents = extents;
-    rpc_.Notify(t.node, std::move(req));
-  }
-}
-
 void MetaServer::ReleaseExtents(cluster::LvId lv, const std::vector<alloc::Extent>& extents) {
   pgs_.Free(lv, extents);
   pgs_.MarkDirty(lv);
-  DiscardData(lv, extents);
+  data_.Discard(topo_, lv, extents);
 }
 
 // ---- delete ----
@@ -661,15 +583,6 @@ sim::Task<Result<ObMeta>> MetaServer::DeleteGuarded(cluster::PgId pg, const Dele
   }
   CO_RETURN_IF_ERROR(co_await PersistAndReplicate(pg, std::move(batch)));
   co_return meta;
-}
-
-sim::Task<Status> MetaServer::FlushBitmap(cluster::LvId lv) {
-  const alloc::BitmapAllocator* a = pgs_.FindAllocator(lv);
-  if (a == nullptr) {
-    co_return Status::Ok();
-  }
-  co_return co_await rpc_.machine().disk(0).WriteFile(BitmapFile(lv), Bytes(a->Serialize()),
-                                                      /*sync=*/true);
 }
 
 // ---- PG pull (recovery / rebalancing) ----
@@ -783,7 +696,7 @@ sim::Task<Result<uint64_t>> MetaServer::PullPg(sim::NodeId source, cluster::PgId
     pull.start_after = cursor;
     pull.limit = 512;
     pull.min_view = min_view;
-    auto r = co_await rpc_.Call(source, std::move(pull), options_.rpc_timeout);
+    auto r = co_await rpc_.Call(source, std::move(pull), kRpcTimeout);
     if (!r.ok()) {
       co_return r.status();
     }
@@ -863,7 +776,7 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
         // Try sources that remain members of the new view first: a node the
         // manager just evicted is usually evicted because it is unreachable,
         // and every page call against it stalls adoption (and every put to
-        // this PG) for a full rpc_timeout before we fall to the next source.
+        // this PG) for a full kRpcTimeout before we fall to the next source.
         std::stable_partition(sources.begin(), sources.end(), [&](sim::NodeId s) {
           return topo_.meta_crush.HasItem(s);
         });
@@ -1047,14 +960,9 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
       continue;
     }
     // Read from the old location.
-    DataReadRequest read;
-    read.device = old_lv->targets.front().device;
-    read.disk_index = old_lv->targets.front().disk_index;
-    read.block_size = old_lv->block_size;
-    read.extents = meta->extents;
-    read.length = meta->size;
-    auto data = co_await rpc_.Call(old_lv->targets.front().node, std::move(read),
-                                   options_.rpc_timeout);
+    auto data = co_await data_.Read(qos::TrafficClass::kForeground, old_lv->targets.front(),
+                                    old_lv->block_size, meta->extents, meta->size,
+                                    std::nullopt);
     if (!data.ok()) {
       continue;
     }
@@ -1064,19 +972,13 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
       continue;
     }
     auto new_lv = topo_.TargetsOf(alloc->first, cluster::PvFilter::kRequireAll);
-    bool wrote_all = new_lv.has_value();
-    for (size_t i = 0; wrote_all && i < new_lv->targets.size(); ++i) {
-      DataWriteRequest write;
-      write.view = topo_.view;
-      write.device = new_lv->targets[i].device;
-      write.disk_index = new_lv->targets[i].disk_index;
-      write.block_size = new_lv->block_size;
-      write.extents = alloc->second;
-      write.data = data->data;
-      write.checksum = meta->checksum;
-      auto w = co_await rpc_.Call(new_lv->targets[i].node, std::move(write),
-                                  options_.rpc_timeout);
-      wrote_all = w.ok();
+    bool wrote_all = false;
+    if (new_lv.has_value()) {
+      Status s = co_await data_.Write(qos::TrafficClass::kForeground, topo_.view,
+                                      new_lv->block_size, alloc->second,
+                                      DataPlane::Replicas(*new_lv, data->data, meta->checksum),
+                                      DataPlane::Fanout::kSerialUntilFailure);
+      wrote_all = s.ok();
     }
     if (!wrote_all) {
       pgs_.Free(alloc->first, alloc->second);
@@ -1089,11 +991,11 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     moved.extents = alloc->second;
     Status s = co_await SwapObjectRecord(pg, name, *meta, std::move(moved));
     if (s.ok()) {
-      DiscardData(meta->lvid, meta->extents);
+      data_.Discard(topo_, meta->lvid, meta->extents);
       counters_.migrated_objects.Add();
     } else if (s.code() == ErrorCode::kAborted) {
       pgs_.Free(alloc->first, alloc->second);
-      DiscardData(alloc->first, alloc->second);
+      data_.Discard(topo_, alloc->first, alloc->second);
     }
   }
 }
@@ -1113,7 +1015,7 @@ sim::Task<> MetaServer::HeartbeatLoop() {
       hb.node = rpc_.id();
       hb.kind = cluster::ServerKind::kMetaServer;
       hb.view = topo_.view;
-      auto r = co_await rpc_.Call(mgr, std::move(hb), options_.heartbeat_interval / 2);
+      auto r = co_await rpc_.Call(mgr, std::move(hb), kHeartbeatInterval / 2);
       if (!r.ok() || !r->is_leader) {
         continue;
       }
@@ -1122,7 +1024,7 @@ sim::Task<> MetaServer::HeartbeatLoop() {
       if (r->current_view > topo_.view) {
         cluster::GetTopologyRequest get;
         get.have_view = topo_.view;
-        auto t = co_await rpc_.Call(mgr, std::move(get), options_.rpc_timeout);
+        auto t = co_await rpc_.Call(mgr, std::move(get), kRpcTimeout);
         if (t.ok() && t->changed) {
           auto map = cluster::TopologyMap::Deserialize(t->serialized_map);
           if (map.ok()) {
@@ -1132,7 +1034,7 @@ sim::Task<> MetaServer::HeartbeatLoop() {
       }
       break;
     }
-    co_await sim::SleepFor(options_.heartbeat_interval);
+    co_await sim::SleepFor(kHeartbeatInterval);
   }
 }
 
@@ -1142,7 +1044,7 @@ sim::Task<> MetaServer::TierNow() { return tier_->TierAll(); }
 
 sim::Task<> MetaServer::CleanerLoop() {
   for (;;) {
-    co_await sim::SleepFor(options_.log_clean_interval);
+    co_await sim::SleepFor(kLogCleanInterval);
     co_await CleanLogs();
   }
 }
@@ -1160,7 +1062,7 @@ sim::Task<> MetaServer::CleanLogs() {
     }
     if (p.state == PutState::kSettled) {
       committed.push_back(PgState::TicketOf(p));
-    } else if (now - p.born > options_.pending_put_timeout) {
+    } else if (now - p.born > kPendingPutTimeout) {
       stale.push_back(reqid);
     }
   }
@@ -1190,9 +1092,16 @@ sim::Task<> MetaServer::CleanLogs() {
   for (auto& [pg, deletes] : deletes_by_pg) {
     (void)co_await PersistAndReplicate(pg, std::move(deletes));
   }
+  // §5.2's bitmap sync: one synced write of each touched LV's flat bitmap
+  // on the meta disk. Nothing reads a bitmap back (recovery rebuilds the
+  // allocators from MetaX), so its bytes are charged, not kept.
   touched.merge(pgs_.TakeDirty());
+  sim::Storage& disk = rpc_.machine().disk(0);
   for (cluster::LvId lv : touched) {
-    (void)co_await FlushBitmap(lv);
+    if (const alloc::BitmapAllocator* a = pgs_.FindAllocator(lv)) {
+      co_await disk.ChargeFileWrite(a->SerializedSize());
+      co_await disk.ChargeFsync();
+    }
   }
 }
 

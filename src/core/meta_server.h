@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/cluster/messages.h"
+#include "src/core/data_plane.h"
 #include "src/core/messages.h"
 #include "src/core/metax.h"
 #include "src/core/options.h"
@@ -142,8 +143,6 @@ class MetaServer {
   // Tombstones an uncommitted put and frees its extents; false (nothing
   // done) if the ticket went stale.
   sim::Task<bool> RevokePut(PgState::Ticket ticket);
-  void DiscardData(cluster::LvId lv, const std::vector<alloc::Extent>& extents);
-  sim::Task<Status> FlushBitmap(cluster::LvId lv);
 
   sim::Task<Result<PutAllocReply>> HandlePutAlloc(sim::NodeId src, PutAllocRequest req);
   sim::Task<Result<PutCommitAck>> HandleCommit(sim::NodeId src, PutCommitNotify req);
@@ -175,6 +174,7 @@ class MetaServer {
 
   std::set<cluster::PgId> ready_pgs_;
   PgState pgs_{topo_, options_.no_volume_groups};
+  DataPlane data_{rpc_};
 
   std::unique_ptr<Scrubber> scrubber_;
   std::unique_ptr<tier::TierEngine> tier_;

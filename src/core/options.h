@@ -55,39 +55,15 @@ struct CheetahOptions {
   // Proxy-side metadata cache for the §7 read optimization.
   bool enable_read_cache = true;
 
-  // Transparent read-repair: when a verified get finds a corrupt or
-  // unreadable replica but another replica answers clean, the proxy
-  // fire-and-forgets a maintenance-class rewrite of the damaged copy. The
-  // get's latency never waits on the repair. Deletes stay safe: repair only
-  // touches the data plane, and object visibility is governed entirely by
-  // MetaX tombstones.
-  bool enable_read_repair = true;
-
   // Evaluation-only (Fig. 13): store just the volume metadata KV per put,
   // like a traditional thin directory, instead of the full MetaX triple.
   // Recovery guarantees do not hold in this mode.
   bool thin_directory_mode = false;
 
-  // --- timing ---
-  Nanos rpc_timeout = Millis(500);
-  // Proxy retry backoff: capped exponential with decorrelated jitter (AWS
-  // architecture-blog style: sleep = min(cap, rand(base, 3*prev))), so many
-  // proxies retrying into a recovering cluster don't synchronize into
-  // thundering herds. Deterministic per proxy seed.
-  Nanos backoff_base = Millis(5);
-  Nanos backoff_cap = Millis(320);
-  Nanos heartbeat_interval = Millis(100);
-  Nanos log_clean_interval = Millis(500);
   // Background scrub: audit object checksums against the data servers and
   // repair divergent replicas (§2.1 lists auditing among the flexible
   // management directory-based stores enable). 0 disables.
   Nanos scrub_interval = 0;
-  Nanos pending_put_timeout = Millis(1500);  // unresolved puts get verified
-  int max_retries = 6;
-
-  // Filesystem overhead charged per data op in Cheetah-FS (journal + inode
-  // update, roughly one extra 4KB metadata write).
-  uint64_t fs_overhead_bytes = 4096;
 
   // FAULT-INJECTION ONLY. Ack puts without waiting for MetaX persistence
   // (violates Appendix A Lemma 1: a power failure inside the vulnerable

@@ -14,10 +14,8 @@
 #ifndef SRC_CORE_SCRUBBER_H_
 #define SRC_CORE_SCRUBBER_H_
 
-#include <utility>
-#include <vector>
-
 #include "src/cluster/messages.h"
+#include "src/core/data_plane.h"
 #include "src/core/metax.h"
 #include "src/core/options.h"
 #include "src/obs/metrics.h"
@@ -55,16 +53,13 @@ class Scrubber {
   // EC objects: probe every stripe chunk against its recorded CRC; rebuild
   // damaged chunks from any k survivors (src/tier degraded-repair path).
   sim::Task<> ScrubEcObject(ObMeta meta);
-  // Probes target j of `lv` against expected[j]; returns the targets whose
-  // stored checksum verified and those that did not (an RPC failure counts
-  // as neither). Counts the object as audited.
-  sim::Task<std::pair<std::vector<size_t>, std::vector<size_t>>> Probe(
-      const cluster::LvTargets& lv, const std::vector<alloc::Extent>& extents,
-      std::vector<uint32_t> expected);
+  // Count each probe's and each repair write's outcome as it arrives.
+  DataPlane::ProbeObserver CountProbe();
+  DataPlane::WriteObserver CountRepair();
 
   MetaServer& ms_;
-  rpc::Node& rpc_;
   const CheetahOptions& options_;
+  DataPlane data_;
 
   Counters counters_;
 };

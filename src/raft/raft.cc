@@ -16,12 +16,8 @@ RaftNode::RaftNode(rpc::Node& rpc, sim::Storage& storage, Config config, StateMa
 
 sim::Task<Status> RaftNode::Start() {
   CO_RETURN_IF_ERROR(co_await LoadPersistent());
-  rpc_.Serve<VoteRequest>([this](sim::NodeId src, VoteRequest req) {
-    return HandleVote(src, std::move(req));
-  });
-  rpc_.Serve<AppendRequest>([this](sim::NodeId src, AppendRequest req) {
-    return HandleAppend(src, std::move(req));
-  });
+  rpc_.Serve<VoteRequest, &RaftNode::HandleVote>(this);
+  rpc_.Serve<AppendRequest, &RaftNode::HandleAppend>(this);
   last_heartbeat_ = rpc_.machine().loop().Now();
   rpc_.machine().actor().Spawn(Ticker());
   co_return Status::Ok();

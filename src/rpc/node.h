@@ -144,6 +144,16 @@ class Node {
                 }};
   }
 
+  // Serves Req with `self`'s member Handler, which may take a base of Req
+  // (the Repair* data requests share their foreground twins' handlers).
+  // Handler is a template argument so the stored function holds only `self`
+  // and copies (once per request) without allocating.
+  template <RpcRequest Req, auto Handler, typename Self>
+  void Serve(Self* self, qos::TrafficClass cls = qos::TrafficClass::kControl) {
+    Serve<Req>([self](sim::NodeId src, Req req) { return (self->*Handler)(src, std::move(req)); },
+               cls);
+  }
+
   // NOTE: Call is deliberately a plain function that moves its argument into
   // the CallImpl coroutine. GCC 12 miscompiles braced aggregate prvalues
   // passed directly as by-value coroutine parameters (the parameter is
@@ -153,6 +163,12 @@ class Node {
   template <RpcRequest Req>
   sim::Task<Result<typename Req::Response>> Call(sim::NodeId dst, Req req, Nanos timeout) {
     return CallImpl<Req>(dst, std::move(req), timeout);
+  }
+
+  // Call for its outcome only.
+  template <RpcRequest Req>
+  sim::Task<Status> CallStatus(sim::NodeId dst, Req req, Nanos timeout) {
+    return StatusOf(CallImpl<Req>(dst, std::move(req), timeout));
   }
 
   // Number of calls still awaiting a reply (test/diagnostic hook).
@@ -179,6 +195,12 @@ class Node {
   };
 
   Arena& arena() { return machine_.loop().arena(); }
+
+  template <typename T>
+  static sim::Task<Status> StatusOf(sim::Task<Result<T>> call) {
+    Result<T> r = co_await std::move(call);
+    co_return r.status();
+  }
 
   template <RpcRequest Req>
   sim::Task<Result<typename Req::Response>> CallImpl(sim::NodeId dst, Req req, Nanos timeout) {

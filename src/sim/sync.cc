@@ -14,4 +14,13 @@ Task<> WhenAllVoid(std::vector<Task<>> tasks) {
   co_await latch->Wait();
 }
 
+Task<Status> WhenAllOk(std::vector<Task<Status>> tasks) {
+  for (Status& s : co_await WhenAll(std::move(tasks))) {
+    if (!s.ok()) {
+      co_return std::move(s);
+    }
+  }
+  co_return Status::Ok();
+}
+
 }  // namespace cheetah::sim

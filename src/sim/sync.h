@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/sim/actor.h"
 #include "src/sim/task.h"
@@ -215,6 +216,9 @@ Task<std::vector<T>> WhenAll(std::vector<Task<T>> tasks) {
 
 // Void overload.
 Task<> WhenAllVoid(std::vector<Task<>> tasks);
+
+// WhenAll over fallible tasks: the first failure in task order, or OK.
+Task<Status> WhenAllOk(std::vector<Task<Status>> tasks);
 
 }  // namespace cheetah::sim
 

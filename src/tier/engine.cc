@@ -1,6 +1,7 @@
 #include "src/tier/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -86,30 +87,19 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     fail();
     co_return;
   }
-  const std::vector<cluster::ReplicaTarget>& chunk_targets = stripe->targets;
-
   // Verified source read (maintenance class): the payload is checked against
   // the object checksum server-side, so a rotted replica can never be the
   // bytes that get striped.
-  Bytes payload;
-  bool have_payload = false;
+  std::optional<Bytes> payload;
   for (const cluster::ReplicaTarget& src : source->targets) {
-    core::RepairReadRequest read;
-    read.device = src.device;
-    read.disk_index = src.disk_index;
-    read.block_size = source->block_size;
-    read.extents = meta.extents;
-    read.length = meta.size;
-    read.verify = true;
-    read.expected_checksum = meta.checksum;
-    auto r = co_await rpc_.Call(src.node, std::move(read), options_.rpc_timeout);
+    auto r = co_await data_.Read(qos::TrafficClass::kMaintenance, src, source->block_size,
+                                 meta.extents, meta.size, meta.checksum);
     if (r.ok() && r->content_valid) {
       payload = std::move(r->data);
-      have_payload = true;
       break;
     }
   }
-  if (!have_payload) {
+  if (!payload.has_value()) {
     // Either every replica is damaged/unreachable right now, or the devices
     // run metadata-only (content_valid=false) and there are no real bytes to
     // restripe. Retry on a later pass.
@@ -117,56 +107,32 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
     co_return;
   }
 
-  std::vector<std::string> chunks = EncodeChunks(payload.view(), k, m);
+  std::vector<std::string> chunks = EncodeChunks(payload->view(), k, m);
   std::vector<uint32_t> crcs = ChunkCrcs(chunks);
 
   // Chunk fan-out: chunk j to stripe PV j, each stored under its own CRC so
   // data servers can verify-reject individual chunks later. Still invisible:
   // MetaX points at the replicas until the swap below.
-  std::vector<sim::Task<Status>> writes;
-  for (size_t j = 0; j < chunk_targets.size(); ++j) {
-    writes.push_back(
-        [](TierEngine* self, cluster::ReplicaTarget target, uint32_t block_size,
-           std::vector<alloc::Extent> extents, Bytes chunk,
-           uint32_t crc) -> sim::Task<Status> {
-          core::RepairWriteRequest write;
-          write.view = self->ms_.topology().view;
-          write.device = target.device;
-          write.disk_index = target.disk_index;
-          write.block_size = block_size;
-          write.extents = std::move(extents);
-          write.data = std::move(chunk);
-          write.checksum = crc;
-          auto w = co_await self->rpc_.Call(target.node, std::move(write),
-                                            self->options_.rpc_timeout);
-          co_return w.ok() ? Status::Ok() : w.status();
-        }(this, chunk_targets[j], stripe->block_size, stripe_extents,
-          Bytes(std::move(chunks[j])), crcs[j]));
+  std::vector<core::DataPlane::Piece> pieces;
+  for (size_t j = 0; j < chunks.size(); ++j) {
+    pieces.emplace_back(stripe->targets[j], Bytes(std::move(chunks[j])), crcs[j]);
   }
-  auto results = co_await sim::WhenAll(std::move(writes));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      fail();
-      co_return;
-    }
+  Status wrote = co_await data_.Write(qos::TrafficClass::kMaintenance, ms_.topology().view,
+                                      stripe->block_size, stripe_extents, std::move(pieces),
+                                      core::DataPlane::Fanout::kParallel);
+  if (!wrote.ok()) {
+    fail();
+    co_return;
   }
 
   // Read-back audit: a gray-failing disk acks writes whose media bytes
   // diverge from the CRC just recorded. Probe every chunk's stored checksum
   // before the swap so a born-corrupt stripe is revoked, never published.
-  for (size_t j = 0; j < chunk_targets.size(); ++j) {
-    core::DataProbeRequest probe;
-    probe.device = chunk_targets[j].device;
-    probe.disk_index = chunk_targets[j].disk_index;
-    probe.block_size = stripe->block_size;
-    probe.extents = stripe_extents;
-    probe.expected_checksum = crcs[j];
-    auto r = co_await rpc_.Call(chunk_targets[j].node, std::move(probe),
-                                options_.rpc_timeout);
-    if (!r.ok() || !r->present) {
-      fail();
-      co_return;
-    }
+  const core::DataPlane::Probed probed = co_await data_.ProbeAll(
+      *stripe, stripe_extents, crcs, core::DataPlane::Fanout::kSerialUntilFailure);
+  if (probed.present.size() != stripe->targets.size()) {
+    fail();
+    co_return;
   }
 
   // Swap: the record must still be exactly `meta`; puts and deletes bounce

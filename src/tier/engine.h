@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/cluster/topology.h"
+#include "src/core/data_plane.h"
 #include "src/core/metax.h"
 #include "src/core/options.h"
 #include "src/obs/metrics.h"
@@ -75,6 +76,7 @@ class TierEngine {
   core::MetaServer& ms_;
   rpc::Node& rpc_;
   const core::CheetahOptions& options_;
+  core::DataPlane data_{rpc_};
   // Last get time per object name (MetaServer reports gets and deletes).
   std::map<std::string, Nanos> last_access_;
 

@@ -128,9 +128,9 @@ TEST(BitmapAllocatorTest, SerializeRoundTrip) {
   }
 }
 
-// The persisted bitmap format is frozen: meta servers reload files written
-// by earlier builds. Size and CRC32C were recorded from the word-at-a-time
-// encoder this one replaced.
+// The serialized bitmap format is frozen, and its size is what the log-clean
+// cycle charges as §5.2's bitmap sync (SerializedSize). Size and CRC32C were
+// recorded from the word-at-a-time encoder this one replaced.
 TEST(BitmapAllocatorTest, SerializedBytesAreGolden) {
   BitmapAllocator alloc(100'003, kBlock);
   for (uint64_t i = 1; i <= 40; ++i) {
@@ -141,6 +141,7 @@ TEST(BitmapAllocatorTest, SerializedBytesAreGolden) {
   ASSERT_EQ(alloc.used_blocks(), 28'923u);
   const std::string bytes = alloc.Serialize();
   EXPECT_EQ(bytes.size(), 12'509u);
+  EXPECT_EQ(alloc.SerializedSize(), bytes.size());
   EXPECT_EQ(bytes.capacity(), bytes.size());
   EXPECT_EQ(Crc32c(bytes), 529'792'594u);
   auto restored = BitmapAllocator::Deserialize(bytes);

@@ -95,6 +95,7 @@ TEST_P(ChaosSweep, HistoriesAreLinearizable) {
   // ctest only knows the default-seed test names, so replay goes through the
   // binary: the filter name embeds the seed and the env re-registers it.
   const std::string replay = r.Replay("chaos_sweep_test", ParamName({p, 0}));
+  r.PrintHistoryHash("chaos_sweep_test", ParamName({p, 0}));
   EXPECT_TRUE(r.workers_done) << "workload hung\n" << replay;
   EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n" << replay;
   EXPECT_GT(r.coverage.events_during_workload, 0) << "no fault hit the workload\n" << replay;

@@ -146,6 +146,7 @@ TEST_P(EcSweep, LinearizableAndRepairedUnderChunkLoss) {
   EcSweepResult r = RunEcSweep(seed);
   const std::string replay =
       r.report.Replay("ec_sweep_test", "Seed" + std::to_string(seed));
+  r.report.PrintHistoryHash("ec_sweep_test", "Seed" + std::to_string(seed));
   EXPECT_TRUE(r.report.workers_done) << "workload hung\n" << replay;
   EXPECT_GT(r.report.coverage.events_during_workload, 0)
       << "no fault hit the workload\n" << replay;

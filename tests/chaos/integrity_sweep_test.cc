@@ -183,6 +183,7 @@ TEST_P(IntegritySweep, NoCorruptionAckedAndAllDamageRepaired) {
   IntegrityResult r = RunIntegrity(seed, /*with_nemesis=*/true, /*scrub_on=*/true);
   const std::string replay =
       r.report.Replay("integrity_sweep_test", "Seed" + std::to_string(seed));
+  r.report.PrintHistoryHash("integrity_sweep_test", "Seed" + std::to_string(seed));
   EXPECT_TRUE(r.report.workers_done) << "reader workload hung\n" << replay;
   EXPECT_GT(r.report.coverage.events_during_workload, 0)
       << "no fault hit the workload\n" << replay;

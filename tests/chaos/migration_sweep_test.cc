@@ -92,6 +92,7 @@ TEST_P(MigrationSweep, HistoriesAreLinearizable) {
   MigrationResult m = RunSweep(p.fault, p.seed);
   const SweepReport& r = m.report;
   const std::string replay = r.Replay("migration_sweep_test", ParamName({p, 0}));
+  r.PrintHistoryHash("migration_sweep_test", ParamName({p, 0}));
   EXPECT_TRUE(r.workers_done) << "workload hung\n" << replay;
   EXPECT_TRUE(r.audit_healthy) << "cluster unhealthy at audit time\n" << replay;
   EXPECT_TRUE(m.migrations_settled)

@@ -23,9 +23,12 @@ namespace {
 
 // ---- Allocator: no double allocation, exact accounting, full reuse ----
 
+// The param structs of this file have no padding: gtest prints a param's
+// raw bytes into its test name, so a padding byte would put uninitialised
+// memory into the names ctest lists. Hence the 64-bit fields below.
 struct AllocParam {
   uint64_t total_blocks;
-  uint32_t block_size;
+  uint64_t block_size;
   uint64_t seed;
 };
 
@@ -33,7 +36,7 @@ class AllocatorProperty : public ::testing::TestWithParam<AllocParam> {};
 
 TEST_P(AllocatorProperty, NeverDoubleAllocatesAndFullyReuses) {
   const AllocParam p = GetParam();
-  alloc::BitmapAllocator allocator(p.total_blocks, p.block_size);
+  alloc::BitmapAllocator allocator(p.total_blocks, static_cast<uint32_t>(p.block_size));
   Rng rng(p.seed);
   std::set<uint64_t> owned;
   std::vector<std::vector<alloc::Extent>> live;
@@ -382,7 +385,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CrushProperty,
 
 struct KvParam {
   uint64_t memtable_bytes;
-  int trigger;
+  int64_t trigger;
   Nanos cut_after;
   uint64_t seed;
 };
@@ -424,7 +427,7 @@ TEST_P(KvDurabilityProperty, AckedWritesSurvivePowerLoss) {
   }(&storage, [&] {
       kv::Options o;
       o.memtable_bytes = p.memtable_bytes;
-      o.l0_compaction_trigger = p.trigger;
+      o.l0_compaction_trigger = static_cast<int>(p.trigger);
       return o;
     }(), p.seed, acked, deleted));
 
@@ -470,7 +473,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct KvModelParam {
   uint64_t memtable_bytes;
-  int trigger;
+  int64_t trigger;
   uint64_t seed;
 };
 
@@ -523,7 +526,7 @@ TEST_P(KvModelProperty, GetScanAndCountMatchAMapModel) {
   sim::Storage storage(loop, sim::DiskParams{});
   kv::Options options;
   options.memtable_bytes = p.memtable_bytes;
-  options.l0_compaction_trigger = p.trigger;
+  options.l0_compaction_trigger = static_cast<int>(p.trigger);
   KvModel model;
   Rng rng(p.seed);
   uint64_t compactions = 0;
