@@ -96,3 +96,12 @@ for seed in 2 30 32 34; do
     exit 1
   fi
 done
+
+# Heap-peak profiler smoke: the Release bench binary at a tenth of put_storm
+# under scripts/heap_peak.sh must exit cleanly and report at least one call
+# site at its live-heap peak.
+heap_report="$(scripts/heap_peak.sh "$bench_bin" --workload put_storm --scale 0.1 2>/dev/null)"
+if ! grep -q '^site 1: ' <<<"$heap_report"; then
+  echo "heap_peak.sh reported no call site: ${heap_report: -400}" >&2
+  exit 1
+fi

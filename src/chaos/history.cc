@@ -1,8 +1,10 @@
 #include "src/chaos/history.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 namespace cheetah::chaos {
@@ -72,18 +74,6 @@ void History::Return(uint64_t id, Outcome outcome, const std::string& observed,
       return;
     }
   }
-}
-
-std::map<std::string, std::vector<Op>> History::PerKey() const {
-  std::map<std::string, std::vector<Op>> out;
-  for (const Op& op : ops_) {
-    Op copy = op;
-    if (!copy.done) {
-      copy.outcome = Outcome::kAmbiguous;  // client never saw a response
-    }
-    out[copy.key].push_back(std::move(copy));
-  }
-  return out;
 }
 
 std::string History::Serialize() const {
@@ -227,12 +217,33 @@ class KeyChecker {
 }  // namespace
 
 std::vector<Violation> CheckLinearizable(const History& history) {
+  // The ops by (key, id): each key's sub-history in invocation order, the
+  // keys in order. Only one key's ops are copied at a time.
+  const std::vector<Op>& all = history.ops();
+  std::vector<size_t> order(all.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&all](size_t a, size_t b) {
+    return std::tie(all[a].key, all[a].id) < std::tie(all[b].key, all[b].id);
+  });
   std::vector<Violation> out;
-  for (const auto& [key, ops] : history.PerKey()) {
-    if (ops.size() > 63) {
-      out.push_back({key, "history too long to check (" + std::to_string(ops.size()) +
+  std::vector<Op> ops;
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const std::string& key = all[order[begin]].key;
+    end = begin + 1;
+    while (end < order.size() && all[order[end]].key == key) {
+      ++end;
+    }
+    if (end - begin > 63) {
+      out.push_back({key, "history too long to check (" + std::to_string(end - begin) +
                               " ops > 63); shorten the workload per key"});
       continue;
+    }
+    ops.clear();
+    for (size_t i = begin; i < end; ++i) {
+      ops.push_back(all[order[i]]);
+      if (!ops.back().done) {
+        ops.back().outcome = Outcome::kAmbiguous;  // client never saw a response
+      }
     }
     // Fast pre-check: every successful get must observe a value some put of
     // this key wrote — anything else is a torn or fabricated read, and the

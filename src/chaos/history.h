@@ -27,7 +27,6 @@
 #define SRC_CHAOS_HISTORY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -78,10 +77,6 @@ class History {
   const std::vector<Op>& ops() const { return ops_; }
   size_t size() const { return ops_.size(); }
 
-  // Ops grouped per key, in invocation order. Undone ops (client crashed or
-  // never got a response before the test ended) become ambiguous.
-  std::map<std::string, std::vector<Op>> PerKey() const;
-
   // Byte-exact serialization; two runs of the same seed+schedule must match.
   std::string Serialize() const;
 
@@ -95,8 +90,10 @@ struct Violation {
   std::string reason;  // human-readable explanation with the offending ops
 };
 
-// Checks every key's sub-history for linearizability under create-once
-// register semantics. Returns all violations (empty = linearizable).
+// Checks every key's sub-history (its ops in invocation order) for
+// linearizability under create-once register semantics. Undone ops (client
+// crashed or never got a response before the test ended) count as
+// ambiguous. Returns all violations in key order (empty = linearizable).
 std::vector<Violation> CheckLinearizable(const History& history);
 
 std::string FormatViolations(const std::vector<Violation>& violations);

@@ -352,10 +352,10 @@ sim::Task<> DB::FlushTask() {
   ++mem_wal_seq_;
   freeze_pending_ = false;
 
-  // Build and persist the level-0 table: the frozen memtable is already one
-  // sorted run.
+  // Build and persist the level-0 table, streamed from the frozen memtable,
+  // which is already one sorted run.
   const std::string file_name = SstName(next_file_no_++);
-  TablePtr table = Table::Build(file_name, imm_.Run(""));
+  TablePtr table = Table::Build(file_name, [this](auto&& emit) { imm_.ForEach(emit); });
   Status s = co_await storage_->WriteFile(file_name, table->file(), /*sync=*/true);
   if (s.ok()) {
     l0_.insert(l0_.begin(), table);  // newest first
@@ -399,24 +399,24 @@ sim::Task<> DB::CompactTask() {
   }
 
   // Both lists are newest first, so the merge keeps each key's newest entry.
-  std::vector<std::span<const Entry>> runs;
+  // The merge streams straight into the new table's file.
+  std::vector<RunView> runs;
   for (const auto& t : input_l0) {
     runs.push_back(t->entries());
   }
   for (const auto& t : input_l1) {
     runs.push_back(t->entries());
   }
-  std::vector<Entry> merged;
-  MergeRuns(runs, [&merged, fold_l1](const Entry& e) {
-    // When folding the whole L1 (fold_l1), this run becomes the bottom level
-    // and tombstones can finally be dropped.
-    if (e.value || !fold_l1) {
-      merged.push_back(e);
-    }
-  });
-
   const std::string file_name = SstName(next_file_no_++);
-  TablePtr table = Table::Build(file_name, merged);
+  TablePtr table = Table::Build(file_name, [&runs, fold_l1](auto&& emit) {
+    MergeRuns(runs, [&emit, fold_l1](const Entry& e) {
+      // When folding the whole L1 (fold_l1), this run becomes the bottom
+      // level and tombstones can finally be dropped.
+      if (e.value || !fold_l1) {
+        emit(e);
+      }
+    });
+  });
   Status s = co_await storage_->WriteFile(file_name, table->file(), /*sync=*/true);
   if (s.ok()) {
     // Remove exactly the consumed inputs (new flushes may have prepended).
@@ -471,7 +471,7 @@ std::optional<std::optional<std::string_view>> DB::LookupInMemory(
         continue;
       }
       *charged_bytes += 4096;
-      if (const Entry* e = t->Find(key)) {
+      if (std::optional<Entry> e = t->Find(key)) {
         *charged_bytes += e->value ? e->value->size() : 0;
         return e->value;
       }
@@ -501,15 +501,16 @@ sim::Task<Result<std::string>> DB::Get(std::string key) {
 DB::Runs DB::Collect(std::string_view prefix) const {
   Runs runs;
   runs.mem = mem_.Run(prefix);
-  runs.newest_first.push_back(runs.mem);
+  runs.newest_first.push_back(RunView(runs.mem));
   if (has_imm_) {
     runs.imm = imm_.Run(prefix);
-    runs.newest_first.push_back(runs.imm);
+    runs.newest_first.push_back(RunView(runs.imm));
   }
   for (const auto* level : {&l0_, &l1_}) {
     for (const auto& t : *level) {
-      std::span<const Entry> range = t->PrefixRange(prefix);
-      for (const Entry& e : range) {
+      const RunView range = t->PrefixRange(prefix);
+      for (size_t i = 0; i < range.size(); ++i) {
+        const Entry e = range[i];
         runs.table_bytes += e.key.size() + (e.value ? e.value->size() : 0);
       }
       runs.newest_first.push_back(range);

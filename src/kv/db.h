@@ -128,6 +128,13 @@ class DB {
     const std::optional<std::string_view>* Find(std::string_view key) const;
     // The entries whose key starts with `prefix`, as a sorted run.
     std::vector<Entry> Run(std::string_view prefix) const;
+    // Calls emit(entry) for every entry, in key order.
+    template <typename Emit>
+    void ForEach(Emit&& emit) const {
+      for (const auto& [key, slot] : map_) {
+        emit(Entry{key, slot.value});
+      }
+    }
 
    private:
     struct Slot {
@@ -150,7 +157,7 @@ class DB {
   struct Runs {
     std::vector<Entry> mem;  // memtable snapshots that newest_first views
     std::vector<Entry> imm;
-    std::vector<std::span<const Entry>> newest_first;
+    std::vector<RunView> newest_first;
     uint64_t table_bytes = 0;  // key + value bytes of the tables' entries
   };
   Runs Collect(std::string_view prefix) const;

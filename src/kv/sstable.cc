@@ -1,6 +1,9 @@
 #include "src/kv/sstable.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
@@ -9,7 +12,7 @@ namespace cheetah::kv {
 
 namespace {
 
-auto KeyLess = [](const Entry& e, std::string_view k) { return e.key < k; };
+constexpr uint64_t kMaxOffset = std::numeric_limits<uint32_t>::max();
 
 size_t EncodedSize(const Entry& e) {
   size_t n = 1 + VarintLength(e.key.size()) + e.key.size();
@@ -19,113 +22,114 @@ size_t EncodedSize(const Entry& e) {
   return n;
 }
 
-// Parses one CRC-verified block body, appending views into it to `index`.
-// Returns false (leaving any partially-appended entries removed) if the body
-// is malformed.
-bool IndexBlockBody(std::string_view body, std::vector<Entry>* index) {
+// Parses one CRC-verified block body of the file at `base`, appending each
+// entry's file offset to `index`. Returns false (leaving any
+// partially-appended entries removed) if the body is malformed, or lies
+// past what a 4-byte offset reaches.
+bool IndexBlockBody(const char* base, std::string_view body, std::vector<uint32_t>* index) {
   const size_t restore = index->size();
   uint64_t count = 0;
   if (!GetVarint64(&body, &count)) {
     return false;
   }
   for (uint64_t i = 0; i < count; ++i) {
-    if (body.empty()) {
+    const char* at = body.data();
+    if (body.empty() || static_cast<uint64_t>(at - base) > kMaxOffset) {
       index->resize(restore);
       return false;
     }
     const char tag = body.front();
     body.remove_prefix(1);
-    Entry e;
-    if (!GetLengthPrefixed(&body, &e.key)) {
+    std::string_view key;
+    std::string_view value;
+    if (!GetLengthPrefixed(&body, &key) ||
+        (tag == 'P' && !GetLengthPrefixed(&body, &value)) || (tag != 'P' && tag != 'D')) {
       index->resize(restore);
       return false;
     }
-    if (tag == 'P') {
-      std::string_view value;
-      if (!GetLengthPrefixed(&body, &value)) {
-        index->resize(restore);
-        return false;
-      }
-      e.value = value;
-    } else if (tag != 'D') {
-      index->resize(restore);
-      return false;
-    }
-    index->push_back(e);
+    index->push_back(static_cast<uint32_t>(at - base));
   }
   return true;
 }
 
 }  // namespace
 
-TablePtr Table::Build(std::string file_name, std::span<const Entry> entries) {
-  std::shared_ptr<Table> t(new Table(std::move(file_name)));
-  // A new block starts whenever the accumulated entry payload passes
-  // kBlockBytes; every block stays independently decodable. The first pass
-  // finds the blocks and the exact file size, so the second writes into a
-  // buffer that never moves and can index it as it goes.
-  std::vector<size_t> block_ends;  // one past each block's last entry
-  size_t total = 0;
-  size_t begin = 0;
-  size_t body = 0;
-  size_t acc = 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    body += EncodedSize(entries[i]);
-    acc += entries[i].key.size() + (entries[i].value ? entries[i].value->size() : 0) + 8;
-    if (acc >= kBlockBytes || i + 1 == entries.size()) {
-      total += 12 + VarintLength(i + 1 - begin) + body;
-      block_ends.push_back(i + 1);
-      begin = i + 1;
-      body = 0;
-      acc = 0;
-    }
-  }
-  if (entries.empty()) {
-    total = 12 + VarintLength(0);
-    block_ends.push_back(0);  // one empty block
-  }
+Table::Builder::Builder(std::string file_name) : table_(new Table(std::move(file_name))) {}
 
-  std::string out;
-  out.reserve(total);
-  t->index_.reserve(entries.size());
-  begin = 0;
-  for (size_t end : block_ends) {
-    const size_t header_at = out.size();
-    out.append(12, '\0');  // crc | len, filled in once the body is written
-    const size_t body_at = out.size();
-    PutVarint64(&out, end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      const Entry& e = entries[i];
-      out.push_back(e.value ? 'P' : 'D');
-      PutLengthPrefixed(&out, e.key);
-      Entry indexed{std::string_view(out).substr(out.size() - e.key.size()), std::nullopt};
-      if (e.value) {
-        PutLengthPrefixed(&out, *e.value);
-        indexed.value = std::string_view(out).substr(out.size() - e.value->size());
-      }
-      t->index_.push_back(indexed);
-    }
-    std::string header;
-    PutFixed32(&header, Crc32c(std::string_view(out).substr(body_at)));
-    PutFixed64(&header, out.size() - body_at);
-    out.replace(header_at, header.size(), header);
-    begin = end;
+// A new block starts whenever the accumulated entry payload passes
+// kBlockBytes; every block stays independently decodable.
+void Table::Builder::Plan(const Entry& e) {
+  ++entries_;
+  ++open_count_;
+  open_body_ += EncodedSize(e);
+  open_payload_ += e.key.size() + (e.value ? e.value->size() : 0) + 8;
+  if (open_payload_ >= kBlockBytes) {
+    CutBlock();
   }
-  assert(out.size() == total);
-  t->blocks_ = block_ends.size();
-  // Adopting the buffer keeps its address, except that a string short
-  // enough to live inline moves: the index then follows it.
-  const char* built_at = out.data();
-  t->file_ = Bytes(std::move(out));
-  if (t->file_.data() != built_at) {
-    for (Entry& e : t->index_) {
-      e.key = std::string_view(t->file_.data() + (e.key.data() - built_at), e.key.size());
-      if (e.value) {
-        e.value = std::string_view(t->file_.data() + (e.value->data() - built_at), e.value->size());
-      }
-    }
+}
+
+void Table::Builder::CutBlock() {
+  total_ += 12 + VarintLength(open_count_) + open_body_;
+  block_counts_.push_back(open_count_);
+  open_count_ = 0;
+  open_body_ = 0;
+  open_payload_ = 0;
+}
+
+void Table::Builder::Reserve() {
+  if (open_count_ > 0 || block_counts_.empty()) {
+    CutBlock();  // the last block, or an empty table's one empty block
   }
-  return t;
+  if (total_ > kMaxOffset) {
+    // Checked in every build: index entries are 4-byte file offsets.
+    std::fprintf(stderr, "kv::Table: %llu-byte table exceeds 4 GiB\n",
+                 static_cast<unsigned long long>(total_));
+    std::abort();
+  }
+  out_.reserve(total_);
+  table_->index_.reserve(entries_);
+}
+
+void Table::Builder::Add(const Entry& e) {
+  assert(block_ < block_counts_.size());
+  if (open_count_ == 0) {
+    OpenBlock();
+  }
+  table_->index_.push_back(static_cast<uint32_t>(out_.size()));
+  out_.push_back(e.value ? 'P' : 'D');
+  PutLengthPrefixed(&out_, e.key);
+  if (e.value) {
+    PutLengthPrefixed(&out_, *e.value);
+  }
+  if (++open_count_ == block_counts_[block_]) {
+    CloseBlock();
+  }
+}
+
+void Table::Builder::OpenBlock() {
+  header_at_ = out_.size();
+  out_.append(12, '\0');  // crc | len, filled in once the body is written
+  PutVarint64(&out_, block_counts_[block_]);
+}
+
+void Table::Builder::CloseBlock() {
+  const size_t body_at = header_at_ + 12;
+  EncodeFixed32(out_.data() + header_at_, Crc32c(std::string_view(out_).substr(body_at)));
+  EncodeFixed64(out_.data() + header_at_ + 4, out_.size() - body_at);
+  ++block_;
+  open_count_ = 0;
+}
+
+TablePtr Table::Builder::Finish() {
+  if (entries_ == 0) {
+    OpenBlock();
+    CloseBlock();
+  }
+  assert(block_ == block_counts_.size() && out_.size() == total_);
+  table_->blocks_ = block_counts_.size();
+  table_->file_ = Bytes(std::move(out_));
+  table_->SetBounds();
+  return std::move(table_);
 }
 
 TablePtr Table::Load(std::string file_name, Bytes file) {
@@ -143,28 +147,63 @@ TablePtr Table::Load(std::string file_name, Bytes file) {
     }
     std::string_view body = input.substr(0, len);
     input.remove_prefix(len);
-    if (Crc32c(body) != crc || !IndexBlockBody(body, &t->index_)) {
+    if (Crc32c(body) != crc || !IndexBlockBody(t->file_.data(), body, &t->index_)) {
       ++t->bad_blocks_;  // skip this block, keep salvaging the next ones
     }
   }
+  t->SetBounds();
   return t;
 }
 
-const Entry* Table::Find(std::string_view key) const {
-  auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyLess);
-  if (it == index_.end() || it->key != key) {
-    return nullptr;
-  }
-  return &*it;
+// Build and Load index only entries that parse, so decoding cannot fail.
+std::string_view Table::KeyAt(uint32_t offset) const {
+  std::string_view in = file_.view().substr(offset + 1);
+  std::string_view key;
+  GetLengthPrefixed(&in, &key);
+  return key;
 }
 
-std::span<const Entry> Table::PrefixRange(std::string_view prefix) const {
-  auto first = std::lower_bound(index_.begin(), index_.end(), prefix, KeyLess);
-  auto last = first;
-  while (last != index_.end() && last->key.starts_with(prefix)) {
+Entry Table::At(size_t i) const {
+  std::string_view in = file_.view().substr(index_[i]);
+  const char tag = in.front();
+  in.remove_prefix(1);
+  Entry e;
+  GetLengthPrefixed(&in, &e.key);
+  if (tag == 'P') {
+    GetLengthPrefixed(&in, &e.value.emplace());
+  }
+  return e;
+}
+
+void Table::SetBounds() {
+  if (!index_.empty()) {
+    first_key_ = KeyAt(index_.front());
+    last_key_ = KeyAt(index_.back());
+  }
+}
+
+size_t Table::LowerBound(std::string_view key) const {
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), key,
+      [this](uint32_t offset, std::string_view k) { return KeyAt(offset) < k; });
+  return it - index_.begin();
+}
+
+std::optional<Entry> Table::Find(std::string_view key) const {
+  const size_t i = LowerBound(key);
+  if (i == index_.size() || KeyAt(index_[i]) != key) {
+    return std::nullopt;
+  }
+  return At(i);
+}
+
+RunView Table::PrefixRange(std::string_view prefix) const {
+  const size_t first = LowerBound(prefix);
+  size_t last = first;
+  while (last != index_.size() && KeyAt(index_[last]).starts_with(prefix)) {
     ++last;
   }
-  return {first, last};
+  return RunView(*this, first, last);
 }
 
 }  // namespace cheetah::kv

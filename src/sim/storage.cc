@@ -136,7 +136,7 @@ Task<Status> Storage::WriteBlocks(std::string volume, uint64_t offset, Bytes dat
   // Flipping the stored checksum (not recomputing over flipped bytes) models
   // this in both full-content and metadata-only modes. A rewrite always
   // clears a latent sector error (remapped sector).
-  Extent ext{store_volume_content_ ? std::move(data) : Bytes(), checksum, length};
+  Extent ext{store_volume_content_ ? std::move(data) : Bytes(), length, checksum};
   if (gray_.write_corrupt_prob > 0 && fault_rng_.Bernoulli(gray_.write_corrupt_prob)) {
     writes_corrupted_->Add();
     FlipExtent(ext);

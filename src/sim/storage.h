@@ -239,12 +239,15 @@ class Storage {
     uint64_t synced_len = 0;
     bool ever_synced = false;
   };
+  // Fields ordered so the struct packs into 48 bytes: ~72k of these map
+  // nodes stay live under a put storm.
   struct Extent {
     Bytes data;
-    uint32_t checksum = 0;
     uint64_t length = 0;
+    uint32_t checksum = 0;
     bool unreadable = false;  // latent sector error; cleared by a rewrite
   };
+  static_assert(sizeof(Extent) <= 48);
   struct Volume {
     std::map<uint64_t, Extent> extents;  // keyed by byte offset
     uint64_t bytes_used = 0;

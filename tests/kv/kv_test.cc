@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/kv/db.h"
@@ -488,12 +489,171 @@ TEST_F(TableTest, FindAndRange) {
   std::vector<Entry> entries = {
       {"a_1", "1"}, {"a_2", "2"}, {"b_1", "3"}, {"b_2", "4"}};
   TablePtr t = Table::Build("sst", entries);
-  EXPECT_NE(t->Find("a_2"), nullptr);
-  EXPECT_EQ(t->Find("a_3"), nullptr);
+  EXPECT_TRUE(t->Find("a_2").has_value());
+  EXPECT_FALSE(t->Find("a_3").has_value());
   EXPECT_TRUE(t->MayContain("a_5"));
   EXPECT_FALSE(t->MayContain("zz"));
   EXPECT_EQ(t->PrefixRange("b_").size(), 2u);
   EXPECT_EQ(t->PrefixRange("c_").size(), 0u);
+}
+
+// The entry count of each block of an encoded table, in file order.
+std::vector<size_t> BlockCounts(const Bytes& file) {
+  std::vector<size_t> counts;
+  std::string_view in = file.view();
+  while (!in.empty()) {
+    uint32_t crc = 0;
+    uint64_t len = 0;
+    uint64_t count = 0;
+    EXPECT_TRUE(GetFixed32(&in, &crc) && GetFixed64(&in, &len) && in.size() >= len);
+    std::string_view body = in.substr(0, len);
+    in.remove_prefix(len);
+    EXPECT_TRUE(GetVarint64(&body, &count));
+    counts.push_back(count);
+  }
+  return counts;
+}
+
+// Keys "k-0000", "k-0002", ...: even numbers only, so each odd number names
+// a key between two stored ones. Every fifth entry is a tombstone, every
+// seventh value is empty, and the values fill several blocks.
+struct SpacedRun {
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  std::vector<Entry> entries;
+};
+
+std::string SpacedKey(int n) {
+  char key[16];
+  std::snprintf(key, sizeof key, "k-%04d", n);
+  return key;
+}
+
+SpacedRun MakeSpacedRun(int count) {
+  SpacedRun run;
+  for (int i = 0; i < count; ++i) {
+    run.keys.push_back(SpacedKey(2 * i));
+    run.values.push_back(i % 7 == 0 ? "" : std::string(150 + i, static_cast<char>('a' + i % 26)));
+  }
+  for (int i = 0; i < count; ++i) {
+    run.entries.push_back(
+        {run.keys[i], i % 5 == 0 ? std::nullopt : std::optional<std::string_view>(run.values[i])});
+  }
+  return run;
+}
+
+void ExpectSameEntry(const Entry& got, const Entry& want) {
+  EXPECT_EQ(got.key, want.key);
+  ASSERT_EQ(got.value.has_value(), want.value.has_value()) << want.key;
+  if (want.value) {
+    EXPECT_EQ(*got.value, *want.value) << want.key;
+  }
+}
+
+TEST_F(TableTest, FindHitsEveryBlockEdgeAndMissesBetween) {
+  SpacedRun run = MakeSpacedRun(120);
+  TablePtr t = Table::Build("sst", run.entries);
+  const std::vector<size_t> counts = BlockCounts(t->file());
+  ASSERT_GE(counts.size(), 3u);
+  ASSERT_EQ(t->blocks(), counts.size());
+  size_t first = 0;
+  for (size_t count : counts) {
+    ASSERT_GT(count, 0u);
+    for (size_t i : {first, first + count - 1}) {
+      std::optional<Entry> hit = t->Find(run.keys[i]);
+      ASSERT_TRUE(hit.has_value()) << run.keys[i];
+      ExpectSameEntry(*hit, run.entries[i]);
+      // The odd-numbered neighbours lie between stored keys.
+      EXPECT_FALSE(t->Find(SpacedKey(2 * static_cast<int>(i) + 1)).has_value());
+      EXPECT_TRUE(t->MayContain(SpacedKey(2 * static_cast<int>(i) + 1)) ||
+                  i + 1 == run.entries.size());
+    }
+    first += count;
+  }
+  EXPECT_EQ(first, run.entries.size());
+  EXPECT_FALSE(t->Find("k-").has_value());
+  EXPECT_FALSE(t->Find("k-9999").has_value());
+}
+
+TEST_F(TableTest, PrefixRangeSpansABlockBoundary) {
+  SpacedRun run = MakeSpacedRun(120);
+  TablePtr t = Table::Build("sst", run.entries);
+  const std::vector<size_t> counts = BlockCounts(t->file());
+  ASSERT_GE(counts.size(), 2u);
+  // The keys sharing all but the last digit with the first block's last
+  // key: that decade runs past the block's end unless the block ends it.
+  size_t boundary = counts[0];  // first entry of block 2
+  if (run.keys[boundary].back() == '0') {
+    boundary += counts[1];  // block 2 starts its own decade; use block 3
+    ASSERT_GE(counts.size(), 3u);
+    ASSERT_NE(run.keys[boundary].back(), '0');
+  }
+  const std::string prefix = run.keys[boundary].substr(0, 5);
+  size_t begin = 0;
+  while (!run.keys[begin].starts_with(prefix)) {
+    ++begin;
+  }
+  size_t end = begin;
+  while (end < run.keys.size() && run.keys[end].starts_with(prefix)) {
+    ++end;
+  }
+  ASSERT_LT(begin, boundary);
+  ASSERT_GT(end, boundary);
+  const RunView range = t->PrefixRange(prefix);
+  ASSERT_EQ(range.size(), end - begin);
+  for (size_t i = 0; i < range.size(); ++i) {
+    ExpectSameEntry(range[i], run.entries[begin + i]);
+  }
+}
+
+TEST_F(TableTest, EmptyTableIsOneEmptyBlock) {
+  TablePtr built = Table::Build("sst", std::span<const Entry>());
+  TablePtr loaded = Table::Load("sst", built->file());
+  for (const TablePtr& t : {built, loaded}) {
+    EXPECT_EQ(t->blocks(), 1u);
+    EXPECT_EQ(t->bad_blocks(), 0u);
+    EXPECT_EQ(BlockCounts(t->file()), std::vector<size_t>{0});
+    EXPECT_TRUE(t->entries().empty());
+    EXPECT_FALSE(t->Find("").has_value());
+    EXPECT_FALSE(t->Find("k").has_value());
+    EXPECT_FALSE(t->MayContain(""));
+    EXPECT_FALSE(t->MayContain("k"));
+    EXPECT_TRUE(t->PrefixRange("").empty());
+  }
+}
+
+TEST_F(TableTest, LoadYieldsTheBuiltEntriesOneByOne) {
+  SpacedRun run = MakeSpacedRun(120);
+  TablePtr built = Table::Build("sst", run.entries);
+  TablePtr loaded = Table::Load("sst", built->file());
+  EXPECT_EQ(loaded->bad_blocks(), 0u);
+  EXPECT_EQ(loaded->blocks(), built->blocks());
+  for (const TablePtr& t : {built, loaded}) {
+    ASSERT_EQ(t->entries().size(), run.entries.size());
+    for (size_t i = 0; i < run.entries.size(); ++i) {
+      ExpectSameEntry(t->entries()[i], run.entries[i]);
+      ExpectSameEntry(t->At(i), run.entries[i]);
+    }
+  }
+}
+
+TEST_F(TableTest, MergeRunsKeepsTheNewestVersionAndEmitsTombstones) {
+  // Newest first: a memtable span, then two tables that share "b" and "d".
+  const std::vector<Entry> mem = {{"b", std::nullopt}, {"e", "mem-e"}};
+  TablePtr newer = Table::Build("sst_2", std::vector<Entry>{
+                                             {"a", "newer-a"}, {"b", "newer-b"}, {"d", "newer-d"}});
+  TablePtr older = Table::Build(
+      "sst_1", std::vector<Entry>{{"b", "older-b"}, {"c", std::nullopt}, {"d", "older-d"},
+                                  {"f", "older-f"}});
+  const std::vector<RunView> runs = {RunView(mem), newer->PrefixRange(""), older->entries()};
+  std::vector<std::pair<std::string, std::string>> got;
+  MergeRuns(runs, [&got](const Entry& e) {
+    got.emplace_back(e.key, e.value ? std::string(*e.value) : "<tombstone>");
+  });
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"a", "newer-a"}, {"b", "<tombstone>"}, {"c", "<tombstone>"},
+      {"d", "newer-d"}, {"e", "mem-e"},       {"f", "older-f"}};
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
