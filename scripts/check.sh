@@ -100,8 +100,11 @@ done
 # Heap-peak profiler smoke: the Release bench binary at a tenth of put_storm
 # under scripts/heap_peak.sh must exit cleanly and report at least one call
 # site at its live-heap peak.
-heap_report="$(scripts/heap_peak.sh "$bench_bin" --workload put_storm --scale 0.1 2>/dev/null)"
+heap_report="$(scripts/heap_peak.sh "$bench_bin" --workload put_storm --scale 0.1 2>&1)" || {
+  echo "heap_peak.sh failed: $(tail -c 400 <<<"$heap_report")" >&2
+  exit 1
+}
 if ! grep -q '^site 1: ' <<<"$heap_report"; then
-  echo "heap_peak.sh reported no call site: ${heap_report: -400}" >&2
+  echo "heap_peak.sh reported no call site: $(tail -c 400 <<<"$heap_report")" >&2
   exit 1
 fi

@@ -3,8 +3,8 @@
 //
 // Wraps malloc, free, calloc, realloc, posix_memalign, aligned_alloc and
 // memalign. Every block is charged to the call stack that allocated it
-// (backtrace(), HEAP_PEAK_DEPTH frames). Whenever the live total passes the
-// last snapshot by HEAP_PEAK_STEP bytes, the live bytes of every stack are
+// (backtrace(), DEPTH frames). Whenever the live total passes the last
+// snapshot by STEP bytes, the live bytes of every stack are
 // copied aside, so the snapshot taken at the highest peak tells which stacks
 // held the heap at its high-water mark (to within one step). At exit the
 // snapshot goes to $HEAP_PEAK_RAW as text: a "peak" line, then one "site"
@@ -27,14 +27,15 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#define MAX_DEPTH 32
+#define DEPTH 16
+#define STEP (1 << 20)
 #define MAX_STACKS (1u << 19)
 #define STACK_INDEX_BITS 20
 
 typedef struct {
   uint64_t hash;
   int depth;
-  void* frames[MAX_DEPTH];
+  void* frames[DEPTH];
   int64_t live_bytes;
   int64_t live_blocks;
   int64_t peak_bytes;  // at the last snapshot
@@ -58,8 +59,6 @@ static void* (*real_memalign)(size_t, size_t);
 static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
 static __thread int in_hook __attribute__((tls_model("initial-exec")));
 static int ready;
-static int depth = 16;
-static int64_t step = 1 << 20;
 
 static Stack* stacks;  // stacks[0] collects what overflows the table
 static uint32_t num_stacks = 1;
@@ -190,9 +189,9 @@ static void Track(void* p, size_t size) {
     return;
   }
   in_hook = 1;
-  void* frames[MAX_DEPTH + 2];
+  void* frames[DEPTH + 2];
   // Frame 0 is this function and frame 1 the wrapper that called it.
-  int n = backtrace(frames, depth + 2) - 2;
+  int n = backtrace(frames, DEPTH + 2) - 2;
   if (n < 0) {
     n = 0;
   }
@@ -205,7 +204,7 @@ static void Track(void* p, size_t size) {
   ++allocations;
   if (live > peak) {
     peak = live;
-    if (peak >= snapshot_at + step) {
+    if (peak >= snapshot_at + STEP) {
       Snapshot();
     }
   }
@@ -259,14 +258,6 @@ static void Resolve(void) {
 
 __attribute__((constructor)) static void Init(void) {
   Resolve();
-  const char* d = getenv("HEAP_PEAK_DEPTH");
-  if (d != NULL && atoi(d) > 0) {
-    depth = atoi(d) < MAX_DEPTH ? atoi(d) : MAX_DEPTH;
-  }
-  const char* s = getenv("HEAP_PEAK_STEP");
-  if (s != NULL && atoll(s) > 0) {
-    step = atoll(s);
-  }
   stacks = Map(MAX_STACKS * sizeof(Stack));
   stack_index = Map(sizeof(uint32_t) << STACK_INDEX_BITS);
   GrowBlocks();

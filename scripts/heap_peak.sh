@@ -6,14 +6,14 @@
 # Builds scripts/heap_peak.c into a temporary LD_PRELOAD library, runs the
 # command under it, and after the command exits prints the call stacks that
 # held the most live heap bytes at the process's live-heap peak (to within
-# HEAP_PEAK_STEP bytes, default 1 MiB), each symbolized with addr2line. Only
+# 1 MiB), each symbolized with addr2line. Only
 # heap blocks count: what malloc and friends hand out, not mmap'd memory or
 # the allocator's own slack, so the peak sits below the process's peak RSS.
 # Frames need debug info (-g) to get file:line; without it addr2line prints
 # function names only.
 #
-# Environment: HEAP_PEAK_TOP (stacks reported, default 20), HEAP_PEAK_DEPTH
-# (frames kept per stack, default 16, at most 32), HEAP_PEAK_STEP (bytes).
+# Environment: HEAP_PEAK_TOP (stacks reported, default 20). Each stack keeps
+# 16 frames.
 # The command's own output passes through; the report follows on stdout, and
 # the exit status is the command's.
 set -euo pipefail

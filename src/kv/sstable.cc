@@ -22,6 +22,25 @@ size_t EncodedSize(const Entry& e) {
   return n;
 }
 
+// Decodes the entry at the front of `*in` (tag byte, length-prefixed key,
+// and for a 'P' entry a length-prefixed value) and moves `*in` past it.
+// Returns false if the entry is malformed.
+bool DecodeEntry(std::string_view* in, Entry* e) {
+  if (in->empty()) {
+    return false;
+  }
+  const char tag = in->front();
+  in->remove_prefix(1);
+  if (!GetLengthPrefixed(in, &e->key)) {
+    return false;
+  }
+  if (tag == 'D') {
+    e->value.reset();
+    return true;
+  }
+  return tag == 'P' && GetLengthPrefixed(in, &e->value.emplace());
+}
+
 // Parses one CRC-verified block body of the file at `base`, appending each
 // entry's file offset to `index`. Returns false (leaving any
 // partially-appended entries removed) if the body is malformed, or lies
@@ -34,16 +53,8 @@ bool IndexBlockBody(const char* base, std::string_view body, std::vector<uint32_
   }
   for (uint64_t i = 0; i < count; ++i) {
     const char* at = body.data();
-    if (body.empty() || static_cast<uint64_t>(at - base) > kMaxOffset) {
-      index->resize(restore);
-      return false;
-    }
-    const char tag = body.front();
-    body.remove_prefix(1);
-    std::string_view key;
-    std::string_view value;
-    if (!GetLengthPrefixed(&body, &key) ||
-        (tag == 'P' && !GetLengthPrefixed(&body, &value)) || (tag != 'P' && tag != 'D')) {
+    Entry e;
+    if (static_cast<uint64_t>(at - base) > kMaxOffset || !DecodeEntry(&body, &e)) {
       index->resize(restore);
       return false;
     }
@@ -157,23 +168,17 @@ TablePtr Table::Load(std::string file_name, Bytes file) {
 
 // Build and Load index only entries that parse, so decoding cannot fail.
 std::string_view Table::KeyAt(uint32_t offset) const {
-  std::string_view in = file_.view().substr(offset + 1);
-  std::string_view key;
-  GetLengthPrefixed(&in, &key);
-  return key;
+  return EntryAt(offset).key;
 }
 
-Entry Table::At(size_t i) const {
-  std::string_view in = file_.view().substr(index_[i]);
-  const char tag = in.front();
-  in.remove_prefix(1);
+Entry Table::EntryAt(uint32_t offset) const {
+  std::string_view in = file_.view().substr(offset);
   Entry e;
-  GetLengthPrefixed(&in, &e.key);
-  if (tag == 'P') {
-    GetLengthPrefixed(&in, &e.value.emplace());
-  }
+  DecodeEntry(&in, &e);
   return e;
 }
+
+Entry Table::At(size_t i) const { return EntryAt(index_[i]); }
 
 void Table::SetBounds() {
   if (!index_.empty()) {

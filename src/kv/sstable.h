@@ -147,7 +147,8 @@ class Table {
 
   explicit Table(std::string file_name) : file_name_(std::move(file_name)) {}
 
-  // The key of the entry whose tag byte is at `offset`.
+  // The entry whose tag byte is at `offset`, and its key.
+  Entry EntryAt(uint32_t offset) const;
   std::string_view KeyAt(uint32_t offset) const;
   // The position of the first entry whose key is not below `key`.
   size_t LowerBound(std::string_view key) const;
