@@ -46,7 +46,7 @@ inline uint64_t ScaledOps(uint64_t base) {
   return std::max<uint64_t>(50, static_cast<uint64_t>(static_cast<double>(base) * s));
 }
 
-// ---- cluster bundles exposing runner-compatible client lists ----
+// ---- booted clusters exposing runner-compatible client lists ----
 
 struct CheetahBench {
   std::unique_ptr<core::Testbed> bed;
@@ -86,13 +86,35 @@ inline CheetahBench MakeCheetah(core::TestbedConfig config = PaperCheetahConfig(
   return bench;
 }
 
-struct HaystackBench {
+// A baseline cluster on its own event loop, booted, with its clients listed
+// for the runner.
+template <typename Cluster>
+struct BaselineBench {
   std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::HaystackCluster> cluster;
+  std::unique_ptr<Cluster> cluster;
   std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
 
   sim::EventLoop& loop() { return cluster->loop(); }
 };
+using HaystackBench = BaselineBench<baselines::HaystackCluster>;
+using TectonicBench = BaselineBench<baselines::TectonicCluster>;
+using CephBench = BaselineBench<baselines::CephCluster>;
+
+template <typename Cluster, typename Config>
+BaselineBench<Cluster> MakeBaseline(const char* name, Config config) {
+  BaselineBench<Cluster> bench;
+  bench.loop_holder = std::make_unique<sim::EventLoop>();
+  bench.cluster = std::make_unique<Cluster>(*bench.loop_holder, std::move(config));
+  Status s = bench.cluster->Boot();
+  if (!s.ok()) {
+    std::fprintf(stderr, "fatal: %s boot failed: %s\n", name, s.ToString().c_str());
+    std::exit(1);
+  }
+  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
+    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
+  }
+  return bench;
+}
 
 inline baselines::HaystackConfig PaperHaystackConfig() {
   baselines::HaystackConfig config;
@@ -104,58 +126,17 @@ inline baselines::HaystackConfig PaperHaystackConfig() {
   return config;
 }
 
-inline HaystackBench MakeHaystack(
-    baselines::HaystackConfig config = PaperHaystackConfig()) {
-  HaystackBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::HaystackCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: haystack boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+inline HaystackBench MakeHaystack(baselines::HaystackConfig config = PaperHaystackConfig()) {
+  return MakeBaseline<baselines::HaystackCluster>("haystack", std::move(config));
 }
-
-struct TectonicBench {
-  std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::TectonicCluster> cluster;
-  std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
-
-  sim::EventLoop& loop() { return cluster->loop(); }
-};
 
 inline TectonicBench MakeTectonic() {
   baselines::TectonicConfig config;
   config.store_machines = 9;
   config.client_machines = 3;
   config.store_volume_content = false;
-  TectonicBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::TectonicCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: tectonic boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+  return MakeBaseline<baselines::TectonicCluster>("tectonic", std::move(config));
 }
-
-struct CephBench {
-  std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::CephCluster> cluster;
-  std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
-
-  sim::EventLoop& loop() { return cluster->loop(); }
-};
 
 inline baselines::CephConfig PaperCephConfig() {
   baselines::CephConfig config;
@@ -167,19 +148,7 @@ inline baselines::CephConfig PaperCephConfig() {
 }
 
 inline CephBench MakeCeph(baselines::CephConfig config = PaperCephConfig()) {
-  CephBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::CephCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: ceph boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+  return MakeBaseline<baselines::CephCluster>("ceph", std::move(config));
 }
 
 // ---- canned workloads ----

@@ -48,7 +48,7 @@ Fig21Scale TheScale() {
 core::TestbedConfig Fig21Config(bool qos_on) {
   core::TestbedConfig config = PaperCheetahConfig();
   config.meta_cpu_cores = 2;
-  config.handler_costs.base = Micros(300);
+  config.handler_base_cost = Micros(300);
   config.options.qos.enabled = qos_on;
   // Latency-sensitive deployment: weight foreground even harder than the
   // default 8:2 over the storm's class, and start shedding sooner.

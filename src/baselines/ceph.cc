@@ -9,6 +9,8 @@ namespace cheetah::baselines {
 
 namespace {
 constexpr const char* kDevice = "bluestore";
+constexpr Nanos kRpcTimeout = Millis(500);
+constexpr uint64_t kJournalThreshold = KiB(32);  // objects <= this are double-written
 
 std::string EncodeObjInfo(uint64_t offset, uint64_t size, uint32_t crc) {
   std::string out;
@@ -99,7 +101,7 @@ sim::Task<Status> CephOsd::LocalWrite(const std::string& name, Bytes data,
   const uint64_t size = data.size();
   // Local ordering: journal first (small objects carry their data in the
   // journal — the double write), then data blocks, then the metadata KV.
-  const uint64_t journal_bytes = size <= config_.journal_threshold ? size + 512 : 512;
+  const uint64_t journal_bytes = size <= kJournalThreshold ? size + 512 : 512;
   CO_RETURN_IF_ERROR(co_await disk.Append("journal", std::string(1, 'j'), /*sync=*/false));
   co_await disk.ChargeWrite(journal_bytes);
   co_await disk.ChargeFsync();
@@ -142,7 +144,7 @@ sim::Task<Result<CWriteReply>> CephOsd::HandleWrite(sim::NodeId, CWriteRequest r
     rep.data = req.data;
     rep.checksum = req.checksum;
     tasks.push_back(
-        rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), config_.rpc_timeout));
+        rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), kRpcTimeout));
   }
   CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   co_return CWriteReply{};
@@ -225,7 +227,7 @@ sim::Task<Result<CDeleteReply>> CephOsd::HandleDelete(sim::NodeId, CDeleteReques
       CDeleteRequest rep = req;
       rep.replicate = false;
       tasks.push_back(
-          rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), config_.rpc_timeout));
+          rpc_.CallStatus(static_cast<sim::NodeId>(peer), std::move(rep), kRpcTimeout));
     }
     auto results = co_await sim::WhenAll(std::move(tasks));
     for (const Status& s : results) {
@@ -292,7 +294,7 @@ sim::Task<Status> CephClient::Put(std::string name, std::string data) {
   req.checksum = Crc32c(data);
   req.name = std::move(name);
   req.data = Bytes(std::move(data));
-  co_return co_await rpc_.CallStatus(primary, std::move(req), config_.rpc_timeout);
+  co_return co_await rpc_.CallStatus(primary, std::move(req), kRpcTimeout);
 }
 
 sim::Task<Result<std::string>> CephClient::Get(std::string name) {
@@ -302,7 +304,7 @@ sim::Task<Result<std::string>> CephClient::Get(std::string name) {
   req.epoch = epoch_;
   req.pg = pg;
   req.name = std::move(name);
-  auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
+  auto r = co_await rpc_.Call(primary, std::move(req), kRpcTimeout);
   if (!r.ok()) {
     co_return r.status();
   }
@@ -316,7 +318,7 @@ sim::Task<Status> CephClient::Delete(std::string name) {
   req.epoch = epoch_;
   req.pg = pg;
   req.name = std::move(name);
-  co_return co_await rpc_.CallStatus(primary, std::move(req), config_.rpc_timeout);
+  co_return co_await rpc_.CallStatus(primary, std::move(req), kRpcTimeout);
 }
 
 // ---- cluster ----
@@ -324,52 +326,33 @@ sim::Task<Status> CephClient::Delete(std::string name) {
 CephCluster::CephCluster(sim::EventLoop& loop, CephConfig config)
     : loop_(loop), config_(std::move(config)), net_(loop, config_.net) {
   for (int i = 0; i < config_.osd_machines; ++i) {
-    OsdBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_osd_id_,
-                                               "osd" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<CephOsd>(*b.rpc, config_);
-    map_.AddItem(next_osd_id_);
-    ++next_osd_id_;
-    osds_.push_back(std::move(b));
+    AddOsdHost();
   }
+  sim::MachineParams params;
+  params.disk = config_.disk;
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, 3500 + i,
-                                               "cclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<CephClient>(*b.rpc, config_, 0xcef + i);
-    clients_.push_back(std::move(b));
+    auto& h = clients_.emplace_back(loop_, net_, 3500 + i, "cclient" + std::to_string(i), params);
+    h.server = std::make_unique<CephClient>(*h.node, config_, 0xcef + i);
   }
 }
 
 CephCluster::~CephCluster() = default;
 
+void CephCluster::AddOsdHost() {
+  sim::MachineParams params;
+  params.disk = config_.disk;
+  auto& h =
+      osds_.emplace_back(loop_, net_, next_osd_id_, "osd" + std::to_string(osds_.size()), params);
+  h.machine->disk(0).set_store_volume_content(config_.store_volume_content);
+  h.server = std::make_unique<CephOsd>(*h.node, config_);
+  map_.AddItem(next_osd_id_);
+  ++next_osd_id_;
+}
+
 Status CephCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(osds_.size()));
-  auto failed = std::make_shared<bool>(false);
-  for (auto& o : osds_) {
-    o.machine->actor().Spawn([](CephOsd* osd, std::shared_ptr<int> pending,
-                                std::shared_ptr<bool> failed) -> sim::Task<> {
-      Status s = co_await osd->Start();
-      if (!s.ok()) {
-        *failed = true;
-      }
-      --*pending;
-    }(o.server.get(), pending, failed));
-  }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  const bool started = rpc::StartAll(loop_, osds_);
   DisseminateMap({});
-  loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("osd failed to start") : Status::Ok();
+  return started ? Status::Ok() : Status::Internal("osd failed to start");
 }
 
 void CephCluster::DisseminateMap(const std::map<uint32_t, sim::NodeId>& previous_primaries) {
@@ -379,13 +362,13 @@ void CephCluster::DisseminateMap(const std::map<uint32_t, sim::NodeId>& previous
     }
   }
   for (auto& c : clients_) {
-    c.client->InstallMap(map_, epoch_);
+    c.server->InstallMap(map_, epoch_);
   }
 }
 
 void CephCluster::FailOsd(int i) {
   std::map<uint32_t, sim::NodeId> previous_primaries;
-  const sim::NodeId dead = osds_.at(i).machine->node_id();
+  const sim::NodeId dead = osds_.at(i).id();
   for (uint32_t pg = 0; pg < config_.pg_count; ++pg) {
     // Backfill sources must be survivors: pick the first acting member that
     // is not the dead OSD.
@@ -396,8 +379,7 @@ void CephCluster::FailOsd(int i) {
       }
     }
   }
-  osds_[i].machine->CrashProcess();
-  osds_[i].rpc->Detach();
+  osds_[i].Crash(/*power_loss=*/false);
   map_.RemoveItem(dead);
   ++epoch_;
   DisseminateMap(previous_primaries);
@@ -408,23 +390,13 @@ void CephCluster::AddOsd() {
   for (uint32_t pg = 0; pg < config_.pg_count; ++pg) {
     previous_primaries[pg] = static_cast<sim::NodeId>(map_.Primary(pg));
   }
-  OsdBundle b;
-  sim::MachineParams params;
-  params.disk = config_.disk;
-  b.machine = std::make_unique<sim::Machine>(
-      loop_, next_osd_id_, "osd" + std::to_string(osds_.size()), params);
-  b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->Attach();
-  b.server = std::make_unique<CephOsd>(*b.rpc, config_);
+  AddOsdHost();
   auto started = std::make_shared<bool>(false);
-  b.machine->actor().Spawn([](CephOsd* osd, std::shared_ptr<bool> started) -> sim::Task<> {
-    (void)co_await osd->Start();
-    *started = true;
-  }(b.server.get(), started));
-  map_.AddItem(next_osd_id_);
-  ++next_osd_id_;
-  osds_.push_back(std::move(b));
+  osds_.back().machine->actor().Spawn(
+      [](CephOsd* osd, std::shared_ptr<bool> started) -> sim::Task<> {
+        (void)co_await osd->Start();
+        *started = true;
+      }(osds_.back().server.get(), started));
   ++epoch_;
   while (!*started && loop_.RunOne()) {
   }

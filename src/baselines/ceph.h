@@ -22,6 +22,7 @@
 #include "src/crush/crush.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
+#include "src/rpc/host.h"
 #include "src/rpc/node.h"
 #include "src/sim/sync.h"
 #include "src/workload/object_store.h"
@@ -34,11 +35,9 @@ struct CephConfig {
   int client_machines = 3;
   uint32_t pg_count = 64;
   uint32_t replication = 3;
-  Nanos rpc_timeout = Millis(500);
   // Per-op OSD pipeline cost (transaction build, queue hops, crc): the
   // layered-design overhead §6.1 attributes Ceph's latency to.
   Nanos osd_op_cpu = Micros(250);
-  uint64_t journal_threshold = KiB(32);  // objects <= this are double-written
   sim::NetParams net;
   sim::DiskParams disk;
   bool store_volume_content = true;
@@ -216,7 +215,7 @@ class CephCluster {
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  CephClient& client(int i) { return *clients_.at(i).client; }
+  CephClient& client(int i) { return *clients_.at(i).server; }
   sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
   CephOsd& osd(int i) { return *osds_.at(i).server; }
   int num_osds() const { return static_cast<int>(osds_.size()); }
@@ -232,16 +231,9 @@ class CephCluster {
   void FailOsd(int i);
 
  private:
-  struct OsdBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<CephOsd> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<CephClient> client;
-  };
+  // Wires the next OSD machine, builds its server (not started) and adds it
+  // to the map.
+  void AddOsdHost();
 
   void DisseminateMap(const std::map<uint32_t, sim::NodeId>& previous_primaries);
 
@@ -251,8 +243,8 @@ class CephCluster {
   crush::Map map_;
   uint64_t epoch_ = 1;
   sim::NodeId next_osd_id_ = 3000;
-  std::vector<OsdBundle> osds_;
-  std::vector<ClientBundle> clients_;
+  std::vector<rpc::Host<CephOsd>> osds_;
+  std::vector<rpc::Host<CephClient>> clients_;
 };
 
 }  // namespace cheetah::baselines

@@ -13,6 +13,14 @@ namespace cheetah::baselines {
 
 namespace {
 
+constexpr int kDirectoryMachines = 3;  // one primary + synchronous replicas
+constexpr Nanos kRpcTimeout = Millis(500);
+// Per-request directory processing cost (§7: "the centralized directory
+// service becomes a significant bottleneck when numerous clients ... access
+// object storage in parallel").
+constexpr Nanos kDirOpCpu = Micros(150);
+constexpr uint64_t kFsOverheadBytes = 4096;  // XFS metadata per needle op
+
 std::string EncodeDirEntry(uint32_t volume) {
   std::string out;
   PutVarint64(&out, volume);
@@ -31,9 +39,9 @@ Result<uint32_t> DecodeDirEntry(std::string_view data) {
 
 // ---- directory ----
 
-HaystackDirectory::HaystackDirectory(rpc::Node& rpc, const HaystackConfig& config,
-                                     bool primary, std::vector<sim::NodeId> dir_peers)
-    : rpc_(rpc), config_(config), primary_(primary), dir_peers_(std::move(dir_peers)) {}
+HaystackDirectory::HaystackDirectory(rpc::Node& rpc, bool primary,
+                                     std::vector<sim::NodeId> dir_peers)
+    : rpc_(rpc), primary_(primary), dir_peers_(std::move(dir_peers)) {}
 
 sim::Task<Status> HaystackDirectory::Start() {
   kv::Options opts;
@@ -59,7 +67,7 @@ sim::Task<Status> HaystackDirectory::ReplicateToPeers(std::string key, std::stri
     HsDirReplicateRequest rep;
     rep.key = key;
     rep.value = value;
-    tasks.push_back(rpc_.CallStatus(peer, std::move(rep), config_.rpc_timeout));
+    tasks.push_back(rpc_.CallStatus(peer, std::move(rep), kRpcTimeout));
   }
   co_return co_await sim::WhenAllOk(std::move(tasks));
 }
@@ -69,7 +77,7 @@ sim::Task<Result<HsAssignReply>> HaystackDirectory::HandleAssign(sim::NodeId src
   if (!primary_ || db_ == nullptr) {
     co_return Status::Unavailable("not the primary directory");
   }
-  co_await rpc_.machine().cpu().Use(config_.dir_op_cpu);
+  co_await rpc_.machine().cpu().Use(kDirOpCpu);
   // Immutability: reject a second put of a live name.
   auto existing = co_await db_->Get("V_" + req.name);
   if (existing.ok()) {
@@ -108,7 +116,7 @@ sim::Task<Result<HsLookupReply>> HaystackDirectory::HandleLookup(sim::NodeId src
   if (db_ == nullptr) {
     co_return Status::Unavailable("initializing");
   }
-  co_await rpc_.machine().cpu().Use(config_.dir_op_cpu);
+  co_await rpc_.machine().cpu().Use(kDirOpCpu);
   auto value = co_await db_->Get("V_" + req.name);
   if (!value.ok()) {
     co_return value.status();
@@ -133,7 +141,7 @@ sim::Task<Result<HsDirDeleteReply>> HaystackDirectory::HandleDelete(sim::NodeId 
   if (!primary_ || db_ == nullptr) {
     co_return Status::Unavailable("not the primary directory");
   }
-  co_await rpc_.machine().cpu().Use(config_.dir_op_cpu);
+  co_await rpc_.machine().cpu().Use(kDirOpCpu);
   auto existing = co_await db_->Get("V_" + req.name);
   if (!existing.ok()) {
     co_return existing.status();
@@ -190,7 +198,7 @@ sim::Task<Result<HsWriteReply>> HaystackStore::HandleWrite(sim::NodeId src,
   const uint32_t generation = vol.generation;
   vol.tail += size;
   // Appending through the filesystem costs a metadata update per needle.
-  co_await disk.ChargeWrite(config_.fs_overhead_bytes);
+  co_await disk.ChargeWrite(kFsOverheadBytes);
   Status s = co_await disk.WriteBlocks(DeviceName(req.volume, generation), offset,
                                        std::move(req.data), req.checksum);
   if (!s.ok()) {
@@ -223,7 +231,7 @@ sim::Task<Result<HsReadReply>> HaystackStore::HandleRead(sim::NodeId src, HsRead
   sim::Storage& disk = rpc_.machine().disk(0);
   // Read in-volume filesystem metadata, then the needle (§6.1's explanation
   // of the get gap).
-  co_await disk.ChargeRead(config_.fs_overhead_bytes);
+  co_await disk.ChargeRead(kFsOverheadBytes);
   const Needle* needle = FindLive(req.volume, req.name);
   if (needle == nullptr) {
     co_return Status::NotFound("needle deleted during the read");
@@ -249,7 +257,7 @@ sim::Task<Result<HsFlagReply>> HaystackStore::HandleFlag(sim::NodeId src, HsFlag
   }
   // Persist the deletion flag (a small synchronous write into the volume).
   sim::Storage& disk = rpc_.machine().disk(0);
-  co_await disk.ChargeWrite(config_.fs_overhead_bytes);
+  co_await disk.ChargeWrite(kFsOverheadBytes);
   co_await disk.ChargeFsync();
   Volume& vol = volumes_.at(req.volume);
   auto nit = vol.index.find(req.name);
@@ -295,7 +303,7 @@ sim::Task<Result<HsCompactReply>> HaystackStore::HandleCompact(sim::NodeId src,
       continue;
     }
     discards.emplace_back(dev, needle.offset);
-    co_await disk.ChargeWrite(config_.fs_overhead_bytes);
+    co_await disk.ChargeWrite(kFsOverheadBytes);
     (void)co_await disk.WriteBlocks(new_dev, new_tail, std::move(*data), needle.checksum);
     new_index[name] = Needle{new_tail, needle.size, needle.checksum, false, new_gen};
     new_tail += needle.size;
@@ -360,9 +368,8 @@ sim::Task<> HaystackStore::CheckpointLoop() {
 
 // ---- client ----
 
-HaystackClient::HaystackClient(rpc::Node& rpc, const HaystackConfig& config,
-                               sim::NodeId primary_dir, uint64_t seed)
-    : rpc_(rpc), config_(config), primary_dir_(primary_dir), rng_(seed) {}
+HaystackClient::HaystackClient(rpc::Node& rpc, sim::NodeId primary_dir, uint64_t seed)
+    : rpc_(rpc), primary_dir_(primary_dir), rng_(seed) {}
 
 sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
   const uint32_t checksum = Crc32c(data);
@@ -374,7 +381,7 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
   HsAssignRequest assign;
   assign.name = name;
   assign.size = data.size();
-  auto assigned = co_await rpc_.Call(primary_dir_, std::move(assign), config_.rpc_timeout);
+  auto assigned = co_await rpc_.Call(primary_dir_, std::move(assign), kRpcTimeout);
   if (!assigned.ok()) {
     co_return assigned.status();
   }
@@ -387,7 +394,7 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
     write.name = name;
     write.data = payload;
     write.checksum = checksum;
-    tasks.push_back(rpc_.CallStatus(store, std::move(write), config_.rpc_timeout));
+    tasks.push_back(rpc_.CallStatus(store, std::move(write), kRpcTimeout));
   }
   co_return co_await sim::WhenAllOk(std::move(tasks));
 }
@@ -395,7 +402,7 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
 sim::Task<Result<std::string>> HaystackClient::Get(std::string name) {
   HsLookupRequest lookup;
   lookup.name = name;
-  auto found = co_await rpc_.Call(primary_dir_, std::move(lookup), config_.rpc_timeout);
+  auto found = co_await rpc_.Call(primary_dir_, std::move(lookup), kRpcTimeout);
   if (!found.ok()) {
     co_return found.status();
   }
@@ -406,7 +413,7 @@ sim::Task<Result<std::string>> HaystackClient::Get(std::string name) {
   HsReadRequest read;
   read.volume = found->volume;
   read.name = std::move(name);
-  auto r = co_await rpc_.Call(store, std::move(read), config_.rpc_timeout);
+  auto r = co_await rpc_.Call(store, std::move(read), kRpcTimeout);
   if (!r.ok()) {
     co_return r.status();
   }
@@ -418,7 +425,7 @@ sim::Task<Status> HaystackClient::Delete(std::string name) {
   // metadata, update the directory.
   HsLookupRequest lookup;
   lookup.name = name;
-  auto found = co_await rpc_.Call(primary_dir_, std::move(lookup), config_.rpc_timeout);
+  auto found = co_await rpc_.Call(primary_dir_, std::move(lookup), kRpcTimeout);
   if (!found.ok()) {
     co_return found.status();
   }
@@ -427,12 +434,12 @@ sim::Task<Status> HaystackClient::Delete(std::string name) {
     HsFlagRequest flag;
     flag.volume = found->volume;
     flag.name = name;
-    tasks.push_back(rpc_.CallStatus(store, std::move(flag), config_.rpc_timeout));
+    tasks.push_back(rpc_.CallStatus(store, std::move(flag), kRpcTimeout));
   }
   CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   HsDirDeleteRequest del;
   del.name = std::move(name);
-  co_return co_await rpc_.CallStatus(primary_dir_, std::move(del), config_.rpc_timeout);
+  co_return co_await rpc_.CallStatus(primary_dir_, std::move(del), kRpcTimeout);
 }
 
 // ---- cluster ----
@@ -441,45 +448,26 @@ HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
     : loop_(loop), config_(std::move(config)), net_(loop, config_.net) {
   sim::NodeId next_id = 1000;
   std::vector<sim::NodeId> dir_nodes;
-  for (int i = 0; i < config_.directory_machines; ++i) {
+  for (int i = 0; i < kDirectoryMachines; ++i) {
     dir_nodes.push_back(next_id + i);
   }
-  for (int i = 0; i < config_.directory_machines; ++i) {
-    DirBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, dir_nodes[i],
-                                               "hsdir" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<HaystackDirectory>(*b.rpc, config_, i == 0, dir_nodes);
-    dirs_.push_back(std::move(b));
+  sim::MachineParams params;
+  params.disk = config_.disk;
+  for (int i = 0; i < kDirectoryMachines; ++i) {
+    auto& h = dirs_.emplace_back(loop_, net_, dir_nodes[i], "hsdir" + std::to_string(i), params);
+    h.server = std::make_unique<HaystackDirectory>(*h.node, i == 0, dir_nodes);
   }
-  next_id += config_.directory_machines;
+  next_id += kDirectoryMachines;
   for (int i = 0; i < config_.store_machines; ++i) {
-    StoreBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "hstore" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<HaystackStore>(*b.rpc, config_);
-    stores_.push_back(std::move(b));
+    auto& h = stores_.emplace_back(loop_, net_, next_id + i, "hstore" + std::to_string(i), params);
+    h.machine->disk(0).set_store_volume_content(config_.store_volume_content);
+    h.server = std::make_unique<HaystackStore>(*h.node, config_);
   }
   next_id += config_.store_machines;
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "hsclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<HaystackClient>(*b.rpc, config_, dirs_[0].machine->node_id(),
-                                                0xba5e + i);
-    clients_.push_back(std::move(b));
+    auto& h =
+        clients_.emplace_back(loop_, net_, next_id + i, "hsclient" + std::to_string(i), params);
+    h.server = std::make_unique<HaystackClient>(*h.node, dir_nodes[0], 0xba5e + i);
   }
 
   // Logical volumes: anchor `volumes_per_store` per store, replicas on the
@@ -491,8 +479,7 @@ HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
       info.id = vol_id++;
       info.capacity = config_.volume_capacity;
       for (uint32_t r = 0; r < config_.replication; ++r) {
-        info.stores.push_back(
-            stores_[(s + r) % config_.store_machines].machine->node_id());
+        info.stores.push_back(stores_[(s + r) % config_.store_machines].id());
       }
       volumes_.push_back(std::move(info));
     }
@@ -502,37 +489,23 @@ HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
 HaystackCluster::~HaystackCluster() = default;
 
 Status HaystackCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(dirs_.size()));
-  auto failed = std::make_shared<bool>(false);
   for (auto& d : dirs_) {
     d.server->InstallVolumes(volumes_);
-    d.machine->actor().Spawn(
-        [](HaystackDirectory* dir, std::shared_ptr<int> pending,
-           std::shared_ptr<bool> failed) -> sim::Task<> {
-          Status s = co_await dir->Start();
-          if (!s.ok()) {
-            *failed = true;
-          }
-          --*pending;
-        }(d.server.get(), pending, failed));
   }
   for (auto& s : stores_) {
     s.server->Start();
   }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
-  loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("directory failed to start") : Status::Ok();
+  return rpc::StartAll(loop_, dirs_) ? Status::Ok()
+                                     : Status::Internal("directory failed to start");
 }
 
 void HaystackCluster::TriggerCompactionAll() {
   for (auto& s : stores_) {
     for (const auto& vol : volumes_) {
-      if (std::find(vol.stores.begin(), vol.stores.end(), s.machine->node_id()) !=
-          vol.stores.end()) {
+      if (std::find(vol.stores.begin(), vol.stores.end(), s.id()) != vol.stores.end()) {
         HsCompactRequest req;
         req.volume = vol.id;
-        clients_[0].rpc->Notify(s.machine->node_id(), std::move(req));
+        clients_[0].node->Notify(s.id(), std::move(req));
       }
     }
   }

@@ -25,6 +25,7 @@
 #include "src/common/random.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
+#include "src/rpc/host.h"
 #include "src/rpc/node.h"
 #include "src/workload/object_store.h"
 
@@ -32,19 +33,12 @@ namespace cheetah::baselines {
 
 struct HaystackConfig {
   HaystackConfig() = default;
-  int directory_machines = 3;  // one primary + synchronous replicas
   int store_machines = 9;
   int client_machines = 3;
   uint32_t replication = 3;          // store replicas per logical volume
   uint32_t volumes_per_store = 8;    // logical volumes anchored per store
   uint64_t volume_capacity = GiB(4);
-  Nanos rpc_timeout = Millis(500);
   Nanos checkpoint_interval = Millis(500);  // async index checkpoint cadence
-  // Per-request directory processing cost (§7: "the centralized directory
-  // service becomes a significant bottleneck when numerous clients ...
-  // access object storage in parallel").
-  Nanos dir_op_cpu = Micros(150);
-  uint64_t fs_overhead_bytes = 4096;        // XFS metadata per needle op
   sim::NetParams net;
   sim::DiskParams disk;
   bool store_volume_content = true;
@@ -159,8 +153,7 @@ struct HsCompactRequest {
 
 class HaystackDirectory {
  public:
-  HaystackDirectory(rpc::Node& rpc, const HaystackConfig& config, bool primary,
-                    std::vector<sim::NodeId> dir_peers);
+  HaystackDirectory(rpc::Node& rpc, bool primary, std::vector<sim::NodeId> dir_peers);
   sim::Task<Status> Start();
 
   // Volume layout is installed at boot by the cluster builder.
@@ -181,7 +174,6 @@ class HaystackDirectory {
   sim::Task<Status> ReplicateToPeers(std::string key, std::string value);
 
   rpc::Node& rpc_;
-  HaystackConfig config_;
   bool primary_;
   std::vector<sim::NodeId> dir_peers_;
   std::unique_ptr<kv::DB> db_;
@@ -255,8 +247,7 @@ class HaystackStore {
 
 class HaystackClient : public workload::ObjectStore {
  public:
-  HaystackClient(rpc::Node& rpc, const HaystackConfig& config, sim::NodeId primary_dir,
-                 uint64_t seed);
+  HaystackClient(rpc::Node& rpc, sim::NodeId primary_dir, uint64_t seed);
 
   sim::Task<Status> Put(std::string name, std::string data) override;
   sim::Task<Result<std::string>> Get(std::string name) override;
@@ -264,7 +255,6 @@ class HaystackClient : public workload::ObjectStore {
 
  private:
   rpc::Node& rpc_;
-  HaystackConfig config_;
   sim::NodeId primary_dir_;
   Rng rng_;
   uint64_t next_log_ = 0;
@@ -280,7 +270,7 @@ class HaystackCluster {
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  HaystackClient& client(int i) { return *clients_.at(i).client; }
+  HaystackClient& client(int i) { return *clients_.at(i).server; }
   sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
   HaystackStore& store(int i) { return *stores_.at(i).server; }
   int num_stores() const { return static_cast<int>(stores_.size()); }
@@ -292,28 +282,12 @@ class HaystackCluster {
   sim::EventLoop& loop() { return loop_; }
 
  private:
-  struct DirBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackDirectory> server;
-  };
-  struct StoreBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackStore> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackClient> client;
-  };
-
   sim::EventLoop& loop_;
   HaystackConfig config_;
   sim::Network net_;
-  std::vector<DirBundle> dirs_;
-  std::vector<StoreBundle> stores_;
-  std::vector<ClientBundle> clients_;
+  std::vector<rpc::Host<HaystackDirectory>> dirs_;
+  std::vector<rpc::Host<HaystackStore>> stores_;
+  std::vector<rpc::Host<HaystackClient>> clients_;
   std::vector<HaystackDirectory::VolumeInfo> volumes_;
 };
 

@@ -8,6 +8,9 @@ namespace cheetah::baselines {
 
 namespace {
 
+constexpr Nanos kRpcTimeout = Millis(500);
+constexpr uint64_t kFsOverheadBytes = 4096;  // chunk-file metadata per data op
+
 std::string NameKey(const std::string& name) { return "N_" + name; }
 std::string FileKey(uint64_t id) { return "F_" + std::to_string(id); }
 std::string BlockKey(uint64_t id) { return "B_" + std::to_string(id); }
@@ -178,14 +181,11 @@ sim::Task<Result<TnBlockOpReply>> TectonicMetaServer::HandleBlockOp(sim::NodeId,
 
 // ---- store server ----
 
-TectonicStoreServer::TectonicStoreServer(rpc::Node& rpc, const TectonicConfig& config)
-    : rpc_(rpc), config_(config) {}
-
 void TectonicStoreServer::Start() {
   rpc_.Serve<TnChunkWriteRequest>(
       [this](sim::NodeId, TnChunkWriteRequest req) -> sim::Task<Result<TnChunkWriteReply>> {
         sim::Storage& disk = rpc_.machine().disk(0);
-        co_await disk.ChargeWrite(config_.fs_overhead_bytes);  // chunk-file metadata
+        co_await disk.ChargeWrite(kFsOverheadBytes);  // chunk-file metadata
         const uint64_t offset = tail_;
         const uint64_t size = req.data.size();
         Status s = co_await disk.WriteBlocks("tchunks", offset, std::move(req.data),
@@ -204,7 +204,7 @@ void TectonicStoreServer::Start() {
           co_return Status::NotFound("no such chunk");
         }
         sim::Storage& disk = rpc_.machine().disk(0);
-        co_await disk.ChargeRead(config_.fs_overhead_bytes);
+        co_await disk.ChargeRead(kFsOverheadBytes);
         auto data = co_await disk.ReadBlocks("tchunks", it->second.first, it->second.second);
         if (!data.ok()) {
           co_return data.status();
@@ -229,9 +229,9 @@ void TectonicStoreServer::Start() {
 
 // ---- client ----
 
-TectonicClient::TectonicClient(rpc::Node& rpc, const TectonicConfig& config,
-                               std::vector<sim::NodeId> meta_nodes, uint64_t seed)
-    : rpc_(rpc), config_(config), meta_nodes_(std::move(meta_nodes)), rng_(seed) {}
+TectonicClient::TectonicClient(rpc::Node& rpc, std::vector<sim::NodeId> meta_nodes,
+                               uint64_t seed)
+    : rpc_(rpc), meta_nodes_(std::move(meta_nodes)), rng_(seed) {}
 
 sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   const uint32_t checksum = Crc32c(data);
@@ -239,7 +239,7 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   TnCreateNameRequest create;
   create.name = name;
   auto created = co_await rpc_.Call(ShardForName(name), std::move(create),
-                                    config_.rpc_timeout);
+                                    kRpcTimeout);
   if (!created.ok()) {
     co_return created.status();
   }
@@ -247,7 +247,7 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   file_op.file_id = created->file_id;
   file_op.op = 0;
   auto block = co_await rpc_.Call(ShardFor(created->file_id), std::move(file_op),
-                                  config_.rpc_timeout);
+                                  kRpcTimeout);
   if (!block.ok()) {
     co_return block.status();
   }
@@ -256,7 +256,7 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   alloc.size = data.size();
   alloc.op = 0;
   auto placed = co_await rpc_.Call(ShardFor(block->block_id), std::move(alloc),
-                                   config_.rpc_timeout);
+                                   kRpcTimeout);
   if (!placed.ok()) {
     co_return placed.status();
   }
@@ -268,7 +268,7 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
     write.chunk_id = placed->chunk_id;
     write.data = payload;
     write.checksum = checksum;
-    tasks.push_back(rpc_.CallStatus(store, std::move(write), config_.rpc_timeout));
+    tasks.push_back(rpc_.CallStatus(store, std::move(write), kRpcTimeout));
   }
   CO_RETURN_IF_ERROR(co_await sim::WhenAllOk(std::move(tasks)));
   // Seal/commit.
@@ -276,7 +276,7 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
   seal.block_id = block->block_id;
   seal.op = 2;
   auto sealed = co_await rpc_.Call(ShardFor(block->block_id), std::move(seal),
-                                   config_.rpc_timeout);
+                                   kRpcTimeout);
   co_return sealed.ok() ? Status::Ok() : sealed.status();
 }
 
@@ -284,7 +284,7 @@ sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {
   TnLookupNameRequest lookup;
   lookup.name = name;
   auto found = co_await rpc_.Call(ShardForName(name), std::move(lookup),
-                                  config_.rpc_timeout);
+                                  kRpcTimeout);
   if (!found.ok()) {
     co_return found.status();
   }
@@ -292,7 +292,7 @@ sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {
   file_op.file_id = found->file_id;
   file_op.op = 1;
   auto block = co_await rpc_.Call(ShardFor(found->file_id), std::move(file_op),
-                                  config_.rpc_timeout);
+                                  kRpcTimeout);
   if (!block.ok()) {
     co_return block.status();
   }
@@ -300,7 +300,7 @@ sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {
   block_op.block_id = block->block_id;
   block_op.op = 1;
   auto placed = co_await rpc_.Call(ShardFor(block->block_id), std::move(block_op),
-                                   config_.rpc_timeout);
+                                   kRpcTimeout);
   if (!placed.ok()) {
     co_return placed.status();
   }
@@ -310,7 +310,7 @@ sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {
   TnChunkReadRequest read;
   read.chunk_id = placed->chunk_id;
   const sim::NodeId store = placed->stores[rng_.Uniform(placed->stores.size())];
-  auto data = co_await rpc_.Call(store, std::move(read), config_.rpc_timeout);
+  auto data = co_await rpc_.Call(store, std::move(read), kRpcTimeout);
   if (!data.ok()) {
     co_return data.status();
   }
@@ -321,7 +321,7 @@ sim::Task<Status> TectonicClient::Delete(std::string name) {
   const sim::NodeId name_shard = ShardForName(name);
   TnLookupNameRequest lookup;
   lookup.name = name;
-  auto found = co_await rpc_.Call(name_shard, std::move(lookup), config_.rpc_timeout);
+  auto found = co_await rpc_.Call(name_shard, std::move(lookup), kRpcTimeout);
   if (!found.ok()) {
     co_return found.status();
   }
@@ -329,7 +329,7 @@ sim::Task<Status> TectonicClient::Delete(std::string name) {
   file_op.file_id = found->file_id;
   file_op.op = 1;
   auto block = co_await rpc_.Call(ShardFor(found->file_id), std::move(file_op),
-                                  config_.rpc_timeout);
+                                  kRpcTimeout);
   if (!block.ok()) {
     co_return block.status();
   }
@@ -337,11 +337,11 @@ sim::Task<Status> TectonicClient::Delete(std::string name) {
   block_op.block_id = block->block_id;
   block_op.op = 1;
   auto placed = co_await rpc_.Call(ShardFor(block->block_id), std::move(block_op),
-                                   config_.rpc_timeout);
+                                   kRpcTimeout);
 
   TnDeleteNameRequest del;
   del.name = std::move(name);
-  auto deleted = co_await rpc_.Call(name_shard, std::move(del), config_.rpc_timeout);
+  auto deleted = co_await rpc_.Call(name_shard, std::move(del), kRpcTimeout);
   if (!deleted.ok()) {
     co_return deleted.status();
   }
@@ -349,12 +349,12 @@ sim::Task<Status> TectonicClient::Delete(std::string name) {
   remove_file.file_id = found->file_id;
   remove_file.op = 2;
   (void)co_await rpc_.Call(ShardFor(found->file_id), std::move(remove_file),
-                           config_.rpc_timeout);
+                           kRpcTimeout);
   TnBlockOpRequest remove_block;
   remove_block.block_id = block->block_id;
   remove_block.op = 3;
   (void)co_await rpc_.Call(ShardFor(block->block_id), std::move(remove_block),
-                           config_.rpc_timeout);
+                           kRpcTimeout);
   if (placed.ok()) {
     for (sim::NodeId store : placed->stores) {
       TnChunkDropRequest drop;
@@ -378,64 +378,33 @@ TectonicCluster::TectonicCluster(sim::EventLoop& loop, TectonicConfig config)
   for (int i = 0; i < config_.store_machines; ++i) {
     store_nodes.push_back(next_id++);
   }
+  sim::MachineParams params;
+  params.disk = config_.disk;
   for (int i = 0; i < config_.meta_machines; ++i) {
-    MetaBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, meta_nodes[i],
-                                               "tnmeta" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<TectonicMetaServer>(*b.rpc, config_, store_nodes, i + 1);
-    metas_.push_back(std::move(b));
+    auto& h = metas_.emplace_back(loop_, net_, meta_nodes[i], "tnmeta" + std::to_string(i), params);
+    h.server = std::make_unique<TectonicMetaServer>(*h.node, config_, store_nodes, i + 1);
   }
   for (int i = 0; i < config_.store_machines; ++i) {
-    StoreBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, store_nodes[i],
-                                               "tnstore" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<TectonicStoreServer>(*b.rpc, config_);
-    stores_.push_back(std::move(b));
+    auto& h =
+        stores_.emplace_back(loop_, net_, store_nodes[i], "tnstore" + std::to_string(i), params);
+    h.machine->disk(0).set_store_volume_content(config_.store_volume_content);
+    h.server = std::make_unique<TectonicStoreServer>(*h.node);
   }
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "tnclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<TectonicClient>(*b.rpc, config_, meta_nodes, 0x7ec70 + i);
-    clients_.push_back(std::move(b));
+    auto& h =
+        clients_.emplace_back(loop_, net_, next_id + i, "tnclient" + std::to_string(i), params);
+    h.server = std::make_unique<TectonicClient>(*h.node, meta_nodes, 0x7ec70 + i);
   }
 }
 
 TectonicCluster::~TectonicCluster() = default;
 
 Status TectonicCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(metas_.size()));
-  auto failed = std::make_shared<bool>(false);
-  for (auto& m : metas_) {
-    m.machine->actor().Spawn([](TectonicMetaServer* server, std::shared_ptr<int> pending,
-                                std::shared_ptr<bool> failed) -> sim::Task<> {
-      Status s = co_await server->Start();
-      if (!s.ok()) {
-        *failed = true;
-      }
-      --*pending;
-    }(m.server.get(), pending, failed));
-  }
   for (auto& s : stores_) {
     s.server->Start();
   }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
-  loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("tectonic meta failed to start") : Status::Ok();
+  return rpc::StartAll(loop_, metas_) ? Status::Ok()
+                                      : Status::Internal("tectonic meta failed to start");
 }
 
 }  // namespace cheetah::baselines

@@ -17,6 +17,7 @@
 #include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/kv/db.h"
+#include "src/rpc/host.h"
 #include "src/rpc/node.h"
 #include "src/workload/object_store.h"
 
@@ -28,8 +29,6 @@ struct TectonicConfig {
   int store_machines = 9;
   int client_machines = 3;
   uint32_t replication = 3;
-  Nanos rpc_timeout = Millis(500);
-  uint64_t fs_overhead_bytes = 4096;  // chunk-file metadata per data op
   sim::NetParams net;
   sim::DiskParams disk;
   bool store_volume_content = true;
@@ -163,20 +162,18 @@ class TectonicMetaServer {
 
 class TectonicStoreServer {
  public:
-  TectonicStoreServer(rpc::Node& rpc, const TectonicConfig& config);
+  explicit TectonicStoreServer(rpc::Node& rpc) : rpc_(rpc) {}
   void Start();
 
  private:
   rpc::Node& rpc_;
-  TectonicConfig config_;
   uint64_t tail_ = 0;
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> chunk_offsets_;  // id -> (off, len)
 };
 
 class TectonicClient : public workload::ObjectStore {
  public:
-  TectonicClient(rpc::Node& rpc, const TectonicConfig& config,
-                 std::vector<sim::NodeId> meta_nodes, uint64_t seed);
+  TectonicClient(rpc::Node& rpc, std::vector<sim::NodeId> meta_nodes, uint64_t seed);
 
   sim::Task<Status> Put(std::string name, std::string data) override;
   sim::Task<Result<std::string>> Get(std::string name) override;
@@ -191,7 +188,6 @@ class TectonicClient : public workload::ObjectStore {
   }
 
   rpc::Node& rpc_;
-  TectonicConfig config_;
   std::vector<sim::NodeId> meta_nodes_;
   Rng rng_;
 };
@@ -204,33 +200,17 @@ class TectonicCluster {
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  TectonicClient& client(int i) { return *clients_.at(i).client; }
+  TectonicClient& client(int i) { return *clients_.at(i).server; }
   sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
   sim::EventLoop& loop() { return loop_; }
 
  private:
-  struct MetaBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicMetaServer> server;
-  };
-  struct StoreBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicStoreServer> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicClient> client;
-  };
-
   sim::EventLoop& loop_;
   TectonicConfig config_;
   sim::Network net_;
-  std::vector<MetaBundle> metas_;
-  std::vector<StoreBundle> stores_;
-  std::vector<ClientBundle> clients_;
+  std::vector<rpc::Host<TectonicMetaServer>> metas_;
+  std::vector<rpc::Host<TectonicStoreServer>> stores_;
+  std::vector<rpc::Host<TectonicClient>> clients_;
 };
 
 }  // namespace cheetah::baselines

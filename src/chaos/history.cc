@@ -1,9 +1,12 @@
 #include "src/chaos/history.h"
 
 #include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -77,13 +80,44 @@ void History::Return(uint64_t id, Outcome outcome, const std::string& observed,
 }
 
 std::string History::Serialize() const {
-  std::ostringstream os;
+  auto digits = [](auto v) {
+    char buf[24];
+    return static_cast<size_t>(std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+  };
+  auto outcome = [](const Op& op) -> std::string_view {
+    return op.done ? OutcomeName(op.outcome) : "undone";
+  };
+  // Sized exactly first (7 tabs and a newline per op), so the text is
+  // written into one allocation of its final size.
+  size_t bytes = 0;
   for (const Op& op : ops_) {
-    os << op.id << "\t" << op.client << "\t" << TypeName(op.type) << "\t" << op.key
-       << "\t" << op.value << "\t" << (op.done ? OutcomeName(op.outcome) : "undone")
-       << "\t" << op.invoke << "\t" << op.ret << "\n";
+    bytes += digits(op.id) + digits(op.client) + std::string_view(TypeName(op.type)).size() +
+             op.key.size() + op.value.size() + outcome(op).size() + digits(op.invoke) +
+             digits(op.ret) + 8;
   }
-  return os.str();
+  std::string out;
+  out.reserve(bytes);
+  auto number = [&out](auto v, char sep) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    out += sep;
+  };
+  auto text = [&out](std::string_view v) {
+    out += v;
+    out += '\t';
+  };
+  for (const Op& op : ops_) {
+    number(op.id, '\t');
+    number(op.client, '\t');
+    text(TypeName(op.type));
+    text(op.key);
+    text(op.value);
+    text(outcome(op));
+    number(op.invoke, '\t');
+    number(op.ret, '\n');
+  }
+  assert(out.size() == bytes);
+  return out;
 }
 
 namespace {

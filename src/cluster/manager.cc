@@ -1,12 +1,38 @@
 #include "src/cluster/manager.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/common/logging.h"
 #include "src/sim/actor.h"
 
 namespace cheetah::cluster {
+
+namespace {
+
+constexpr Nanos kCheckInterval = Millis(100);  // failure-detector cadence
+constexpr Nanos kFailTimeout = Millis(450);    // missed-heartbeat threshold
+constexpr Nanos kLeaseDuration = Millis(300);
+static_assert(kFailTimeout > kLeaseDuration,
+              "a dead server's lease must expire before its removal activates");
+// Phi-accrual suspicion (on top of the hard kFailTimeout floor): a server is
+// only evicted once its silence is kPhiThreshold unlikely given its observed
+// heartbeat inter-arrival mean over the last kPhiWindow samples. A node whose
+// heartbeats are merely slow (gray network) grows a large mean and is judged
+// against it instead of the wall-clock timeout alone.
+constexpr double kPhiThreshold = 1.9;
+constexpr uint32_t kPhiWindow = 16;
+// Flap damping: each near-eviction (a heartbeat gap past kFailTimeout/2 that
+// then closed) stretches the node's effective timeout by one extra
+// kFailTimeout, capped at kMaxFlapPenalty extras; the count decays to zero
+// after kFlapDecay of clean heartbeats.
+constexpr uint32_t kMaxFlapPenalty = 3;
+constexpr Nanos kFlapDecay = Seconds(10);
+// Live drain: per-pull command timeout (a catchup pull pages through a whole
+// PG) and the delay between drain retry rounds.
+constexpr Nanos kMigrateRpcTimeout = Seconds(2);
+constexpr Nanos kDrainRetryDelay = Millis(200);
+
+}  // namespace
 
 double PhiSuspicion(Nanos gap, Nanos mean_interarrival) {
   // Exponential arrival model: P(silence >= gap) = exp(-gap/mean), so
@@ -18,19 +44,16 @@ double PhiSuspicion(Nanos gap, Nanos mean_interarrival) {
 }
 
 Nanos Manager::EffectiveFailTimeout(uint32_t flaps) const {
-  const uint64_t penalty = std::min(flaps, config_.max_flap_penalty);
-  return config_.fail_timeout * (1 + penalty);
+  const uint64_t penalty = std::min(flaps, kMaxFlapPenalty);
+  return kFailTimeout * (1 + penalty);
 }
 
-Manager::Manager(rpc::Node& rpc, sim::Storage& storage, raft::Config raft_config,
-                 ManagerConfig config, uint64_t seed)
-    : rpc_(rpc), config_(config) {
+Manager::Manager(rpc::Node& rpc, sim::Storage& storage, raft::Config raft_config, uint64_t seed)
+    : rpc_(rpc) {
   raft_ = std::make_unique<raft::RaftNode>(rpc, storage, std::move(raft_config), &sm_, seed);
 }
 
 sim::Task<Status> Manager::Start() {
-  assert(config_.fail_timeout > config_.lease_duration &&
-         "a dead server's lease must expire before its removal activates");
   CO_RETURN_IF_ERROR(co_await raft_->Start());
   rpc_.Serve<HeartbeatRequest, &Manager::HandleHeartbeat>(this);
   rpc_.Serve<GetTopologyRequest, &Manager::HandleGetTopology>(this);
@@ -397,7 +420,7 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
       return changed ? Status::Ok() : Status::AlreadyExists("no change");
     });
     if (!s.ok() && s.code() != ErrorCode::kAlreadyExists) {
-      co_await sim::SleepFor(config_.drain_retry_delay);
+      co_await sim::SleepFor(kDrainRetryDelay);
       continue;
     }
 
@@ -425,7 +448,7 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
       }
     }
     if (!s.ok() && s.code() != ErrorCode::kAlreadyExists) {
-      co_await sim::SleepFor(config_.drain_retry_delay);
+      co_await sim::SleepFor(kDrainRetryDelay);
       continue;
     }
 
@@ -448,11 +471,11 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
         req.pg = pg;
         req.source = cur->source;
         auto r = co_await rpc_.Call(mig.destination, std::move(req),
-                                    config_.migrate_rpc_timeout);
+                                    kMigrateRpcTimeout);
         if (r.ok()) {
           done = true;
         } else {
-          co_await sim::SleepFor(config_.drain_retry_delay);
+          co_await sim::SleepFor(kDrainRetryDelay);
         }
       }
       if (done) {
@@ -462,7 +485,7 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
       }
     }
     if (!all_caught) {
-      co_await sim::SleepFor(config_.drain_retry_delay);
+      co_await sim::SleepFor(kDrainRetryDelay);
       continue;
     }
 
@@ -499,7 +522,7 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
       result = Status::Ok();
       break;
     }
-    co_await sim::SleepFor(config_.drain_retry_delay);
+    co_await sim::SleepFor(kDrainRetryDelay);
   }
   drain_running_ = false;
   co_return result;
@@ -508,7 +531,7 @@ sim::Task<Status> Manager::RunDrain(sim::NodeId node) {
 sim::Task<> Manager::LeaderLoop() {
   bool was_leader = false;
   for (;;) {
-    co_await sim::SleepFor(config_.check_interval);
+    co_await sim::SleepFor(kCheckInterval);
     const bool leader_now = raft_->is_leader();
     if (leader_now && !was_leader) {
       // Liveness collected while we were a follower (e.g. during boot) is
@@ -554,7 +577,7 @@ sim::Task<> Manager::CheckFailures() {
       continue;  // within the (flap-stretched) hard floor
     }
     // Past the floor: consult the accrual detector. With a healthy heartbeat
-    // history the phi threshold lands at ~fail_timeout; a node whose
+    // history the phi threshold lands at ~kFailTimeout; a node whose
     // heartbeats were already slow (gray network) has a proportionally larger
     // mean and must stay silent proportionally longer before eviction. Fewer
     // than 3 samples -> no usable distribution, fall back to the plain floor.
@@ -564,7 +587,7 @@ sim::Task<> Manager::CheckFailures() {
         sum += iv;
       }
       const Nanos mean = sum / static_cast<Nanos>(live.intervals.size());
-      if (PhiSuspicion(gap, mean) < config_.phi_threshold) {
+      if (PhiSuspicion(gap, mean) < kPhiThreshold) {
         ++flap_suppressions_;
         continue;  // silence still plausible for this node's cadence
       }
@@ -593,7 +616,7 @@ sim::Task<> Manager::CheckFailures() {
   std::vector<sim::NodeId> returned;
   for (const auto& [node, live] : liveness_) {
     if (live.kind == ServerKind::kMetaServer && !handling_failure_.contains(node) &&
-        now - live.last_seen <= config_.fail_timeout &&
+        now - live.last_seen <= kFailTimeout &&
         !sm_.current.meta_crush.HasItem(node) && !sm_.current.IsDraining(node) &&
         !sm_.current.IsRetired(node)) {
       returned.push_back(node);
@@ -767,16 +790,16 @@ sim::Task<Result<HeartbeatReply>> Manager::HandleHeartbeat(sim::NodeId src,
   live.kind = req.kind;
   if (live.prev_arrival != 0) {
     live.intervals.push_back(now - live.prev_arrival);
-    while (live.intervals.size() > config_.phi_window) {
+    while (live.intervals.size() > kPhiWindow) {
       live.intervals.pop_front();
     }
     // A gap that crossed half the eviction floor and then healed is a flap:
     // stretch this node's effective timeout so repeated near-death episodes
     // (gray links) don't each race the detector. Quiet time decays it.
-    if (now - live.prev_arrival > config_.fail_timeout / 2) {
-      live.flaps = std::min(live.flaps + 1, config_.max_flap_penalty);
+    if (now - live.prev_arrival > kFailTimeout / 2) {
+      live.flaps = std::min(live.flaps + 1, kMaxFlapPenalty);
       live.last_flap = now;
-    } else if (live.flaps > 0 && now - live.last_flap > config_.flap_decay) {
+    } else if (live.flaps > 0 && now - live.last_flap > kFlapDecay) {
       live.flaps = 0;
     }
   }
@@ -785,7 +808,7 @@ sim::Task<Result<HeartbeatReply>> Manager::HandleHeartbeat(sim::NodeId src,
   HeartbeatReply reply;
   reply.current_view = sm_.current.view;
   reply.is_leader = raft_->is_leader();
-  reply.lease_duration = raft_->is_leader() ? config_.lease_duration : 0;
+  reply.lease_duration = raft_->is_leader() ? kLeaseDuration : 0;
   co_return reply;
 }
 
@@ -808,7 +831,7 @@ sim::Task<Result<ReportFailureReply>> Manager::HandleReport(sim::NodeId src,
   auto it = liveness_.find(req.suspect);
   if (it != liveness_.end()) {
     const Nanos now = rpc_.machine().loop().Now();
-    const Nanos aged = now - config_.fail_timeout / 2;
+    const Nanos aged = now - kFailTimeout / 2;
     it->second.last_seen = std::min(it->second.last_seen, aged);
   }
   co_return ReportFailureReply{};

@@ -8,10 +8,11 @@
 // maps to its local TopologyStateMachine. Only the Raft leader runs the
 // failure detector and answers heartbeats with leases.
 //
-// Timing invariant (checked in Start): fail_timeout > lease_duration, so by
-// the time the leader declares a server dead and activates a view without
-// it, any lease that server held has already expired (§5.1's "a new topology
-// map becomes effective with the next lease").
+// Timing invariant (a static_assert in manager.cc): the 450 ms failure
+// timeout exceeds the 300 ms lease duration, so by the time the leader
+// declares a server dead and activates a view without it, any lease that
+// server held has already expired (§5.1's "a new topology map becomes
+// effective with the next lease").
 #ifndef SRC_CLUSTER_MANAGER_H_
 #define SRC_CLUSTER_MANAGER_H_
 
@@ -28,31 +29,6 @@
 #include "src/rpc/node.h"
 
 namespace cheetah::cluster {
-
-struct ManagerConfig {
-  ManagerConfig() = default;
-  Nanos check_interval = Millis(100);  // failure-detector cadence
-  Nanos fail_timeout = Millis(450);    // missed-heartbeat threshold
-  Nanos lease_duration = Millis(300);
-  Nanos rpc_timeout = Millis(100);
-  // Phi-accrual suspicion (on top of the hard fail_timeout floor): a server
-  // is only evicted once its silence is `phi_threshold` unlikely given its
-  // observed heartbeat inter-arrival mean over the last `phi_window` samples.
-  // A node whose heartbeats are merely slow (gray network) grows a large mean
-  // and is judged against it instead of the wall-clock timeout alone.
-  double phi_threshold = 1.9;
-  uint32_t phi_window = 16;
-  // Flap damping: each near-eviction (a heartbeat gap past fail_timeout/2
-  // that then closed) stretches the node's effective timeout by one extra
-  // fail_timeout, capped at `max_flap_penalty` extras; the count decays to
-  // zero after `flap_decay` of clean heartbeats.
-  uint32_t max_flap_penalty = 3;
-  Nanos flap_decay = Seconds(10);
-  // Live drain: per-pull command timeout (a catchup pull pages through a
-  // whole PG) and the delay between drain retry rounds.
-  Nanos migrate_rpc_timeout = Seconds(2);
-  Nanos drain_retry_delay = Millis(200);
-};
 
 // Phi-accrual suspicion level for a heartbeat gap against the observed mean
 // inter-arrival: phi = -log10(P(gap)) under an exponential arrival model,
@@ -80,8 +56,7 @@ struct BootstrapSpec {
 
 class Manager {
  public:
-  Manager(rpc::Node& rpc, sim::Storage& storage, raft::Config raft_config,
-          ManagerConfig config, uint64_t seed);
+  Manager(rpc::Node& rpc, sim::Storage& storage, raft::Config raft_config, uint64_t seed);
 
   sim::Task<Status> Start();
 
@@ -150,7 +125,6 @@ class Manager {
                                                           RecoveryDoneRequest req);
 
   rpc::Node& rpc_;
-  ManagerConfig config_;
   TopologyStateMachine sm_;
   std::unique_ptr<raft::RaftNode> raft_;
 

@@ -1,6 +1,6 @@
 #include "src/core/testbed.h"
 
-#include <cassert>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -9,158 +9,179 @@ namespace cheetah::core {
 namespace {
 constexpr sim::NodeId kManagerBase = 1;
 constexpr sim::NodeId kProxyBase = 300;
+// Virtual time Boot() runs to let elections, bootstrap and leases settle.
+constexpr Nanos kBootWarmup = Seconds(3);
 }  // namespace
 
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), net_(loop_, config_.net) {
   // Managers (the paper co-locates them with the clients; node identity is
   // what matters here).
-  raft::Config raft_config;
   for (int i = 0; i < config_.managers; ++i) {
     manager_nodes_.push_back(kManagerBase + i);
-    raft_config.members.push_back(kManagerBase + i);
   }
+  sim::MachineParams params;
+  params.disk = config_.meta_disk;
   for (int i = 0; i < config_.managers; ++i) {
-    ManagerBundle b;
-    sim::MachineParams params;
-    params.disk = config_.meta_disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, manager_nodes_[i],
-                                               "manager" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->SetHandlerCosts(config_.handler_costs);
-    b.rpc->Attach();
-    b.manager = std::make_unique<cluster::Manager>(*b.rpc, b.machine->disk(), raft_config,
-                                                   config_.manager, 0xa11ce + i);
-    managers_.push_back(std::move(b));
+    NewServer(Wire(managers_, manager_nodes_[i], "manager" + std::to_string(i), params, false), i,
+              /*restarted=*/false);
   }
   for (int i = 0; i < config_.meta_machines; ++i) {
-    metas_.push_back(MakeMetaBundle(next_meta_id_++, i));
+    AddMetaHost();
   }
   for (int i = 0; i < config_.data_machines; ++i) {
-    datas_.push_back(MakeDataBundle(next_data_id_++, config_.disks_per_data_machine));
+    AddDataHost(config_.disks_per_data_machine);
   }
   for (int i = 0; i < config_.proxies; ++i) {
-    ProxyBundle b;
-    sim::MachineParams params;
-    params.disk = config_.meta_disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, kProxyBase + i,
-                                               "proxy" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->SetHandlerCosts(config_.handler_costs);
-    b.rpc->Attach();
-    b.proxy = std::make_unique<ClientProxy>(*b.rpc, config_.options, manager_nodes_,
-                                            static_cast<uint32_t>(i + 1));
-    proxies_.push_back(std::move(b));
+    NewServer(Wire(proxies_, kProxyBase + i, "proxy" + std::to_string(i), params, false), i,
+              /*restarted=*/false);
   }
 }
 
 Testbed::~Testbed() = default;
 
-Testbed::MetaBundle Testbed::MakeMetaBundle(sim::NodeId id, int seed) {
-  MetaBundle b;
+template <typename Server>
+rpc::Host<Server>& Testbed::Wire(std::vector<rpc::Host<Server>>& hosts, sim::NodeId id,
+                                 std::string name, const sim::MachineParams& params, bool qos) {
+  auto& host = hosts.emplace_back(loop_, net_, id, std::move(name), params,
+                                  qos && config_.options.qos.enabled ? &config_.options.qos
+                                                                     : nullptr);
+  if (config_.handler_base_cost > 0) {
+    host.node->SetHandlerBaseCost(config_.handler_base_cost);
+  }
+  return host;
+}
+
+int Testbed::AddMetaHost() {
+  const int i = num_meta();
+  const sim::NodeId id = next_meta_id_++;
   sim::MachineParams params;
   params.num_disks = 1;
   params.disk = config_.meta_disk;
   if (config_.meta_cpu_cores > 0) {
     params.cpu_cores = config_.meta_cpu_cores;
   }
-  b.machine = std::make_unique<sim::Machine>(loop_, id, "meta" + std::to_string(id), params);
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->SetHandlerCosts(config_.handler_costs);
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, id, config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<MetaServer>(*b.rpc, config_.options, manager_nodes_,
-                                          0x5eed + seed);
-  return b;
+  NewServer(Wire(metas_, id, "meta" + std::to_string(id), params, true), i, /*restarted=*/false);
+  return i;
 }
 
-Testbed::DataBundle Testbed::MakeDataBundle(sim::NodeId id, uint32_t disks) {
-  DataBundle b;
+int Testbed::AddDataHost(uint32_t disks) {
+  const int i = num_data();
+  const sim::NodeId id = next_data_id_++;
   sim::MachineParams params;
   params.num_disks = static_cast<int>(disks);
   params.disk = config_.data_disk;
-  b.machine = std::make_unique<sim::Machine>(loop_, id, "data" + std::to_string(id), params);
-  for (size_t d = 0; d < b.machine->num_disks(); ++d) {
-    b.machine->disk(d).set_store_volume_content(config_.store_volume_content);
+  DataHost& host = Wire(datas_, id, "data" + std::to_string(id), params, true);
+  for (size_t d = 0; d < host.machine->num_disks(); ++d) {
+    host.machine->disk(d).set_store_volume_content(config_.store_volume_content);
   }
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->SetHandlerCosts(config_.handler_costs);
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, id, config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<DataServer>(*b.rpc, config_.options, manager_nodes_);
-  return b;
+  NewServer(host, i, /*restarted=*/false);
+  return i;
+}
+
+void Testbed::NewServer(ManagerHost& host, int i, bool restarted) {
+  raft::Config raft_config;
+  raft_config.members = manager_nodes_;
+  host.server = std::make_unique<cluster::Manager>(*host.node, host.machine->disk(), raft_config,
+                                                   (restarted ? 0xbeef : 0xa11ce) + i);
+}
+
+void Testbed::NewServer(MetaHost& host, int i, bool restarted) {
+  host.server = std::make_unique<MetaServer>(*host.node, config_.options, manager_nodes_,
+                                             (restarted ? 0xfeed : 0x5eed) + i);
+}
+
+void Testbed::NewServer(DataHost& host, int /*i*/, bool /*restarted*/) {
+  host.server = std::make_unique<DataServer>(*host.node, config_.options, manager_nodes_);
+}
+
+void Testbed::NewServer(ProxyHost& host, int i, bool /*restarted*/) {
+  host.server = std::make_unique<ClientProxy>(*host.node, config_.options, manager_nodes_,
+                                              static_cast<uint32_t>(i + 1));
+}
+
+void Testbed::StartServer(ManagerHost& host) {
+  host.machine->actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
+    Status s = co_await mgr->Start();
+    if (!s.ok()) {
+      LOG_ERROR << "manager start failed: " << s.ToString();
+    }
+  }(host.server.get()));
+}
+
+template <typename Fn>
+void Testbed::VisitHost(sim::NodeId node, Fn fn) {
+  auto visit = [node, &fn](auto& hosts) {
+    for (size_t i = 0; i < hosts.size(); ++i) {
+      if (hosts[i].id() == node) {
+        fn(hosts[i], static_cast<int>(i));
+        return true;
+      }
+    }
+    return false;
+  };
+  (void)(visit(metas_) || visit(datas_) || visit(managers_) || visit(proxies_));
 }
 
 int Testbed::LeaderManager() const {
   for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->alive() && managers_[i].manager->is_raft_leader()) {
+    if (managers_[i].alive() && managers_[i].server->is_raft_leader()) {
       return static_cast<int>(i);
     }
   }
   return -1;
 }
 
-Status Testbed::RunManagerAction(std::function<sim::Task<Status>(cluster::Manager&)> action) {
+void Testbed::SpawnOnManager(int i, ManagerAction action,
+                             std::shared_ptr<std::optional<Status>> out) {
+  managers_[i].machine->actor().Spawn(
+      [](cluster::Manager* m, ManagerAction action,
+         std::shared_ptr<std::optional<Status>> out) -> sim::Task<> {
+        Status s = co_await action(*m);
+        if (!s.ok()) {
+          LOG_DEBUG << "manager action: " << s.ToString();
+        }
+        *out = std::move(s);
+      }(managers_[i].server.get(), std::move(action), std::move(out)));
+}
+
+Status Testbed::RunManagerAction(const ManagerAction& action) {
   for (int round = 0; round < 10; ++round) {
     int leader = LeaderManager();
     if (leader < 0) {
       loop_.RunFor(Millis(200));
       continue;
     }
-    auto result = std::make_shared<Result<int>>(Status::Internal("unresolved"));
-    managers_[leader].machine->actor().Spawn(
-        [](cluster::Manager* m, std::function<sim::Task<Status>(cluster::Manager&)> action,
-           std::shared_ptr<Result<int>> out) -> sim::Task<> {
-          Status s = co_await action(*m);
-          *out = s.ok() ? Result<int>(1) : Result<int>(s);
-        }(managers_[leader].manager.get(), action, result));
+    auto result = std::make_shared<std::optional<Status>>();
+    SpawnOnManager(leader, action, result);
     const Nanos deadline = loop_.Now() + Seconds(10);
-    while (!result->ok() && result->status().code() == ErrorCode::kInternal &&
-           loop_.Now() < deadline) {
+    while (!result->has_value() && loop_.Now() < deadline) {
       if (!loop_.RunOne()) {
         break;
       }
     }
-    if (result->ok()) {
-      return Status::Ok();
+    if (!result->has_value()) {
+      return Status::Internal("manager action did not resolve");
     }
-    if (!result->status().IsUnavailable()) {
-      return result->status();
+    if (!(*result)->IsUnavailable()) {
+      return **result;
     }
     loop_.RunFor(Millis(200));  // leader moved; retry
   }
   return Status::Unavailable("manager action failed across retries");
 }
 
-bool Testbed::SpawnManagerAction(std::function<sim::Task<Status>(cluster::Manager&)> action) {
+bool Testbed::SpawnManagerAction(ManagerAction action) {
   const int leader = LeaderManager();
   if (leader < 0) {
     return false;
   }
-  managers_[leader].machine->actor().Spawn(
-      [](cluster::Manager* m,
-         std::function<sim::Task<Status>(cluster::Manager&)> action) -> sim::Task<> {
-        Status s = co_await action(*m);
-        if (!s.ok()) {
-          LOG_DEBUG << "manager action: " << s.ToString();
-        }
-      }(managers_[leader].manager.get(), std::move(action)));
+  SpawnOnManager(leader, std::move(action), std::make_shared<std::optional<Status>>());
   return true;
 }
 
 Status Testbed::Boot() {
   for (auto& m : managers_) {
-    m.machine->actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
-      Status s = co_await mgr->Start();
-      if (!s.ok()) {
-        LOG_ERROR << "manager start failed: " << s.ToString();
-      }
-    }(m.manager.get()));
+    StartServer(m);
   }
   // Elect a leader.
   const Nanos deadline = loop_.Now() + Seconds(10);
@@ -175,10 +196,10 @@ Status Testbed::Boot() {
   spec.pg_count = config_.pg_count;
   spec.replication = config_.replication;
   for (auto& m : metas_) {
-    spec.meta_servers.push_back(m.machine->node_id());
+    spec.meta_servers.push_back(m.id());
   }
   for (auto& d : datas_) {
-    spec.data_servers.push_back(d.machine->node_id());
+    spec.data_servers.push_back(d.id());
   }
   spec.disks_per_data_server = config_.disks_per_data_machine;
   spec.pvs_per_disk = config_.pvs_per_disk;
@@ -197,9 +218,9 @@ Status Testbed::Boot() {
     d.server->Start();
   }
   for (auto& p : proxies_) {
-    p.proxy->Start();
+    p.server->Start();
   }
-  loop_.RunFor(config_.boot_warmup);
+  loop_.RunFor(kBootWarmup);
 
   for (auto& m : metas_) {
     if (!m.server->HasLease() || m.server->view() == 0) {
@@ -216,7 +237,7 @@ bool Testbed::RunOnProxy(int i, std::function<sim::Task<>(ClientProxy&)> body, N
          std::shared_ptr<bool> done) -> sim::Task<> {
         co_await body(*proxy);
         *done = true;
-      }(proxies_.at(i).proxy.get(), std::move(body), done));
+      }(proxies_.at(i).server.get(), std::move(body), done));
   const Nanos deadline = loop_.Now() + budget;
   while (!*done && loop_.Now() < deadline) {
     if (!loop_.RunOne()) {
@@ -257,108 +278,17 @@ Status Testbed::DeleteObject(int proxy, std::string name) {
   return done ? *result : Status::Timeout("delete did not resolve in budget");
 }
 
-void Testbed::CrashMetaMachine(int i, bool power_loss) {
-  auto& b = metas_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
-
-void Testbed::RestartMetaMachine(int i) {
-  auto& b = metas_.at(i);
-  b.machine->Restart();
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, b.machine->node_id(),
-                                               config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<MetaServer>(*b.rpc, config_.options, manager_nodes_,
-                                          0xfeed + i);
-  b.server->Start();
-}
-
-void Testbed::CrashDataMachine(int i, bool power_loss) {
-  auto& b = datas_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
-
-void Testbed::RestartDataMachine(int i) {
-  auto& b = datas_.at(i);
-  b.machine->Restart();
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, b.machine->node_id(),
-                                               config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<DataServer>(*b.rpc, config_.options, manager_nodes_);
-  b.server->Start();
-}
-
-void Testbed::CrashProxy(int i) {
-  auto& b = proxies_.at(i);
-  b.machine->CrashProcess();
-  b.rpc->Detach();
-}
-
-void Testbed::RestartProxy(int i) {
-  auto& b = proxies_.at(i);
-  b.machine->Restart();
-  b.rpc->Attach();
-  b.proxy = std::make_unique<ClientProxy>(*b.rpc, config_.options, manager_nodes_,
-                                          static_cast<uint32_t>(i + 1));
-  b.proxy->Start();
-}
-
-void Testbed::CrashManager(int i, bool power_loss) {
-  auto& b = managers_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
-
-void Testbed::RestartManager(int i) {
-  auto& b = managers_.at(i);
-  b.machine->Restart();
-  b.rpc->Attach();
-  raft::Config raft_config;
-  raft_config.members = manager_nodes_;
-  b.manager = std::make_unique<cluster::Manager>(*b.rpc, b.machine->disk(), raft_config,
-                                                 config_.manager, 0xbeef + i);
-  b.machine->actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
-    Status s = co_await mgr->Start();
-    if (!s.ok()) {
-      LOG_ERROR << "manager restart failed: " << s.ToString();
-    }
-  }(b.manager.get()));
-}
-
 std::vector<sim::NodeId> Testbed::AllNodes() const {
   std::vector<sim::NodeId> out;
-  for (const auto& m : managers_) {
-    out.push_back(m.machine->node_id());
-  }
-  for (const auto& m : metas_) {
-    out.push_back(m.machine->node_id());
-  }
-  for (const auto& d : datas_) {
-    out.push_back(d.machine->node_id());
-  }
-  for (const auto& p : proxies_) {
-    out.push_back(p.machine->node_id());
-  }
+  auto add = [&out](const auto& hosts) {
+    for (const auto& h : hosts) {
+      out.push_back(h.id());
+    }
+  };
+  add(managers_);
+  add(metas_);
+  add(datas_);
+  add(proxies_);
   return out;
 }
 
@@ -371,107 +301,60 @@ void Testbed::Isolate(sim::NodeId node) {
 }
 
 void Testbed::Crash(sim::NodeId node, bool power_loss) {
-  for (size_t i = 0; i < metas_.size(); ++i) {
-    if (metas_[i].machine->node_id() == node) {
-      if (metas_[i].machine->alive()) {
-        CrashMetaMachine(static_cast<int>(i), power_loss);
-      }
-      return;
+  VisitHost(node, [power_loss](auto& host, int) {
+    constexpr bool kProxy = std::is_same_v<std::remove_reference_t<decltype(host)>, ProxyHost>;
+    if (host.alive()) {
+      host.Crash(power_loss && !kProxy);
     }
-  }
-  for (size_t i = 0; i < datas_.size(); ++i) {
-    if (datas_[i].machine->node_id() == node) {
-      if (datas_[i].machine->alive()) {
-        CrashDataMachine(static_cast<int>(i), power_loss);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->node_id() == node) {
-      if (managers_[i].machine->alive()) {
-        CrashManager(static_cast<int>(i), power_loss);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    if (proxies_[i].machine->node_id() == node) {
-      if (proxies_[i].machine->alive()) {
-        CrashProxy(static_cast<int>(i));
-      }
-      return;
-    }
-  }
+  });
 }
 
 void Testbed::Restart(sim::NodeId node) {
-  for (size_t i = 0; i < metas_.size(); ++i) {
-    if (metas_[i].machine->node_id() == node) {
-      if (!metas_[i].machine->alive()) {
-        RestartMetaMachine(static_cast<int>(i));
-      }
-      return;
+  VisitHost(node, [this](auto& host, int i) {
+    if (!host.alive()) {
+      RestartHost(host, i);
     }
-  }
-  for (size_t i = 0; i < datas_.size(); ++i) {
-    if (datas_[i].machine->node_id() == node) {
-      if (!datas_[i].machine->alive()) {
-        RestartDataMachine(static_cast<int>(i));
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->node_id() == node) {
-      if (!managers_[i].machine->alive()) {
-        RestartManager(static_cast<int>(i));
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    if (proxies_[i].machine->node_id() == node) {
-      if (!proxies_[i].machine->alive()) {
-        RestartProxy(static_cast<int>(i));
-      }
-      return;
-    }
-  }
+  });
 }
 
 Result<int> Testbed::AddMetaMachine(bool settle) {
-  metas_.push_back(MakeMetaBundle(next_meta_id_, static_cast<int>(metas_.size())));
-  const sim::NodeId id = next_meta_id_++;
-  metas_.back().server->Start();
-  Status s = RunManagerAction(
-      [id](cluster::Manager& m) { return m.AddMetaServer(id); });
-  if (!s.ok()) {
-    return s;
-  }
+  const int i = AddMetaHost();
+  metas_[i].server->Start();
+  const sim::NodeId id = meta_node(i);
+  RETURN_IF_ERROR(RunManagerAction([id](cluster::Manager& m) { return m.AddMetaServer(id); }));
   if (settle) {
     loop_.RunFor(Seconds(1));  // let adoption/pulls settle
   }
-  return static_cast<int>(metas_.size() - 1);
+  return i;
 }
 
 int Testbed::BeginAddMetaMachine() {
-  metas_.push_back(MakeMetaBundle(next_meta_id_, static_cast<int>(metas_.size())));
-  const sim::NodeId id = next_meta_id_++;
-  metas_.back().server->Start();
-  (void)SpawnManagerAction(
-      [id](cluster::Manager& m) { return m.AddMetaServer(id); });
-  return static_cast<int>(metas_.size() - 1);
+  const int i = AddMetaHost();
+  metas_[i].server->Start();
+  const sim::NodeId id = meta_node(i);
+  (void)SpawnManagerAction([id](cluster::Manager& m) { return m.AddMetaServer(id); });
+  return i;
+}
+
+Result<int> Testbed::AddDataMachine(uint32_t disks, uint32_t pvs_per_disk) {
+  const int i = AddDataHost(disks);
+  datas_[i].server->Start();
+  const sim::NodeId id = data_node(i);
+  RETURN_IF_ERROR(RunManagerAction([id, disks, pvs_per_disk](cluster::Manager& m) {
+    return m.AddDataServer(id, disks, pvs_per_disk);
+  }));
+  loop_.RunFor(Seconds(1));
+  return i;
 }
 
 int Testbed::BeginAddDataMachine(uint32_t disks, uint32_t pvs_per_disk) {
-  datas_.push_back(MakeDataBundle(next_data_id_, disks));
-  const sim::NodeId id = next_data_id_++;
-  datas_.back().server->Start();
+  const int i = AddDataHost(disks);
+  datas_[i].server->Start();
+  const sim::NodeId id = data_node(i);
   (void)SpawnManagerAction([id, disks, pvs_per_disk](cluster::Manager& m) {
     return m.AddDataServer(id, disks, pvs_per_disk);
   });
-  return static_cast<int>(datas_.size() - 1);
+  return i;
 }
 
 bool Testbed::BeginDrainMetaMachine(int i) {
@@ -489,7 +372,7 @@ Status Testbed::DrainMetaMachine(int i, Nanos budget) {
   while (loop_.Now() < deadline) {
     const int leader = LeaderManager();
     if (leader >= 0) {
-      const cluster::TopologyMap& topo = managers_[leader].manager->topology();
+      const cluster::TopologyMap& topo = managers_[leader].server->topology();
       if (topo.IsRetired(node)) {
         return Status::Ok();
       }
@@ -501,20 +384,6 @@ Status Testbed::DrainMetaMachine(int i, Nanos budget) {
     loop_.RunFor(Millis(50));
   }
   return Status::Timeout("drain did not complete in budget");
-}
-
-Result<int> Testbed::AddDataMachine(uint32_t disks, uint32_t pvs_per_disk) {
-  datas_.push_back(MakeDataBundle(next_data_id_, disks));
-  const sim::NodeId id = next_data_id_++;
-  datas_.back().server->Start();
-  Status s = RunManagerAction([id, disks, pvs_per_disk](cluster::Manager& m) {
-    return m.AddDataServer(id, disks, pvs_per_disk);
-  });
-  if (!s.ok()) {
-    return s;
-  }
-  loop_.RunFor(Seconds(1));
-  return static_cast<int>(datas_.size() - 1);
 }
 
 }  // namespace cheetah::core

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/core/meta_server.h"
 #include "src/core/options.h"
 #include "src/qos/scheduler.h"
+#include "src/rpc/host.h"
 #include "src/rpc/node.h"
 
 namespace cheetah::core {
@@ -38,21 +40,18 @@ struct TestbedConfig {
   CheetahOptions options;
 
   // Overload-bench knobs: cap meta-server CPU cores (0 = MachineParams
-  // default) and set per-request handler CPU costs on every rpc node, so a
-  // benchmark can place the saturation point where it wants it.
+  // default) and raise the per-request handler CPU base cost on every rpc
+  // node (0 = rpc::Node's default), so a benchmark can place the saturation
+  // point where it wants it.
   int meta_cpu_cores = 0;
-  rpc::Node::HandlerCosts handler_costs;
+  Nanos handler_base_cost = 0;
 
   sim::NetParams net;
   sim::DiskParams data_disk;
   sim::DiskParams meta_disk;
-  cluster::ManagerConfig manager;
 
   // Store object payloads byte-for-byte (tests) or metadata-only (benches).
   bool store_volume_content = true;
-
-  // Virtual time Boot() runs to let elections/bootstrap/leases settle.
-  Nanos boot_warmup = Seconds(3);
 };
 
 class Testbed {
@@ -73,27 +72,25 @@ class Testbed {
   int num_meta() const { return static_cast<int>(metas_.size()); }
   int num_data() const { return static_cast<int>(datas_.size()); }
   int num_managers() const { return static_cast<int>(managers_.size()); }
-  ClientProxy& proxy(int i) { return *proxies_.at(i).proxy; }
+  ClientProxy& proxy(int i) { return *proxies_.at(i).server; }
   MetaServer& meta(int i) { return *metas_.at(i).server; }
   DataServer& data(int i) { return *datas_.at(i).server; }
-  cluster::Manager& manager(int i) { return *managers_.at(i).manager; }
+  cluster::Manager& manager(int i) { return *managers_.at(i).server; }
   sim::Machine& meta_machine(int i) { return *metas_.at(i).machine; }
   sim::Machine& data_machine(int i) { return *datas_.at(i).machine; }
   sim::Machine& proxy_machine(int i) { return *proxies_.at(i).machine; }
   sim::Machine& manager_machine(int i) { return *managers_.at(i).machine; }
-  rpc::Node& proxy_rpc(int i) { return *proxies_.at(i).rpc; }  // protocol tests
-  rpc::Node& meta_rpc(int i) { return *metas_.at(i).rpc; }
-  rpc::Node& data_rpc(int i) { return *datas_.at(i).rpc; }
+  rpc::Node& proxy_rpc(int i) { return *proxies_.at(i).node; }  // protocol tests
+  rpc::Node& data_rpc(int i) { return *datas_.at(i).node; }
 
   // Null when options.qos.enabled is false.
   qos::Scheduler* meta_scheduler(int i) { return metas_.at(i).sched.get(); }
-  qos::Scheduler* data_scheduler(int i) { return datas_.at(i).sched.get(); }
 
   // Node ids, for schedule/partition composition by role + index.
-  sim::NodeId meta_node(int i) const { return metas_.at(i).machine->node_id(); }
-  sim::NodeId data_node(int i) const { return datas_.at(i).machine->node_id(); }
+  sim::NodeId meta_node(int i) const { return metas_.at(i).id(); }
+  sim::NodeId data_node(int i) const { return datas_.at(i).id(); }
   sim::NodeId manager_node(int i) const { return manager_nodes_.at(i); }
-  sim::NodeId proxy_node(int i) const { return proxies_.at(i).machine->node_id(); }
+  sim::NodeId proxy_node(int i) const { return proxies_.at(i).id(); }
   std::vector<sim::NodeId> AllNodes() const;
 
   // Returns the current Raft-leader manager, or -1.
@@ -113,17 +110,20 @@ class Testbed {
   void RunFor(Nanos d) { loop_.RunFor(d); }
 
   // ---- failure injection ----
-  void CrashMetaMachine(int i, bool power_loss);
-  void RestartMetaMachine(int i);
-  void CrashDataMachine(int i, bool power_loss);
-  void RestartDataMachine(int i);
-  void CrashProxy(int i);
-  void RestartProxy(int i);
-  void CrashManager(int i, bool power_loss);
-  void RestartManager(int i);
+  // A restart builds a fresh server process on the revived machine. A proxy
+  // crash is always a process crash.
+  void CrashMetaMachine(int i, bool power_loss) { metas_.at(i).Crash(power_loss); }
+  void RestartMetaMachine(int i) { RestartHost(metas_.at(i), i); }
+  void CrashDataMachine(int i, bool power_loss) { datas_.at(i).Crash(power_loss); }
+  void RestartDataMachine(int i) { RestartHost(datas_.at(i), i); }
+  void CrashProxy(int i) { proxies_.at(i).Crash(/*power_loss=*/false); }
+  void RestartProxy(int i) { RestartHost(proxies_.at(i), i); }
+  void CrashManager(int i, bool power_loss) { managers_.at(i).Crash(power_loss); }
+  void RestartManager(int i) { RestartHost(managers_.at(i), i); }
 
   // Role-agnostic conveniences keyed by node id, so nemesis schedules and
-  // tests compose faults declaratively without tracking bundle indices.
+  // tests compose faults declaratively without tracking host indices. Crash
+  // of a dead node and Restart of a live one are no-ops.
   void Partition(sim::NodeId a, sim::NodeId b) { net_.SetPartitioned(a, b, true); }
   void Isolate(sim::NodeId node);   // partition `node` from every other node
   void Heal() { net_.ClearPartitions(); }
@@ -158,48 +158,60 @@ class Testbed {
   std::vector<sim::NodeId> manager_nodes() const { return manager_nodes_; }
 
  private:
-  struct ManagerBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<cluster::Manager> manager;
-  };
-  // `sched` is declared before `rpc`: ~Node calls Scheduler::Reset(), so the
-  // scheduler must be destroyed after the node.
-  struct MetaBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<qos::Scheduler> sched;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<MetaServer> server;
-  };
-  struct DataBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<qos::Scheduler> sched;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<DataServer> server;
-  };
-  struct ProxyBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<ClientProxy> proxy;
-  };
+  using ManagerHost = rpc::Host<cluster::Manager>;
+  using MetaHost = rpc::Host<MetaServer>;
+  using DataHost = rpc::Host<DataServer>;
+  using ProxyHost = rpc::Host<ClientProxy>;
+  using ManagerAction = std::function<sim::Task<Status>(cluster::Manager&)>;
 
-  MetaBundle MakeMetaBundle(sim::NodeId id, int seed);
-  DataBundle MakeDataBundle(sim::NodeId id, uint32_t disks);
+  // Appends a wired host to `hosts`, with a QoS scheduler when `qos` is set
+  // and QoS is on.
+  template <typename Server>
+  rpc::Host<Server>& Wire(std::vector<rpc::Host<Server>>& hosts, sim::NodeId id,
+                          std::string name, const sim::MachineParams& params, bool qos);
+  // Wires a new meta or data machine and builds its server (not started).
+  // Returns its index.
+  int AddMetaHost();
+  int AddDataHost(uint32_t disks);
+
+  // One factory per role: builds host i's server, with the role's first-boot
+  // or restart seed. StartServer starts it the way Boot() does.
+  void NewServer(ManagerHost& host, int i, bool restarted);
+  void NewServer(MetaHost& host, int i, bool restarted);
+  void NewServer(DataHost& host, int i, bool restarted);
+  void NewServer(ProxyHost& host, int i, bool restarted);
+  void StartServer(ManagerHost& host);
+  template <typename Server>
+  void StartServer(rpc::Host<Server>& host) {
+    host.server->Start();
+  }
+  template <typename Server>
+  void RestartHost(rpc::Host<Server>& host, int i) {
+    host.Restart();
+    NewServer(host, i, /*restarted=*/true);
+    StartServer(host);
+  }
+  // Calls fn(host, index) on the host with node id `node`, whatever its role.
+  template <typename Fn>
+  void VisitHost(sim::NodeId node, Fn fn);
 
   // Runs a leader-only manager action, retrying across leader changes.
-  Status RunManagerAction(std::function<sim::Task<Status>(cluster::Manager&)> action);
+  Status RunManagerAction(const ManagerAction& action);
   // Fire-and-forget variant: spawns the action on the current leader's actor
   // without driving the loop. Returns false when no leader is known.
-  bool SpawnManagerAction(std::function<sim::Task<Status>(cluster::Manager&)> action);
+  bool SpawnManagerAction(ManagerAction action);
+  // Spawns `action` on manager `i`'s actor; its status lands in `*out`.
+  void SpawnOnManager(int i, ManagerAction action,
+                      std::shared_ptr<std::optional<Status>> out);
 
   TestbedConfig config_;
   sim::EventLoop loop_;
   sim::Network net_;
   std::vector<sim::NodeId> manager_nodes_;
-  std::vector<ManagerBundle> managers_;
-  std::vector<MetaBundle> metas_;
-  std::vector<DataBundle> datas_;
-  std::vector<ProxyBundle> proxies_;
+  std::vector<ManagerHost> managers_;
+  std::vector<MetaHost> metas_;
+  std::vector<DataHost> datas_;
+  std::vector<ProxyHost> proxies_;
   sim::NodeId next_meta_id_ = 100;
   sim::NodeId next_data_id_ = 200;
 };

@@ -10,6 +10,17 @@
 
 namespace cheetah::raft {
 
+namespace {
+
+// A follower that hears no leader for a uniformly random election timeout in
+// [min, max) starts an election; the leader heartbeats well inside min.
+constexpr Nanos kElectionTimeoutMin = Millis(150);
+constexpr Nanos kElectionTimeoutMax = Millis(300);
+constexpr Nanos kHeartbeatInterval = Millis(40);
+constexpr Nanos kRpcTimeout = Millis(60);
+
+}  // namespace
+
 RaftNode::RaftNode(rpc::Node& rpc, sim::Storage& storage, Config config, StateMachine* sm,
                    uint64_t seed)
     : rpc_(rpc), storage_(storage), config_(std::move(config)), sm_(sm), rng_(seed) {}
@@ -111,8 +122,7 @@ sim::Task<> RaftNode::Ticker() {
       continue;
     }
     const Nanos timeout =
-        config_.election_timeout_min +
-        rng_.Uniform(config_.election_timeout_max - config_.election_timeout_min);
+        kElectionTimeoutMin + rng_.Uniform(kElectionTimeoutMax - kElectionTimeoutMin);
     if (rpc_.machine().loop().Now() - last_heartbeat_ > timeout) {
       last_heartbeat_ = rpc_.machine().loop().Now();
       co_await RunElection();
@@ -152,7 +162,7 @@ sim::Task<> RaftNode::RunElection() {
       req.candidate = self->rpc_.id();
       req.last_log_index = self->last_log_index();
       req.last_log_term = self->LastLogTerm();
-      auto reply = co_await self->rpc_.Call(peer, std::move(req), self->config_.rpc_timeout);
+      auto reply = co_await self->rpc_.Call(peer, std::move(req), kRpcTimeout);
       if (self->election_nonce_ != nonce) {
         co_return;  // election superseded
       }
@@ -175,7 +185,7 @@ sim::Task<> RaftNode::RunElection() {
     }(this, peer, term, nonce, tally, done, majority));
   }
 
-  (void)co_await done->TimedWait(config_.election_timeout_min);
+  (void)co_await done->TimedWait(kElectionTimeoutMin);
   if (election_nonce_ != nonce || role_ != Role::kCandidate || current_term_ != term) {
     co_return;
   }
@@ -210,7 +220,7 @@ sim::Task<> RaftNode::LeaderLoop() {
         actor->Spawn(ReplicateTo(peer));
       }
     }
-    co_await sim::SleepFor(config_.heartbeat_interval);
+    co_await sim::SleepFor(kHeartbeatInterval);
   }
 }
 
@@ -229,7 +239,7 @@ sim::Task<> RaftNode::ReplicateTo(sim::NodeId peer) {
     req.entries.push_back(log_[i - 1]);
   }
   req.leader_commit = commit_index_;
-  auto reply = co_await rpc_.Call(peer, std::move(req), config_.rpc_timeout);
+  auto reply = co_await rpc_.Call(peer, std::move(req), kRpcTimeout);
   if (!reply.ok() || role_ != Role::kLeader || current_term_ != term) {
     co_return;
   }

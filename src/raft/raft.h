@@ -44,10 +44,6 @@ class StateMachine {
 struct Config {
   Config() = default;
   std::vector<sim::NodeId> members;
-  Nanos election_timeout_min = Millis(150);
-  Nanos election_timeout_max = Millis(300);
-  Nanos heartbeat_interval = Millis(40);
-  Nanos rpc_timeout = Millis(60);
 };
 
 // ---- wire messages ----

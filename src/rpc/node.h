@@ -118,15 +118,11 @@ class Node {
   void SetScheduler(qos::Scheduler* scheduler) { scheduler_ = scheduler; }
   qos::Scheduler* scheduler() { return scheduler_; }
 
-  // CPU service time charged on this machine per handled request: handlers
-  // aren't free even in simulation, or offered load could never exceed
-  // capacity and overload would be unobservable.
-  struct HandlerCosts {
-    HandlerCosts() = default;
-    Nanos base = Micros(2);
-    double per_byte_ns = 0.05;  // ~20 GB/s of deserialization/copy work
-  };
-  void SetHandlerCosts(HandlerCosts costs) { costs_ = costs; }
+  // CPU service time charged on this machine per handled request: a base
+  // cost plus kHandlerNsPerByte of the request and reply. Handlers aren't
+  // free even in simulation, or offered load could never exceed capacity and
+  // overload would be unobservable.
+  void SetHandlerBaseCost(Nanos base) { handler_base_cost_ = base; }
 
   template <RpcRequest Req>
   void Serve(std::function<sim::Task<Result<typename Req::Response>>(sim::NodeId, Req)> fn,
@@ -282,6 +278,7 @@ class Node {
 
  private:
   static constexpr size_t kHeaderBytes = 64;
+  static constexpr double kHandlerNsPerByte = 0.05;  // ~20 GB/s of (de)serialization
 
   template <RpcRequest Req>
   sim::Task<> HandleOne(
@@ -303,7 +300,8 @@ class Node {
     obs::SetContext(obs::OpContext{env.ctx.op, span != 0 ? span : env.ctx.span});
     // Deserialization + request processing occupy a CPU core.
     co_await machine_.cpu().Use(
-        costs_.base + static_cast<Nanos>(static_cast<double>(req_bytes) * costs_.per_byte_ns));
+        handler_base_cost_ +
+        static_cast<Nanos>(static_cast<double>(req_bytes) * kHandlerNsPerByte));
     Result<typename Req::Response> result = co_await fn(src, std::move(req));
     const Nanos t1 = machine_.loop().Now();
     handle_lat->Record(t1 - t0);
@@ -326,7 +324,7 @@ class Node {
     }
     // Reply serialization is CPU work too (matters for large GET replies).
     co_await machine_.cpu().Use(
-        static_cast<Nanos>(static_cast<double>(bytes) * costs_.per_byte_ns));
+        static_cast<Nanos>(static_cast<double>(bytes) * kHandlerNsPerByte));
     net_.Send(id(), src, std::move(reply), bytes);
     if (done) {
       done();
@@ -446,7 +444,7 @@ class Node {
   bool attached_ = false;
   uint64_t next_call_id_ = 1;
   qos::Scheduler* scheduler_ = nullptr;
-  HandlerCosts costs_;
+  Nanos handler_base_cost_ = Micros(2);
   std::vector<Handler> handlers_;  // indexed by MsgTypeIdOf<Req>()
   std::unordered_map<sim::NodeId, Seen> seen_requests_;
   std::unordered_map<uint64_t, PendingCall*, XxU64Hash> pending_;

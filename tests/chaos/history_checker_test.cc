@@ -178,6 +178,20 @@ TEST(HistoryChecker, SerializeIsStable) {
   EXPECT_NE(once.find("put"), std::string::npos);
 }
 
+// The sweep history hashes and perfbench's fingerprint hash this exact text,
+// so its format is pinned byte for byte: one line per op, tab-separated id,
+// client, type, key, value, outcome ("undone" while pending), invoke, ret.
+TEST(HistoryChecker, SerializeGolden) {
+  Builder b;
+  b.Op(0, OpType::kPut, "k", "v1", 5, 17, Outcome::kOk);
+  b.Pending(12, OpType::kGet, "k", "", 20);
+  b.Op(1, OpType::kDelete, "gone", "", 30, 18446744073709551615ull, Outcome::kNotFound);
+  EXPECT_EQ(b.h.Serialize(),
+            "1\t0\tput\tk\tv1\tok\t5\t17\n"
+            "2\t12\tget\tk\t\tundone\t20\t0\n"
+            "3\t1\tdel\tgone\t\tnotfound\t30\t18446744073709551615\n");
+}
+
 TEST(HistoryChecker, OverlongHistoryIsLoudNotSilent) {
   Builder b;
   for (int i = 0; i < 70; ++i) {

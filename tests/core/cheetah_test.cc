@@ -4,7 +4,9 @@
 // expansion).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <vector>
 #include <string>
 
 #include "src/core/testbed.h"
@@ -310,6 +312,52 @@ TEST_F(CheetahTest, ManagerLeaderCrashClusterContinues) {
   bed().RunFor(Seconds(2));  // new raft leader; leases renew
   ASSERT_TRUE(bed().PutObject(0, "after-mgr-crash", Payload(4096, 'n')).ok());
   auto got = bed().GetObject(1, "before-mgr-crash");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+}
+
+// Crash(node)/Restart(node) find the node's role themselves. For one node of
+// each role: a crash kills the machine and a second crash is a no-op; a
+// restart revives it with a fresh server and a second restart is a no-op.
+TEST_F(CheetahTest, CrashAndRestartByNodeCoverEveryRole) {
+  Boot(SmallConfig());
+  ASSERT_TRUE(bed().PutObject(0, "before-crashes", Payload(4096, 'b')).ok());
+  struct Target {
+    const char* role;
+    sim::NodeId node;
+    sim::Machine* machine;
+    std::function<const void*()> server;
+  };
+  const std::vector<Target> targets = {
+      {"manager", bed().manager_node(1), &bed().manager_machine(1),
+       [this] { return &bed().manager(1); }},
+      {"meta", bed().meta_node(0), &bed().meta_machine(0), [this] { return &bed().meta(0); }},
+      {"data", bed().data_node(0), &bed().data_machine(0), [this] { return &bed().data(0); }},
+      {"proxy", bed().proxy_node(0), &bed().proxy_machine(0),
+       [this] { return &bed().proxy(0); }},
+  };
+  for (const Target& t : targets) {
+    SCOPED_TRACE(t.role);
+    const void* before = t.server();
+    bed().Crash(t.node, /*power_loss=*/true);
+    EXPECT_FALSE(t.machine->alive());
+    const uint64_t epoch = t.machine->actor().epoch();
+    bed().Crash(t.node, /*power_loss=*/true);
+    EXPECT_EQ(t.machine->actor().epoch(), epoch);  // not killed twice
+    bed().RunFor(Millis(100));
+
+    bed().Restart(t.node);
+    EXPECT_TRUE(t.machine->alive());
+    const void* restarted = t.server();
+    EXPECT_NE(restarted, before);
+    bed().Restart(t.node);
+    EXPECT_EQ(t.server(), restarted);  // no second server built
+    bed().RunFor(Seconds(1));
+  }
+  ASSERT_TRUE(bed().PutObject(0, "after-restarts", Payload(4096, 'a')).ok());
+  auto got = bed().GetObject(0, "after-restarts");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, Payload(4096, 'a'));
+  got = bed().GetObject(0, "before-crashes");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 }
 
