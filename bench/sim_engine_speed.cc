@@ -21,7 +21,9 @@
 // their timeout. Both engines must fire it with identical fingerprints.
 //
 // The binary asserts the fingerprints, that the RPC workload both cancelled
-// and fired timeouts, and a conservative speedup floor, so it doubles as a
+// and fired timeouts, that its cancelled timeouts never left the overflow
+// heap holding more than 2 x live + kOverflowSlack keys (printed as
+// "overflow keys"), and a conservative speedup floor, so it doubles as a
 // regression test; the `perf` tier of scripts/check.sh runs it with
 // CHEETAH_BENCH_SMOKE=1 for a reduced event count that still covers both
 // workloads. The floor compares medians of kSpeedReps legacy and wheel runs,
@@ -79,6 +81,8 @@ struct RunResult {
   double events_per_sec = 0;
   uint64_t timeouts_fired = 0;      // RPC workload only
   uint64_t timeouts_cancelled = 0;  // RPC workload only
+  size_t max_overflow_keys = 0;     // RPC workload only
+  bool overflow_bound_held = true;  // RPC workload only
 };
 
 // ---- legacy engine: the event loop as it was before this change ----------
@@ -190,7 +194,9 @@ Nanos ReplyDelay(Rng& rng) {
 // `callers` callers each keep one call outstanding until `total_events`
 // calls have completed. One reply in 100 is lost and its call ends on the
 // timeout. The fingerprint chains (virtual time, caller, outcome) in
-// completion order.
+// completion order. After every completion the overflow heap, where the
+// cancelled timeouts' keys sit, must hold at most
+// 2 * pending_events() + kOverflowSlack keys.
 RunResult DriveRpc(EventLoop& loop, const Params& p) {
   struct State {
     EventLoop* loop;
@@ -225,6 +231,11 @@ RunResult DriveRpc(EventLoop& loop, const Params& p) {
       if (outcome == 2) {
         ++s.result.timeouts_fired;
       }
+      const size_t keys = s.loop->overflow_keys();
+      s.result.max_overflow_keys = std::max(s.result.max_overflow_keys, keys);
+      s.result.overflow_bound_held =
+          s.result.overflow_bound_held &&
+          keys <= 2 * s.loop->pending_events() + EventLoop::kOverflowSlack;
       s.result.fingerprint =
           Mix64(s.result.fingerprint ^
                 ((static_cast<uint64_t>(s.loop->Now()) << 2) + (uint64_t{id} << 40) + outcome));
@@ -323,6 +334,9 @@ int main() {
   std::printf("%-22s %llu cancelled, %llu fired\n", "timeouts",
               static_cast<unsigned long long>(rpc_wheel.timeouts_cancelled),
               static_cast<unsigned long long>(rpc_wheel.timeouts_fired));
+  std::printf("%-22s max %zu queued (bound 2 x live + %zu %s)\n", "overflow keys",
+              rpc_wheel.max_overflow_keys, EventLoop::kOverflowSlack,
+              rpc_wheel.overflow_bound_held ? "held" : "BROKEN");
 
   {
     std::ofstream out("BENCH_sim_engine.json");
@@ -340,6 +354,7 @@ int main() {
         << ",\n"
         << "  \"rpc_wheel_events_per_sec\": " << static_cast<uint64_t>(rpc_wheel.events_per_sec)
         << ",\n"
+        << "  \"rpc_max_overflow_keys\": " << rpc_wheel.max_overflow_keys << ",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << "\n"
         << "}\n";
   }
@@ -368,6 +383,11 @@ int main() {
   }
   if (rpc_wheel.timeouts_cancelled == 0 || rpc_wheel.timeouts_fired == 0) {
     std::fprintf(stderr, "FAIL: rpc-shaped run must both cancel and fire timeouts\n");
+    return 1;
+  }
+  if (!rpc_wheel.overflow_bound_held) {
+    std::fprintf(stderr, "FAIL: cancelled timeouts overran the overflow bound (max %zu keys)\n",
+                 rpc_wheel.max_overflow_keys);
     return 1;
   }
   const double floor = smoke ? 0.8 : 1.0;

@@ -66,16 +66,17 @@ uint64_t History::Invoke(int client, OpType type, const std::string& key,
 
 void History::Return(uint64_t id, Outcome outcome, const std::string& observed,
                      Nanos now) {
-  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-    if (it->id == id) {
-      it->outcome = outcome;
-      it->ret = now;
-      it->done = true;
-      if (it->type == OpType::kGet && outcome == Outcome::kOk) {
-        it->value = observed;
-      }
-      return;
-    }
+  // Ids are dense from 1 in invocation order, so op `id` sits at id - 1.
+  if (id == 0 || id > ops_.size()) {
+    return;
+  }
+  Op& op = ops_[id - 1];
+  assert(op.id == id);
+  op.outcome = outcome;
+  op.ret = now;
+  op.done = true;
+  if (op.type == OpType::kGet && outcome == Outcome::kOk) {
+    op.value = observed;
   }
 }
 

@@ -1,15 +1,22 @@
-// Arena: a bump-pointer allocator with size-class recycling for the
-// simulator's transient objects (event captures, RPC envelopes, delivery
-// records).
+// Arena: a slab pool with size-class recycling for the simulator's transient
+// objects (event captures, RPC envelopes, delivery records, coroutine frames).
 //
-// Allocation bumps a pointer inside a large chunk; freeing pushes the block
-// onto a per-size-class free list that subsequent allocations of the same
-// class pop in O(1). Memory is therefore bounded by the peak number of
-// objects live at once, not by the total allocated over the run, while the
-// common alloc/free pair costs a handful of instructions and never touches
-// malloc. Reset() — legal only at quiescent points, when nothing is live —
-// rewinds the bump pointer and drops the free lists so long runs reconverge
-// to densely packed chunks.
+// Blocks are carved from 16 KiB slabs, each serving one size class. A slab
+// keeps its own free list: freeing pushes the block there and allocation pops
+// from the class's first slab with room, both O(1) with no malloc. A slab
+// whose blocks are all free again goes to a shared list that any class can
+// take, so memory tracks the peak of live bytes rather than each class's own
+// peak: a burst of one size no longer strands its blocks once the mix moves
+// on. Each class keeps its last slab even when empty, so an alloc/free pair
+// at a slab boundary does not bounce a slab through the shared list. The
+// reserve is thus the live peak, plus free blocks inside partly used slabs,
+// plus at most one kept slab per class; slabs are small so that this
+// per-class slack stays small (64 KiB slabs cost put_storm 1.9 MiB more).
+// Slabs are 16 KiB aligned, so a block finds its slab header by masking its
+// address, and are carved lazily from 256 KiB regions whose untouched slabs
+// cost no resident memory. Reset() — legal only at
+// quiescent points, when nothing is live — releases every region but the
+// first.
 //
 // Single-threaded, like everything else in the simulator. Blocks larger than
 // kMaxPooled bytes pass through to operator new (counted, so oversized hot
@@ -20,7 +27,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -31,10 +37,17 @@ class Arena {
  public:
   static constexpr size_t kGranule = 16;
   static constexpr size_t kMaxPooled = 1024;
+  static constexpr size_t kSlabBytes = 16 * 1024;
+  static constexpr size_t kRegionSlabs = 16;  // 256 KiB regions
 
-  explicit Arena(size_t chunk_bytes = 256 * 1024) : chunk_bytes_(chunk_bytes) {}
+  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
+  ~Arena() {
+    for (Slab* region : regions_) {
+      ::operator delete(region, std::align_val_t{kSlabBytes});
+    }
+  }
 
   void* Alloc(size_t size) {
     ++allocs_;
@@ -44,16 +57,21 @@ class Arena {
       return ::operator new(size);
     }
     const size_t cls = ClassOf(size);
-    if (FreeNode* node = free_[cls]) {
-      free_[cls] = node->next;
-      return node;
+    Slab* slab = avail_[cls];
+    if (slab == nullptr) {
+      slab = TakeSlab(cls);
     }
-    const size_t bytes = (cls + 1) * kGranule;
-    if (chunks_.empty() || cur_off_ + bytes > chunk_bytes_) {
-      NewChunk();
+    void* p;
+    if (FreeNode* node = slab->free) {
+      slab->free = node->next;
+      p = node;
+    } else {
+      p = reinterpret_cast<unsigned char*>(slab) + slab->bump;
+      slab->bump += static_cast<uint32_t>(BlockBytes(cls));
     }
-    void* p = chunks_.back().get() + cur_off_;
-    cur_off_ += bytes;
+    if (++slab->live == slab->capacity) {
+      Unlink(slab);  // full: no longer a place to allocate
+    }
     return p;
   }
 
@@ -64,10 +82,18 @@ class Arena {
       ::operator delete(p);
       return;
     }
+    Slab* slab = SlabOf(p);
     auto* node = static_cast<FreeNode*>(p);
-    const size_t cls = ClassOf(size);
-    node->next = free_[cls];
-    free_[cls] = node;
+    node->next = slab->free;
+    slab->free = node;
+    if (slab->live-- == slab->capacity) {
+      Link(slab);  // was full: has room again
+    } else if (slab->live == 0 && (avail_[slab->cls] != slab || slab->next != nullptr)) {
+      // Empty and not its class's last slab: any class may take it.
+      Unlink(slab);
+      slab->next = empty_;
+      empty_ = slab;
+    }
   }
 
   template <typename T, typename... A>
@@ -82,17 +108,22 @@ class Arena {
     Free(p, sizeof(T));
   }
 
-  // Rewinds the bump pointer and clears the free lists. Only legal when
-  // nothing is live; chunks are kept so steady-state runs stop allocating.
+  // Forgets every slab and releases every region but the first, from which
+  // carving restarts. Only legal when nothing is live.
   void Reset() {
     assert(live_ == 0 && "arena reset with live allocations");
-    for (auto& head : free_) {
+    for (auto& head : avail_) {
       head = nullptr;
     }
-    cur_off_ = 0;
-    if (chunks_.size() > 1) {
-      chunks_.resize(1);
+    empty_ = nullptr;
+    for (size_t i = 1; i < regions_.size(); ++i) {
+      ::operator delete(regions_[i], std::align_val_t{kSlabBytes});
     }
+    if (!regions_.empty()) {
+      regions_.resize(1);
+      carved_ = 0;
+    }
+    slabs_ = 0;
     ++resets_;
   }
 
@@ -100,7 +131,8 @@ class Arena {
   uint64_t allocs() const { return allocs_; }
   uint64_t oversized_allocs() const { return oversized_; }
   uint64_t resets() const { return resets_; }
-  size_t bytes_reserved() const { return chunks_.size() * chunk_bytes_; }
+  // Slabs carved so far (in use or on the shared list), in bytes.
+  size_t bytes_reserved() const { return slabs_ * kSlabBytes; }
 
  private:
   struct FreeNode {
@@ -108,17 +140,77 @@ class Arena {
   };
   static_assert(sizeof(FreeNode) <= kGranule);
 
-  static size_t ClassOf(size_t size) { return (size + kGranule - 1) / kGranule - (size > 0); }
+  // Header at the start of every slab; blocks follow it.
+  struct Slab {
+    FreeNode* free;  // freed blocks of this slab
+    Slab* prev;      // neighbours in avail_[cls] (next also links empty_)
+    Slab* next;
+    uint32_t bump;      // offset of the first never-used block
+    uint32_t live;      // blocks handed out and not freed
+    uint32_t capacity;  // blocks that fit
+    uint32_t cls;
+  };
+  static constexpr size_t kHeaderBytes = (sizeof(Slab) + kGranule - 1) / kGranule * kGranule;
+  static constexpr size_t kClasses = kMaxPooled / kGranule;
 
-  void NewChunk() {
-    chunks_.push_back(std::make_unique<unsigned char[]>(chunk_bytes_));
-    cur_off_ = 0;
+  static size_t ClassOf(size_t size) { return (size + kGranule - 1) / kGranule - (size > 0); }
+  static size_t BlockBytes(size_t cls) { return (cls + 1) * kGranule; }
+  static Slab* SlabOf(void* p) {
+    return reinterpret_cast<Slab*>(reinterpret_cast<uintptr_t>(p) & ~(kSlabBytes - 1));
   }
 
-  size_t chunk_bytes_;
-  std::vector<std::unique_ptr<unsigned char[]>> chunks_;
-  size_t cur_off_ = 0;
-  FreeNode* free_[kMaxPooled / kGranule] = {};
+  // Puts `slab` first in its class's list of slabs with room.
+  void Link(Slab* slab) {
+    Slab*& head = avail_[slab->cls];
+    slab->prev = nullptr;
+    slab->next = head;
+    if (head != nullptr) {
+      head->prev = slab;
+    }
+    head = slab;
+  }
+
+  void Unlink(Slab* slab) {
+    if (slab->prev != nullptr) {
+      slab->prev->next = slab->next;
+    } else {
+      avail_[slab->cls] = slab->next;
+    }
+    if (slab->next != nullptr) {
+      slab->next->prev = slab->prev;
+    }
+    slab->prev = slab->next = nullptr;
+  }
+
+  // A slab for `cls`: an emptied one from any class, else a fresh one.
+  Slab* TakeSlab(size_t cls) {
+    Slab* slab = empty_;
+    if (slab != nullptr) {
+      empty_ = slab->next;
+    } else {
+      if (regions_.empty() || carved_ == kRegionSlabs) {
+        regions_.push_back(static_cast<Slab*>(
+            ::operator new(kRegionSlabs * kSlabBytes, std::align_val_t{kSlabBytes})));
+        carved_ = 0;
+      }
+      slab = reinterpret_cast<Slab*>(reinterpret_cast<unsigned char*>(regions_.back()) +
+                                     carved_++ * kSlabBytes);
+      ++slabs_;
+    }
+    slab->free = nullptr;
+    slab->bump = kHeaderBytes;
+    slab->live = 0;
+    slab->capacity = static_cast<uint32_t>((kSlabBytes - kHeaderBytes) / BlockBytes(cls));
+    slab->cls = static_cast<uint32_t>(cls);
+    Link(slab);
+    return slab;
+  }
+
+  Slab* avail_[kClasses] = {};  // per class: slabs with a free or unused block
+  Slab* empty_ = nullptr;       // emptied slabs, any class may take
+  std::vector<Slab*> regions_;  // kRegionSlabs slabs each
+  size_t carved_ = 0;           // slabs carved from regions_.back()
+  size_t slabs_ = 0;
   size_t live_ = 0;
   uint64_t allocs_ = 0;
   uint64_t oversized_ = 0;
@@ -175,7 +267,7 @@ ArenaPtr<T> MakeArenaPtr(Arena& arena, A&&... args) {
 // QoS envelope boxes. Unlike per-loop arenas it is never Reset; steady state
 // is pure free-list recycling with no malloc traffic.
 inline Arena& GlobalPool() {
-  static Arena pool(1 << 20);
+  static Arena pool;
   return pool;
 }
 

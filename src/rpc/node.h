@@ -25,7 +25,6 @@
 #include <cassert>
 #include <functional>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "src/obs/trace.h"
 #include "src/qos/qos.h"
 #include "src/qos/scheduler.h"
+#include "src/rpc/recent_ids.h"
 #include "src/sim/any_msg.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
@@ -349,12 +349,13 @@ class Node {
     // copy of a message (retransmission); a real RPC stack's transport
     // sequencing discards it before the application sees it. call_ids are
     // per-(src node) monotonic, so a bounded recent-id window per peer
+    // (RecentIds: an ascending ring of 4096 ids over a floor, 8 bytes an id)
     // suffices. Replies need no dedup: a duplicate reply lands on an
     // already-erased pending call and is dropped above. The whole check is
     // skipped — no window bookkeeping at all — unless the network has ever
     // been configured to duplicate.
     if (net_.dup_faults_possible()) {
-      if (IsDuplicateRequest(src, env.call_id)) {
+      if (seen_requests_[src].SeenBefore(env.call_id)) {
         dup_requests_->Add();
         return;
       }
@@ -408,26 +409,6 @@ class Node {
         std::move(reject));
   }
 
-  bool IsDuplicateRequest(sim::NodeId src, uint64_t call_id) {
-    static constexpr size_t kWindow = 4096;
-    Seen& seen = seen_requests_[src];
-    if (call_id <= seen.floor || seen.ids.contains(call_id)) {
-      return true;
-    }
-    seen.ids.insert(call_id);
-    while (seen.ids.size() > kWindow) {
-      auto first = seen.ids.begin();
-      seen.floor = std::max(seen.floor, *first);
-      seen.ids.erase(first);
-    }
-    return false;
-  }
-
-  struct Seen {
-    uint64_t floor = 0;        // every id <= floor has been seen
-    std::set<uint64_t> ids;    // recent ids above the floor
-  };
-
   struct Handler {
     bool registered = false;
     qos::TrafficClass cls = qos::TrafficClass::kControl;
@@ -446,7 +427,7 @@ class Node {
   qos::Scheduler* scheduler_ = nullptr;
   Nanos handler_base_cost_ = Micros(2);
   std::vector<Handler> handlers_;  // indexed by MsgTypeIdOf<Req>()
-  std::unordered_map<sim::NodeId, Seen> seen_requests_;
+  std::unordered_map<sim::NodeId, RecentIds> seen_requests_;
   std::unordered_map<uint64_t, PendingCall*, XxU64Hash> pending_;
 };
 

@@ -109,6 +109,14 @@ void EventLoop::Cancel(Handle handle) {
 void EventLoop::FreeSlot(uint32_t slot) {
   tags_[slot] = kFreeTag;
   free_slots_.push_back(slot);
+  // Only a cancel or a fire lowers the live count, so this is the one place
+  // the overflow bound can be crossed. A compaction leaves at most the live
+  // count behind, so the next needs that many fires or cancels again: each
+  // costs O(1) amortised. Only dead keys leave, so firing order is unchanged.
+  if (overflow_.size() > 2 * pending_events() + kOverflowSlack) {
+    std::erase_if(overflow_, [this](const Key& key) { return !Live(key); });
+    std::make_heap(overflow_.begin(), overflow_.end(), Later{});
+  }
 }
 
 uint64_t EventLoop::NextOccupiedTick() const {

@@ -30,6 +30,11 @@
 // longer matches). A dropped key is not fired or counted and does not move
 // the clock. This is what lets a timed wait retire its timeout the moment
 // the awaited event fires, instead of leaving it queued for its full delay.
+// Keys in the wheel surface within one horizon, but an overflow key (a
+// cancelled 500ms RPC timeout) would sit for its whole delay, so the
+// overflow heap is compacted whenever it holds more than
+// 2 * pending_events() + kOverflowSlack keys: its size stays proportional to
+// live state however many timeouts are cancelled.
 //
 // Callbacks are InlineFn (48-byte small-buffer captures, no malloc on the
 // common path) and the loop owns a bump-pointer Arena that network/RPC layers
@@ -108,6 +113,11 @@ class EventLoop {
 
   // Scheduled events that will still fire (cancelled ones excluded).
   size_t pending_events() const { return fns_.size() - free_slots_.size(); }
+
+  // Keys queued in the overflow heap, cancelled ones included. Never above
+  // 2 * pending_events() + kOverflowSlack.
+  size_t overflow_keys() const { return overflow_.size(); }
+  static constexpr size_t kOverflowSlack = 1024;
 
   uint64_t events_fired() const { return events_fired_->value(); }
 

@@ -192,6 +192,42 @@ TEST(HistoryChecker, SerializeGolden) {
             "3\t1\tdel\tgone\t\tnotfound\t30\t18446744073709551615\n");
 }
 
+// Returns arrive in any order and each lands on the op it names; an id the
+// history never issued changes nothing.
+TEST(HistoryChecker, OutOfOrderReturnsLandOnTheirOwnOps) {
+  History h;
+  const uint64_t a = h.Invoke(0, OpType::kPut, "a", "va", 10);
+  const uint64_t b = h.Invoke(1, OpType::kGet, "b", "", 11);
+  const uint64_t c = h.Invoke(2, OpType::kDelete, "c", "", 12);
+  const uint64_t d = h.Invoke(3, OpType::kGet, "d", "", 13);
+  h.Return(c, Outcome::kNotFound, "", 40);
+  h.Return(a, Outcome::kAmbiguous, "", 50);
+  h.Return(d, Outcome::kOk, "vd", 30);
+  h.Return(0, Outcome::kOk, "x", 99);
+  h.Return(5, Outcome::kOk, "x", 99);
+  ASSERT_EQ(h.size(), 4u);
+  const auto& ops = h.ops();
+  EXPECT_EQ(ops[0].id, a);
+  EXPECT_TRUE(ops[0].done);
+  EXPECT_EQ(ops[0].outcome, Outcome::kAmbiguous);
+  EXPECT_EQ(ops[0].ret, 50u);
+  EXPECT_EQ(ops[0].value, "va");
+  EXPECT_EQ(ops[1].id, b);
+  EXPECT_FALSE(ops[1].done);
+  EXPECT_EQ(ops[2].id, c);
+  EXPECT_EQ(ops[2].outcome, Outcome::kNotFound);
+  EXPECT_EQ(ops[2].ret, 40u);
+  EXPECT_EQ(ops[3].id, d);
+  EXPECT_EQ(ops[3].outcome, Outcome::kOk);
+  EXPECT_EQ(ops[3].ret, 30u);
+  EXPECT_EQ(ops[3].value, "vd");
+  EXPECT_EQ(h.Serialize(),
+            "1\t0\tput\ta\tva\tambiguous\t10\t50\n"
+            "2\t1\tget\tb\t\tundone\t11\t0\n"
+            "3\t2\tdel\tc\t\tnotfound\t12\t40\n"
+            "4\t3\tget\td\tvd\tok\t13\t30\n");
+}
+
 TEST(HistoryChecker, OverlongHistoryIsLoudNotSilent) {
   Builder b;
   for (int i = 0; i < 70; ++i) {

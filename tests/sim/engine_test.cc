@@ -1,6 +1,7 @@
 // Simulator engine internals: the hierarchical timer wheel vs the reference
-// heap engine, event cancellation, InlineFn small-buffer callbacks, the bump-pointer Arena, and
-// the AnyMsg arena-backed message box.
+// heap engine, event cancellation and overflow compaction, InlineFn
+// small-buffer callbacks, the slab-pool Arena, and the AnyMsg arena-backed
+// message box.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,6 +189,106 @@ TEST(TimerWheel, RandomizedCancelsMatchReferenceHeap) {
   EXPECT_EQ(wheel.cancels_hit, heap.cancels_hit);
   EXPECT_GT(wheel.cancels_hit, 100);
   EXPECT_GT(wheel.fired.size(), 300u);
+}
+
+// Mass cancels of far-future timers (RPC timeouts retired by their replies)
+// must not pile up dead keys in the overflow heap: after every cancel, fire
+// and schedule it holds at most 2 * live + kOverflowSlack keys, and the
+// survivors still fire in order.
+TEST(TimerWheel, OverflowCompactsCancelledTimeouts) {
+  EventLoop loop(EventLoop::Engine::kWheel);
+  const auto within_bound = [&loop] {
+    return loop.overflow_keys() <= 2 * loop.pending_events() + EventLoop::kOverflowSlack;
+  };
+  std::vector<int> order;
+  std::vector<EventLoop::Handle> timeouts;
+  for (int i = 0; i < 20'000; ++i) {
+    timeouts.push_back(
+        loop.ScheduleAt(Seconds(10) + i, [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_EQ(loop.overflow_keys(), 20'000u);
+  for (int i = 0; i < 20'000; ++i) {
+    if (i % 2'000 != 0) {
+      loop.Cancel(timeouts[static_cast<size_t>(i)]);
+      ASSERT_TRUE(within_bound()) << "after cancel " << i;
+    }
+  }
+  EXPECT_EQ(loop.pending_events(), 10u);
+  EXPECT_LE(loop.overflow_keys(), 2 * 10 + EventLoop::kOverflowSlack);
+  // RPC-shaped churn: each call arms a 500ms timeout that its reply cancels.
+  for (int i = 0; i < 50'000; ++i) {
+    const auto timeout = loop.ScheduleAfter(Millis(500), [] { ADD_FAILURE(); });
+    ASSERT_TRUE(within_bound());
+    loop.ScheduleAfter(Micros(20), [&loop, timeout] { loop.Cancel(timeout); });
+    loop.RunFor(Micros(30));
+    ASSERT_TRUE(within_bound()) << "after call " << i;
+  }
+  EXPECT_EQ(loop.pending_events(), 10u);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2'000, 4'000, 6'000, 8'000, 10'000, 12'000, 14'000,
+                                     16'000, 18'000}));
+  EXPECT_EQ(loop.overflow_keys(), 0u);
+}
+
+// Randomized schedule/cancel churn heavy enough to compact the overflow heap
+// many times must fire the identical (time, id) sequence as the reference
+// heap engine, which never compacts.
+TEST(TimerWheel, OverflowCompactionKeepsReferenceOrder) {
+  struct Run {
+    std::vector<std::pair<Nanos, int>> fired;
+    size_t max_overflow = 0;
+    bool bound_held = true;
+  };
+  auto drive = [](EventLoop::Engine engine) {
+    EventLoop loop(engine);
+    Run run;
+    Rng rng(0xd00du);
+    std::vector<EventLoop::Handle> handles;
+    std::vector<int> live;  // ids of events not yet fired or cancelled
+    std::vector<bool> pending;
+    auto schedule = [&](Nanos delay) {
+      const int id = static_cast<int>(handles.size());
+      pending.push_back(true);
+      live.push_back(id);
+      handles.push_back(loop.ScheduleAfter(delay, [&run, &loop, &pending, id] {
+        run.fired.emplace_back(loop.Now(), id);
+        pending[static_cast<size_t>(id)] = false;
+      }));
+    };
+    for (int step = 0; step < 4'000; ++step) {
+      for (int k = 0; k < 3; ++k) {
+        schedule(rng.Uniform(4) == 0
+                     ? static_cast<Nanos>(rng.UniformRange(1'000, 5'000'000))
+                     : static_cast<Nanos>(rng.UniformRange(20'000'000, 600'000'000)));
+      }
+      // Cancel most far timers soon after arming them, as replies do.
+      for (int k = 0; k < 3 && !live.empty(); ++k) {
+        const size_t at = live.size() - 1 - rng.Uniform(std::min<size_t>(live.size(), 8));
+        const int id = live[at];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+        if (pending[static_cast<size_t>(id)] && rng.Uniform(10) != 0) {
+          pending[static_cast<size_t>(id)] = false;
+          loop.Cancel(handles[static_cast<size_t>(id)]);
+        }
+      }
+      loop.RunFor(rng.UniformRange(10'000, 200'000));
+      run.max_overflow = std::max(run.max_overflow, loop.overflow_keys());
+      run.bound_held = run.bound_held && loop.overflow_keys() <=
+                                             2 * loop.pending_events() +
+                                                 EventLoop::kOverflowSlack;
+    }
+    loop.Run();
+    EXPECT_EQ(loop.pending_events(), 0u);
+    return run;
+  };
+  const Run wheel = drive(EventLoop::Engine::kWheel);
+  const Run heap = drive(EventLoop::Engine::kHeap);
+  EXPECT_EQ(wheel.fired, heap.fired);
+  EXPECT_GT(wheel.fired.size(), 1'000u);
+  EXPECT_TRUE(wheel.bound_held);
+  // Without compaction the overflow heap peaks at about 6000 keys, most of
+  // them cancelled; with it, at about 2200.
+  EXPECT_LT(wheel.max_overflow, 4'000u);
 }
 
 // A cancelled event never fires and its key, dropped when it surfaces, does
@@ -418,7 +519,7 @@ TEST(InlineFn, ArgumentsArePassedThrough) {
 // ---- Arena ----------------------------------------------------------------
 
 TEST(Arena, RecyclesFreedBlocksBySizeClass) {
-  Arena arena(4096);
+  Arena arena;
   void* a = arena.Alloc(48);
   arena.Free(a, 48);
   void* b = arena.Alloc(40);  // same 48-byte class: must reuse the block
@@ -428,7 +529,7 @@ TEST(Arena, RecyclesFreedBlocksBySizeClass) {
 }
 
 TEST(Arena, NewDeleteRunConstructorsAndRecycle) {
-  Arena arena(4096);
+  Arena arena;
   auto* s = arena.New<std::string>("arena-backed string long enough to heap-allocate");
   EXPECT_EQ(s->substr(0, 5), "arena");
   arena.Delete(s);
@@ -437,31 +538,126 @@ TEST(Arena, NewDeleteRunConstructorsAndRecycle) {
 }
 
 TEST(Arena, OversizedAllocationsPassThrough) {
-  Arena arena(4096);
+  Arena arena;
   void* big = arena.Alloc(5000);
   EXPECT_EQ(arena.oversized_allocs(), 1u);
   arena.Free(big, 5000);
   EXPECT_EQ(arena.live(), 0u);
 }
 
+// Reset forgets every slab and keeps the first region (the one chunk),
+// from which carving restarts.
 TEST(Arena, ResetRewindsAndKeepsOneChunk) {
-  Arena arena(256);
+  Arena arena;
   std::vector<void*> blocks;
-  for (int i = 0; i < 64; ++i) {
-    blocks.push_back(arena.Alloc(64));  // forces several chunks
+  for (int i = 0; i < 3'000; ++i) {
+    blocks.push_back(arena.Alloc(64));  // forces several slabs
   }
-  const size_t grown = arena.bytes_reserved();
-  EXPECT_GT(grown, 256u);
+  EXPECT_GT(arena.bytes_reserved(), 2 * Arena::kSlabBytes);
   for (void* b : blocks) {
     arena.Free(b, 64);
   }
   arena.Reset();
-  EXPECT_EQ(arena.bytes_reserved(), 256u);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
   EXPECT_EQ(arena.resets(), 1u);
+  void* again = arena.Alloc(64);  // carving restarts in the kept region
+  EXPECT_EQ(arena.bytes_reserved(), Arena::kSlabBytes);
+  arena.Free(again, 64);
+}
+
+// A slab whose blocks were all freed in one size class serves another class
+// instead of staying reserved for the first.
+TEST(Arena, EmptiedSlabIsReusedByAnotherClass) {
+  Arena arena;
+  std::vector<void*> small;
+  for (int i = 0; i < 10'000; ++i) {
+    small.push_back(arena.Alloc(32));
+  }
+  const size_t peak = arena.bytes_reserved();
+  EXPECT_GE(peak, 10'000u * 32);
+  for (void* b : small) {
+    arena.Free(b, 32);
+  }
+  // 300 KiB takes as many slabs as were freed: all of them but the one the
+  // small class keeps, and one fresh.
+  std::vector<void*> large;
+  for (int i = 0; i < 600; ++i) {
+    large.push_back(arena.Alloc(512));
+  }
+  EXPECT_EQ(arena.bytes_reserved(), peak + Arena::kSlabBytes);
+  for (void* b : large) {
+    arena.Free(b, 512);
+  }
+  EXPECT_EQ(arena.live(), 0u);
+}
+
+// Freed blocks are handed out again, in any order of frees, and live blocks
+// never overlap.
+TEST(Arena, FreedBlocksAreReusedAndNeverOverlap) {
+  Arena arena;
+  Rng rng(5);
+  std::vector<std::pair<unsigned char*, size_t>> held;
+  for (int step = 0; step < 20'000; ++step) {
+    if (held.empty() || rng.Uniform(3) != 0) {
+      const size_t size = 1 + rng.Uniform(Arena::kMaxPooled);
+      auto* p = static_cast<unsigned char*>(arena.Alloc(size));
+      std::fill(p, p + size, static_cast<unsigned char>(step));
+      held.emplace_back(p, size);
+    } else {
+      const size_t at = rng.Uniform(held.size());
+      std::swap(held[at], held.back());
+      const auto [p, size] = held.back();
+      for (size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(p[i], p[0]) << "block overwritten by a neighbour";
+      }
+      arena.Free(p, size);
+      held.pop_back();
+    }
+  }
+  for (const auto& [p, size] : held) {
+    arena.Free(p, size);
+  }
+  EXPECT_EQ(arena.live(), 0u);
+}
+
+// Phases of single-size bursts, each freed before the next: the reserve
+// stays within one slab per class of the peak live bytes, where a pool that
+// kept each class's blocks forever would reserve the sum of every class's
+// peak. Live bytes are scaled by 16/15 first: a slab's header and unused
+// tail (less than one block of at most 1 KiB) leave 15/16 of it usable.
+TEST(Arena, ReserveStaysNearPeakLiveBytes) {
+  Arena arena;
+  Rng rng(9);
+  size_t live_bytes = 0;
+  size_t peak_live = 0;
+  size_t classes_used = 0;
+  size_t sum_of_class_peaks = 0;
+  for (size_t size = Arena::kGranule; size <= Arena::kMaxPooled; size += 5 * Arena::kGranule) {
+    ++classes_used;
+    const size_t count = 400'000 / size + rng.Uniform(1'000);
+    std::vector<void*> blocks;
+    for (size_t i = 0; i < count; ++i) {
+      blocks.push_back(arena.Alloc(size));
+      live_bytes += size;
+      peak_live = std::max(peak_live, live_bytes);
+    }
+    sum_of_class_peaks += count * size;
+    // Free in a shuffled order, as event completions do.
+    for (size_t i = blocks.size(); i > 1; --i) {
+      std::swap(blocks[i - 1], blocks[rng.Uniform(i)]);
+    }
+    for (void* b : blocks) {
+      arena.Free(b, size);
+      live_bytes -= size;
+    }
+  }
+  EXPECT_LE(arena.bytes_reserved(), peak_live * 16 / 15 + classes_used * Arena::kSlabBytes);
+  EXPECT_LT(arena.bytes_reserved(), sum_of_class_peaks / 4);
+  EXPECT_EQ(arena.live(), 0u);
 }
 
 TEST(Arena, ArenaPtrOwnsAndReleasesOnDestruction) {
-  Arena arena(4096);
+  Arena arena;
   {
     ArenaPtr<std::string> p = MakeArenaPtr<std::string>(arena, "owned");
     EXPECT_EQ(*p, "owned");
@@ -488,7 +684,7 @@ TEST(Arena, LoopArenaQuiescesBetweenBursts) {
 // ---- AnyMsg ---------------------------------------------------------------
 
 TEST(AnyMsg, RoundTripsValueThroughArena) {
-  Arena arena(4096);
+  Arena arena;
   AnyMsg m = AnyMsg::Make<std::string>(arena, "message body");
   EXPECT_TRUE(m.has_value());
   EXPECT_TRUE(m.Is<std::string>());
@@ -499,7 +695,7 @@ TEST(AnyMsg, RoundTripsValueThroughArena) {
 }
 
 TEST(AnyMsg, MoveOnlyPayloadsWork) {
-  Arena arena(4096);
+  Arena arena;
   AnyMsg m = AnyMsg::Make<std::unique_ptr<int>>(arena, std::make_unique<int>(9));
   AnyMsg n = std::move(m);
   EXPECT_FALSE(m.has_value());  // NOLINT(bugprone-use-after-move)
@@ -508,7 +704,7 @@ TEST(AnyMsg, MoveOnlyPayloadsWork) {
 }
 
 TEST(AnyMsg, DeepCopyForChaosDuplication) {
-  Arena arena(4096);
+  Arena arena;
   AnyMsg m = AnyMsg::Make<std::string>(arena, "dup me");
   AnyMsg copy = m;  // the chaos-dup path
   EXPECT_EQ(m.Take<std::string>(), "dup me");
@@ -517,7 +713,7 @@ TEST(AnyMsg, DeepCopyForChaosDuplication) {
 }
 
 TEST(AnyMsg, DroppedMessageReleasesSlot) {
-  Arena arena(4096);
+  Arena arena;
   {
     AnyMsg m = AnyMsg::Make<std::string>(arena, "never delivered");
     EXPECT_EQ(arena.live(), 1u);
