@@ -12,11 +12,9 @@
 // reserve is thus the live peak, plus free blocks inside partly used slabs,
 // plus at most one kept slab per class; slabs are small so that this
 // per-class slack stays small (64 KiB slabs cost put_storm 1.9 MiB more).
-// Slabs are 16 KiB aligned, so a block finds its slab header by masking its
-// address, and are carved lazily from 256 KiB regions whose untouched slabs
-// cost no resident memory. Reset() — legal only at
-// quiescent points, when nothing is live — releases every region but the
-// first.
+// Each slab is its own 16 KiB-aligned allocation, so a block finds its slab
+// header by masking its address. Reset() — legal only at quiescent points,
+// when nothing is live — frees every slab but one.
 //
 // Single-threaded, like everything else in the simulator. Blocks larger than
 // kMaxPooled bytes pass through to operator new (counted, so oversized hot
@@ -38,14 +36,13 @@ class Arena {
   static constexpr size_t kGranule = 16;
   static constexpr size_t kMaxPooled = 1024;
   static constexpr size_t kSlabBytes = 16 * 1024;
-  static constexpr size_t kRegionSlabs = 16;  // 256 KiB regions
 
   Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
   ~Arena() {
-    for (Slab* region : regions_) {
-      ::operator delete(region, std::align_val_t{kSlabBytes});
+    for (Slab* slab : slabs_) {
+      ::operator delete(slab, std::align_val_t{kSlabBytes});
     }
   }
 
@@ -108,22 +105,22 @@ class Arena {
     Free(p, sizeof(T));
   }
 
-  // Forgets every slab and releases every region but the first, from which
-  // carving restarts. Only legal when nothing is live.
+  // Frees every slab but the first, which becomes the only empty one. Only
+  // legal when nothing is live.
   void Reset() {
     assert(live_ == 0 && "arena reset with live allocations");
     for (auto& head : avail_) {
       head = nullptr;
     }
     empty_ = nullptr;
-    for (size_t i = 1; i < regions_.size(); ++i) {
-      ::operator delete(regions_[i], std::align_val_t{kSlabBytes});
+    for (size_t i = 1; i < slabs_.size(); ++i) {
+      ::operator delete(slabs_[i], std::align_val_t{kSlabBytes});
     }
-    if (!regions_.empty()) {
-      regions_.resize(1);
-      carved_ = 0;
+    if (!slabs_.empty()) {
+      slabs_.resize(1);
+      empty_ = slabs_[0];
+      empty_->next = nullptr;
     }
-    slabs_ = 0;
     ++resets_;
   }
 
@@ -131,8 +128,8 @@ class Arena {
   uint64_t allocs() const { return allocs_; }
   uint64_t oversized_allocs() const { return oversized_; }
   uint64_t resets() const { return resets_; }
-  // Slabs carved so far (in use or on the shared list), in bytes.
-  size_t bytes_reserved() const { return slabs_ * kSlabBytes; }
+  // Slabs held (in use or on the shared list), in bytes.
+  size_t bytes_reserved() const { return slabs_.size() * kSlabBytes; }
 
  private:
   struct FreeNode {
@@ -188,14 +185,8 @@ class Arena {
     if (slab != nullptr) {
       empty_ = slab->next;
     } else {
-      if (regions_.empty() || carved_ == kRegionSlabs) {
-        regions_.push_back(static_cast<Slab*>(
-            ::operator new(kRegionSlabs * kSlabBytes, std::align_val_t{kSlabBytes})));
-        carved_ = 0;
-      }
-      slab = reinterpret_cast<Slab*>(reinterpret_cast<unsigned char*>(regions_.back()) +
-                                     carved_++ * kSlabBytes);
-      ++slabs_;
+      slab = static_cast<Slab*>(::operator new(kSlabBytes, std::align_val_t{kSlabBytes}));
+      slabs_.push_back(slab);
     }
     slab->free = nullptr;
     slab->bump = kHeaderBytes;
@@ -208,9 +199,7 @@ class Arena {
 
   Slab* avail_[kClasses] = {};  // per class: slabs with a free or unused block
   Slab* empty_ = nullptr;       // emptied slabs, any class may take
-  std::vector<Slab*> regions_;  // kRegionSlabs slabs each
-  size_t carved_ = 0;           // slabs carved from regions_.back()
-  size_t slabs_ = 0;
+  std::vector<Slab*> slabs_;    // every slab held, for Reset and teardown
   size_t live_ = 0;
   uint64_t allocs_ = 0;
   uint64_t oversized_ = 0;

@@ -349,7 +349,7 @@ class Node {
     // copy of a message (retransmission); a real RPC stack's transport
     // sequencing discards it before the application sees it. call_ids are
     // per-(src node) monotonic, so a bounded recent-id window per peer
-    // (RecentIds: an ascending ring of 4096 ids over a floor, 8 bytes an id)
+    // (RecentIds: an ascending deque of 4096 ids over a floor, 8 bytes an id)
     // suffices. Replies need no dedup: a duplicate reply lands on an
     // already-erased pending call and is dropped above. The whole check is
     // skipped — no window bookkeeping at all — unless the network has ever

@@ -1,26 +1,25 @@
 // At-most-once request delivery: the window of recent call ids one node keeps
 // per peer.
 //
-// call_ids are per-sender monotonic, so the window is an ascending ring of
+// call_ids are per-sender monotonic, so the window is an ascending deque of
 // the newest kWindow ids plus a floor below which every id counts as seen.
 // An id arriving in order is appended in O(1); a rare out-of-order arrival
 // (a delayed or duplicated copy overtaken by later calls) is binary-searched
-// and shifted into place, a short move since it lands near the back. Past
-// kWindow ids the smallest is evicted and becomes the floor. The ring costs
-// 8 bytes per id and grows by doubling up to kWindow, so a peer that sent a
-// handful of requests holds a handful of words.
+// and inserted, a short move since it lands near the back. Past kWindow ids
+// the smallest is evicted and becomes the floor. Ids cost 8 bytes each.
 #ifndef SRC_RPC_RECENT_IDS_H_
 #define SRC_RPC_RECENT_IDS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 namespace cheetah::rpc {
 
 class RecentIds {
  public:
-  static constexpr size_t kWindow = 4096;  // a power of two: the ring's cap
+  static constexpr size_t kWindow = 4096;
 
   // True if `id` is at or below the floor or already in the window (a
   // duplicate to drop); otherwise records it and returns false.
@@ -28,69 +27,27 @@ class RecentIds {
     if (id <= floor_) {
       return true;
     }
-    size_t pos = size_;
-    if (size_ > 0 && id <= At(size_ - 1)) {
-      pos = LowerBound(id);
-      if (At(pos) == id) {
+    auto at = ids_.end();
+    if (!ids_.empty() && id <= ids_.back()) {
+      at = std::lower_bound(ids_.begin(), ids_.end(), id);
+      if (*at == id) {
         return true;
       }
     }
-    if (size_ == kWindow) {
-      // The window is full: the smallest of the ids plus `id` leaves it and
-      // becomes the floor.
-      if (pos == 0) {
-        floor_ = id;
-        return false;
-      }
-      floor_ = At(0);
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --size_;
-      --pos;
-    } else if (size_ == ring_.size()) {
-      Grow();
+    ids_.insert(at, id);
+    if (ids_.size() > kWindow) {
+      floor_ = ids_.front();
+      ids_.pop_front();
     }
-    for (size_t i = size_; i > pos; --i) {
-      At(i) = At(i - 1);
-    }
-    At(pos) = id;
-    ++size_;
     return false;
   }
 
   uint64_t floor() const { return floor_; }
-  size_t size() const { return size_; }
+  size_t size() const { return ids_.size(); }
 
  private:
-  uint64_t& At(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
-
-  // First position whose id is >= `id`; the caller knows one exists.
-  size_t LowerBound(uint64_t id) {
-    size_t lo = 0;
-    size_t hi = size_ - 1;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (At(mid) < id) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
-  void Grow() {
-    std::vector<uint64_t> bigger(ring_.empty() ? 16 : ring_.size() * 2);
-    for (size_t i = 0; i < size_; ++i) {
-      bigger[i] = At(i);
-    }
-    ring_.swap(bigger);
-    head_ = 0;
-  }
-
-  uint64_t floor_ = 0;          // every id <= floor_ counts as seen
-  std::vector<uint64_t> ring_;  // ascending ids above floor_, from head_
-  size_t head_ = 0;
-  size_t size_ = 0;
+  uint64_t floor_ = 0;         // every id <= floor_ counts as seen
+  std::deque<uint64_t> ids_;  // ascending ids above floor_
 };
 
 }  // namespace cheetah::rpc

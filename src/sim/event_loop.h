@@ -37,9 +37,9 @@
 // live state however many timeouts are cancelled.
 //
 // Callbacks are InlineFn (48-byte small-buffer captures, no malloc on the
-// common path) and the loop owns a bump-pointer Arena that network/RPC layers
-// use for envelopes and delivery records; the arena resets at quiescent
-// points (no live event, nothing live in the arena).
+// common path) and the loop owns a slab-pool Arena (src/common/arena.h) that
+// network/RPC layers use for envelopes and delivery records; the arena resets
+// at quiescent points (no live event, nothing live in the arena).
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -545,8 +546,8 @@ TEST(Arena, OversizedAllocationsPassThrough) {
   EXPECT_EQ(arena.live(), 0u);
 }
 
-// Reset forgets every slab and keeps the first region (the one chunk),
-// from which carving restarts.
+// Reset frees every slab but the first, and the next allocation reuses that
+// kept slab instead of taking a fresh one.
 TEST(Arena, ResetRewindsAndKeepsOneChunk) {
   Arena arena;
   std::vector<void*> blocks;
@@ -558,11 +559,15 @@ TEST(Arena, ResetRewindsAndKeepsOneChunk) {
     arena.Free(b, 64);
   }
   arena.Reset();
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  EXPECT_EQ(arena.resets(), 1u);
-  void* again = arena.Alloc(64);  // carving restarts in the kept region
   EXPECT_EQ(arena.bytes_reserved(), Arena::kSlabBytes);
-  arena.Free(again, 64);
+  EXPECT_EQ(arena.resets(), 1u);
+  const auto slab_of = [](void* p) {
+    return reinterpret_cast<uintptr_t>(p) & ~uintptr_t{Arena::kSlabBytes - 1};
+  };
+  void* again = arena.Alloc(200);  // another class: still the kept slab
+  EXPECT_EQ(slab_of(again), slab_of(blocks.front()));
+  EXPECT_EQ(arena.bytes_reserved(), Arena::kSlabBytes);
+  arena.Free(again, 200);
 }
 
 // A slab whose blocks were all freed in one size class serves another class
@@ -677,6 +682,7 @@ TEST(Arena, LoopArenaQuiescesBetweenBursts) {
     }
     loop.Run();
     EXPECT_EQ(loop.arena().live(), 0u);
+    EXPECT_EQ(loop.arena().bytes_reserved(), Arena::kSlabBytes);
   }
   EXPECT_GE(loop.arena().resets(), 3u);
 }
